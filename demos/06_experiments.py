@@ -16,8 +16,8 @@ The command-line equivalents of what this script does:
 
 import numpy as np
 
-from defectkit import (DEConfig, ExperimentSpec, LearnerSpec, goal, random_split,
-                       report, run_smotuned, run_tuned, run_untuned)
+from defectkit import (DEConfig, ExperimentSpec, LearnerSpec, SmoteConfig, goal,
+                       random_split, report, run_smotuned, run_tuned, run_untuned)
 from defectkit.dataset import AttributeSchema, Dataset
 
 rng = np.random.default_rng(5)
@@ -54,10 +54,16 @@ print(f"repeat 0: defaults scored {row.default_tune_score:.3f} on the tuning "
       f"after {row.evaluations} objective evaluations")
 print(f"  winning tunings: {row.tunings}\n")
 
+# --- fixed SMOTE: one rebalancing of the training data, no tuning ------------
+rebalanced = run_untuned(ExperimentSpec(
+    datasets, [LearnerSpec("cart")], d2h, seed=42, smote=SmoteConfig(k=5, m=50, r=2.0)))
+print(f"untuned cart after fixed SMOTE (k=5, m=50, r=2): "
+      f"{rebalanced.rows[0].score * 100:.1f}\n")
+
 # --- data-savvy tuning: DE over the SMOTE preprocessor ----------------------
+# run_smotuned is the workflow: it tunes (k, m, r) per cell and ignores `smote`.
 smotuned = run_smotuned(ExperimentSpec(
-    datasets, [LearnerSpec("cart")], d2h,
-    repeats=3, seed=42, de=DEConfig(), preprocess="smotuned"))
+    datasets, [LearnerSpec("cart")], d2h, repeats=3, seed=42, de=DEConfig()))
 print(report(smotuned, "table"))
 print(f"tuned SMOTE settings per repeat: "
       f"{[r.tunings for r in smotuned.rows]}\n")

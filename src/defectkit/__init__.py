@@ -10,7 +10,7 @@ from .dataset import (AttributeSchema, Dataset, Instance, Manifest, kfold, load_
 from .fft import FFTEnsemble, FFTree, Range, build_tree, median_split, score_ranges
 from .harness import (ExperimentResult, ExperimentSpec, ResultRow, report,
                       run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
-from .learners import LearnerSpec, Model, param_space, predict_dataset, svm_kernel_space
+from .learners import LearnerSpec, Model, param_space, predict_dataset
 from .metrics import (ConfusionMatrix, GoalSpec, LiftCurve, accuracy, class_metrics,
                       confusion, dist2heaven, evaluate, goal, lift_curve, p_opt)
 from .smote import SmoteConfig, minkowski
@@ -22,7 +22,7 @@ __all__ = [
     "FFTEnsemble", "FFTree", "Range", "build_tree", "median_split", "score_ranges",
     "ExperimentResult", "ExperimentSpec", "ResultRow", "report", "run_kfold_tuned",
     "run_smotuned", "run_tuned", "run_untuned",
-    "LearnerSpec", "Model", "param_space", "predict_dataset", "svm_kernel_space",
+    "LearnerSpec", "Model", "param_space", "predict_dataset",
     "ConfusionMatrix", "GoalSpec", "LiftCurve", "accuracy", "class_metrics", "confusion",
     "dist2heaven", "evaluate", "goal", "lift_curve", "p_opt",
     "SmoteConfig", "minkowski",

@@ -63,69 +63,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args, config: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _setting(args, config: dict, key: str, default, kinds: tuple, low=None, choices=None):
+    """The flag for `key` if given, else its config entry, else `default`.
+
+    A value that is set must be one of `kinds` (never a bool), at least `low`
+    and among `choices` when those are given; else a ConfigError names the key.
+    """
+    value = getattr(args, key.replace(".", "_"), None)
+    if value is None:
+        value = config.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)
+                              or (low is not None and value < low)
+                              or (choices and value not in choices)):
+        expected = (f"one of {', '.join(choices)}" if choices
+                    else " or ".join(k.__name__ for k in kinds))
+        if low is not None:
+            expected += f" >= {low}"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return value
 
 
 def _load_config(args) -> dict:
+    """The --config object, with the entries of its "de" object keyed "de.<name>"."""
     if getattr(args, "config", None) is None:
         return {}
     try:
-        return json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
+    de = config.pop("de", {})
+    if not isinstance(de, dict):
+        raise ConfigError(f"de must be an object of DE settings, got {de!r}")
+    config.update({f"de.{key}": value for key, value in de.items()})
+    return config
 
 
 def _build_spec(args, config: dict, command: str) -> ExperimentSpec:
-    manifest_path = _setting(args, config, "manifest")
+    manifest_path = _setting(args, config, "manifest", None, (str, Path))
     if manifest_path is None:
         raise ConfigError("a --manifest (or config manifest entry) is required")
-    datasets = Manifest.load(manifest_path).assemble()
-
-    goal_name = _setting(args, config, "goal", "d2h")
-    learner_arg = _setting(args, config, "learner", "fft")
-    if isinstance(learner_arg, str):
-        learner_kinds = [k.strip() for k in learner_arg.split(",") if k.strip()]
-    else:
-        learner_kinds = list(learner_arg)
+    goal_name = _setting(args, config, "goal", "d2h", (str,), choices=sorted(GOAL_NAMES))
+    learner_kinds = _setting(args, config, "learner", "fft", (str, list))
+    if isinstance(learner_kinds, str):
+        learner_kinds = [k.strip() for k in learner_kinds.split(",") if k.strip()]
     try:
         learner_specs = [LearnerSpec(kind) for kind in learner_kinds]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"learner: {exc}") from None
 
     de = None
-    if command in ("tune", "kfold-tune", "smotuned"):
-        de_cfg = config.get("de", {})
-
-        def de_knob(flag, key, default):
-            value = getattr(args, flag, None)
-            return value if value is not None else de_cfg.get(key, default)
-
+    if command != "untuned":
         try:
-            de = DEConfig(np=de_knob("de_np", "np", 10), f=de_knob("de_f", "f", 0.75),
-                          cr=de_knob("de_cr", "cr", 0.3), life=de_knob("de_life", "life", 5))
+            de = DEConfig(np=_setting(args, config, "de.np", 10, (int,), low=4),
+                          f=_setting(args, config, "de.f", 0.75, (int, float)),
+                          cr=_setting(args, config, "de.cr", 0.3, (int, float)),
+                          life=_setting(args, config, "de.life", 5, (int,), low=1))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     return ExperimentSpec(
-        datasets=datasets,
         learners=learner_specs,
         goal=make_goal(GOAL_NAMES[goal_name]),
-        repeats=_setting(args, config, "repeats", 1),
-        seed=_setting(args, config, "seed", 0),
-        folds=_setting(args, config, "folds", 10) if command == "kfold-tune" else 10,
+        repeats=_setting(args, config, "repeats", 1, (int,), low=1),
+        seed=_setting(args, config, "seed", 0, (int,)),
+        folds=_setting(args, config, "folds", 10, (int,), low=2),
         de=de,
-        preprocess="smotuned" if command == "smotuned" else None,
+        datasets=Manifest.load(manifest_path).assemble(),
     )
 
 
-def _emit(result: ExperimentResult, args, config: dict) -> None:
-    fmt = _setting(args, config, "format", "table")
+def _emit(result: ExperimentResult, fmt: str, out_dir) -> None:
     rendered = report(result, fmt)
-    out_dir = _setting(args, config, "out")
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,8 +160,9 @@ def main(argv=None) -> int:
             return 0
         config = _load_config(args)
         spec = _build_spec(args, config, args.command)
-        result = runners[args.command](spec)
-        _emit(result, args, config)
+        fmt = _setting(args, config, "format", "table", (str,), choices=("table", "csv"))
+        out_dir = _setting(args, config, "out", None, (str, Path))
+        _emit(runners[args.command](spec), fmt, out_dir)
         return 0
     except (ConfigError, SchemaError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

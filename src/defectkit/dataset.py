@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -157,7 +158,7 @@ def load_csv(path, schema_hints: dict | None = None,
 
     `schema_hints` may override column detection: keys "loc" and "label" name
     the columns to use, "ignore" lists extra columns to drop.  Column matching
-    is case-insensitive.  Rows with missing values are rejected outright.
+    is case-insensitive.  Missing, non-numeric and non-finite cells are rejected.
     """
     path = Path(path)
     hints = schema_hints or {}
@@ -195,6 +196,9 @@ def load_csv(path, schema_hints: dict | None = None,
                 raise CsvParseError(
                     f"{path}: non-numeric value {cell!r} at row {r + 2}, column {names[c]!r}"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise CsvParseError(
+                    f"{path}: non-finite value {cell!r} at row {r + 2}, column {names[c]!r}")
         features[r] = [values[i] for i in feature_cols]
         labels[r] = DEFECTIVE if values[label_index] > 0 else CLEAN
 

@@ -56,16 +56,6 @@ class FFTree:
     def depth(self) -> int:
         return len(self.levels)
 
-    def predict_one(self, features: np.ndarray) -> int:
-        if len(features) != len(self.feature_names):
-            raise ValueError(
-                f"instance has {len(features)} features, tree expects {len(self.feature_names)}")
-        row = np.asarray(features, dtype=float).reshape(1, -1)
-        for rng, exit_class in self.levels:
-            if rng.matches(row)[0]:
-                return exit_class
-        return self.final_leaf[1]
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
         if features.shape[1] != len(self.feature_names):
@@ -83,8 +73,10 @@ class FFTree:
         lines = []
         for i, (rng, exit_class) in enumerate(self.levels):
             prefix = "if" if i == 0 else "else if"
+            # Shortest exact repr, so the text reloads to the very same threshold.
+            threshold = repr(float(rng.threshold)).removesuffix(".0")
             lines.append(f"{prefix} {self.feature_names[rng.attribute]} {rng.relation} "
-                         f"{rng.threshold:g} then {_CLASS_NAMES[exit_class]}")
+                         f"{threshold} then {_CLASS_NAMES[exit_class]}")
         lines.append(f"else {_CLASS_NAMES[self.final_leaf[1]]}")
         return "\n".join(lines)
 
@@ -133,10 +125,7 @@ def tree_from_text(text: str, feature_names) -> FFTree:
     if final_class is None:
         raise ValueError("rule list has no final else line")
     structure_id = sum((exit_class << i) for i, (_, exit_class) in enumerate(levels))
-    if levels:
-        final_leaf = (levels[-1][1], final_class)
-    else:
-        final_leaf = (final_class, final_class)
+    final_leaf = (levels[-1][1] if levels else final_class, final_class)
     return FFTree(tuple(levels), final_leaf, structure_id, feature_names)
 
 
@@ -252,8 +241,3 @@ def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
             best = i
     return FFTEnsemble(tuple(trees), tuple(scores), best, goal)
 
-
-def predict(tree: FFTree, instance) -> int:
-    """Class label for one instance (an Instance or a bare feature vector)."""
-    features = getattr(instance, "features", instance)
-    return tree.predict_one(np.asarray(features, dtype=float))

@@ -31,6 +31,10 @@ SMOTE_SPACE = tuner.ParamSpace((
     tuner.ParamSpec("r", tuner.CONTINUOUS, 0.1, 5.0, default=2.0),
 ))
 
+# Share of the training data a tuned cell keeps for new training; DE scores
+# candidates on the rest.
+TUNE_FRACTION = 0.8
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -51,10 +55,11 @@ class ExperimentSpec:
     goal: GoalSpec
     repeats: int = 1
     seed: int = 0
-    tune_fraction: float = 0.8
     folds: int = 10
     de: tuner.DEConfig | None = None
-    preprocess: SmoteConfig | str | None = None
+    # Fixed rebalancing of what untuned, tuned and k-fold runs fit on (never
+    # the tuning or test data); run_smotuned tunes SMOTE itself instead.
+    smote: SmoteConfig | None = None
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -63,8 +68,6 @@ class ExperimentSpec:
             raise ConfigError("no datasets configured")
         if not self.learners:
             raise ConfigError("no learners configured")
-        if isinstance(self.preprocess, str) and self.preprocess != "smotuned":
-            raise ConfigError(f"unknown preprocess {self.preprocess!r}")
 
 
 @dataclass
@@ -94,22 +97,17 @@ class ExperimentResult:
     def methods(self) -> list[str]:
         return list(dict.fromkeys(r.method for r in self.rows))
 
-    def cell_scores(self, dataset: str, method: str) -> list[float]:
-        return [r.score for r in self.rows if r.dataset == dataset and r.method == method]
+    def _per_cell(self, name: str, reducer) -> dict[tuple[str, str], float]:
+        cells: dict[tuple[str, str], list[float]] = {}
+        for r in self.rows:
+            cells.setdefault((r.dataset, r.method), []).append(getattr(r, name))
+        return {key: float(reducer(values)) for key, values in cells.items()}
 
     def aggregates(self) -> dict[tuple[str, str], float]:
-        reducer = np.median if self.aggregate_kind == "median" else np.mean
-        return {(d, m): float(reducer(self.cell_scores(d, m)))
-                for d in self.datasets for m in self.methods if self.cell_scores(d, m)}
+        return self._per_cell("score", np.median if self.aggregate_kind == "median" else np.mean)
 
     def runtimes(self) -> dict[tuple[str, str], float]:
-        out = {}
-        for d in self.datasets:
-            for m in self.methods:
-                cells = [r.duration for r in self.rows if r.dataset == d and r.method == m]
-                if cells:
-                    out[(d, m)] = float(np.median(cells))
-        return out
+        return self._per_cell("duration", np.median)
 
     @property
     def tuned(self) -> bool:
@@ -141,47 +139,59 @@ def _score_on(model, data: Dataset, g: GoalSpec) -> float:
     return evaluate(g, data.labels, predicted, data.locs)
 
 
-def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
-    """Fit each learner with its given parameters; no tuning stage."""
-    if spec.de is not None:
-        raise ConfigError("run_untuned takes a spec without a tuning section")
-    result = ExperimentResult(spec.goal)
+def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = None,
+         suffix: str = "") -> ExperimentResult:
+    """The one experiment loop: cell order, seeds, timing and rows of every workflow.
+
+    Cell i of the (dataset x learner x repeat) walk is seeded derive_seed(spec.seed, i)
+    and gives the row body(lspec, train, test, seed).  With `folds`, a cell is one
+    (dataset, learner) pair whose training data kfold carves with the cell seed;
+    fold f gives row f, body(lspec, (new_train, tune_set), test, derive_seed(seed, f)),
+    and rows aggregate by mean, not median.
+    """
+    if (spec.de is None) == tuned:
+        raise ConfigError("tuned workflows need a DE configuration" if tuned
+                          else "run_untuned takes a spec without a tuning section")
+    result = ExperimentResult(spec.goal, aggregate_kind="median" if folds is None else "mean")
     cell = 0
     for name, (train, test) in spec.datasets.items():
         for lspec in spec.learners:
-            for repeat in range(spec.repeats):
+            for repeat in range(spec.repeats if folds is None else 1):
                 seed = derive_seed(spec.seed, cell)
                 cell += 1
-                start = time.perf_counter()
-                fit_data = train
-                if isinstance(spec.preprocess, SmoteConfig):
-                    fit_data = smote.apply(train, replace(spec.preprocess, seed=seed))
-                model = learners.fit(lspec, fit_data, seed, goal=spec.goal)
-                score = _score_on_test(model, test, spec.goal)
-                result.rows.append(ResultRow(name, lspec.kind, repeat, score,
-                                             time.perf_counter() - start))
+                try:
+                    units = ([(repeat, train, seed)] if folds is None
+                             else [(f, pair, derive_seed(seed, f))
+                                   for f, pair in enumerate(kfold(train, folds, seed))])
+                    for index, data, unit_seed in units:
+                        start = time.perf_counter()
+                        fields = body(lspec, data, test, unit_seed)
+                        result.rows.append(ResultRow(name, lspec.kind + suffix, index,
+                                                     duration=time.perf_counter() - start,
+                                                     **fields))
+                except DegenerateDataError as exc:
+                    raise DegenerateDataError(f"dataset {name!r}: {exc}") from exc
     return result
 
 
-def _tuned_cell(lspec, new_train, tune_set, test, g, de_cfg, seed):
-    """DE over the learner's own parameter space; returns one scored row body."""
-    space = learners.param_space(lspec.kind)
+def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
+    """Tune by DE, refit the winner, score it once on the test set.
+
+    DE searches `space` from a population holding `planted`; every candidate
+    becomes a model through `fit_from(tunings)` and is scored on `tune_set`.
+    """
     calls = 0
 
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
-        model = learners.fit(learners.LearnerSpec(lspec.kind, candidate.tunings),
-                             new_train, seed, goal=g)
-        return _score_on(model, tune_set, g)
+        return _score_on(fit_from(candidate.tunings), tune_set, g)
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
-                       seed_candidates=[lspec.resolved()])
+                       seed_candidates=[planted])
     assert calls == run.evaluations
-    winner = learners.LearnerSpec(lspec.kind, run.best.tunings)
-    model = learners.fit(winner, new_train, seed, goal=g)
     return {
-        "score": _score_on_test(model, test, g),
+        "score": _score_on_test(fit_from(run.best.tunings), test, g),
         "tunings": dict(run.best.tunings),
         "evaluations": run.evaluations,
         "default_tune_score": run.initial_scores[0],
@@ -189,92 +199,53 @@ def _tuned_cell(lspec, new_train, tune_set, test, g, de_cfg, seed):
     }
 
 
+def _rebalanced(spec: ExperimentSpec, data: Dataset, seed: int) -> Dataset:
+    return data if spec.smote is None else smote.apply(data, replace(spec.smote, seed=seed))
+
+
+def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
+    """DE over the learner's own parameter space, its defaults planted."""
+    new_train = _rebalanced(spec, new_train, seed)
+    return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
+                    lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
+                                                 new_train, seed, goal=spec.goal),
+                    tune_set, test, spec.goal, spec.de, seed)
+
+
+def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
+    """Fit each learner with its given parameters; no tuning stage."""
+    def body(lspec, train, test, seed):
+        model = learners.fit(lspec, _rebalanced(spec, train, seed), seed, goal=spec.goal)
+        return {"score": _score_on_test(model, test, spec.goal)}
+
+    return _run(spec, body, tuned=False)
+
+
 def run_tuned(spec: ExperimentSpec) -> ExperimentResult:
     """Repeat (split 80/20, tune by DE, refit, test) and aggregate by median."""
-    if spec.de is None:
-        raise ConfigError("run_tuned needs a DE configuration")
-    result = ExperimentResult(spec.goal)
-    cell = 0
-    for name, (train, test) in spec.datasets.items():
-        for lspec in spec.learners:
-            for repeat in range(spec.repeats):
-                seed = derive_seed(spec.seed, cell)
-                cell += 1
-                start = time.perf_counter()
-                new_train, tune_set = random_split(train, spec.tune_fraction, seed)
-                if isinstance(spec.preprocess, SmoteConfig):
-                    new_train = smote.apply(new_train, replace(spec.preprocess, seed=seed))
-                body = _tuned_cell(lspec, new_train, tune_set, test, spec.goal, spec.de, seed)
-                result.rows.append(ResultRow(name, lspec.kind, repeat,
-                                             duration=time.perf_counter() - start, **body))
-    return result
+    return _run(spec, lambda lspec, train, test, seed: _tune_learner(
+        spec, lspec, *random_split(train, TUNE_FRACTION, seed), test, seed))
 
 
 def run_kfold_tuned(spec: ExperimentSpec) -> ExperimentResult:
     """Tune once per fold (fold = tuning data, rest = new training); report means."""
-    if spec.de is None:
-        raise ConfigError("run_kfold_tuned needs a DE configuration")
-    result = ExperimentResult(spec.goal, aggregate_kind="mean")
-    cell = 0
-    for name, (train, test) in spec.datasets.items():
-        for lspec in spec.learners:
-            base_seed = derive_seed(spec.seed, cell)
-            cell += 1
-            folds = kfold(train, spec.folds, base_seed)
-            for fold_index, (new_train, tune_set) in enumerate(folds):
-                seed = derive_seed(base_seed, fold_index)
-                start = time.perf_counter()
-                body = _tuned_cell(lspec, new_train, tune_set, test, spec.goal, spec.de, seed)
-                result.rows.append(ResultRow(name, lspec.kind, fold_index,
-                                             duration=time.perf_counter() - start, **body))
-    return result
+    return _run(spec, lambda lspec, fold, test, seed:
+                _tune_learner(spec, lspec, *fold, test, seed), folds=spec.folds)
 
 
 def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     """Tune the SMOTE preprocessor (k, m, r) by DE; learner parameters stay fixed."""
-    if spec.de is None:
-        raise ConfigError("run_smotuned needs a DE configuration")
-    if spec.preprocess != "smotuned":
-        raise ConfigError('run_smotuned needs preprocess="smotuned"')
-    result = ExperimentResult(spec.goal)
-    cell = 0
-    for name, (train, test) in spec.datasets.items():
-        for lspec in spec.learners:
-            for repeat in range(spec.repeats):
-                seed = derive_seed(spec.seed, cell)
-                cell += 1
-                start = time.perf_counter()
-                new_train, tune_set = random_split(train, spec.tune_fraction, seed)
-                calls = 0
+    def body(lspec, train, test, seed):
+        new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
 
-                def objective(candidate: tuner.Candidate) -> float:
-                    nonlocal calls
-                    calls += 1
-                    cfg = SmoteConfig(candidate.tunings["k"], candidate.tunings["m"],
-                                      candidate.tunings["r"], seed)
-                    balanced = smote.apply(new_train, cfg)
-                    model = learners.fit(lspec, balanced, seed, goal=spec.goal)
-                    return _score_on(model, tune_set, spec.goal)
+        def fit_from(tunings):
+            cfg = SmoteConfig(tunings["k"], tunings["m"], tunings["r"], seed)
+            return learners.fit(lspec, smote.apply(new_train, cfg), seed, goal=spec.goal)
 
-                try:
-                    run = tuner.run_de(SMOTE_SPACE, objective, spec.goal.direction,
-                                       replace(spec.de, seed=seed),
-                                       seed_candidates=[SMOTE_SPACE.defaults()])
-                except DegenerateDataError as exc:
-                    raise DegenerateDataError(f"dataset {name!r}: {exc}") from exc
-                assert calls == run.evaluations
-                best = run.best.tunings
-                balanced = smote.apply(new_train, SmoteConfig(best["k"], best["m"],
-                                                              best["r"], seed))
-                model = learners.fit(lspec, balanced, seed, goal=spec.goal)
-                result.rows.append(ResultRow(
-                    name, lspec.kind + "+smotuned", repeat,
-                    score=_score_on_test(model, test, spec.goal),
-                    duration=time.perf_counter() - start,
-                    tunings=dict(best), evaluations=run.evaluations,
-                    default_tune_score=run.initial_scores[0],
-                    best_tune_score=run.best.score))
-    return result
+        return _de_cell(SMOTE_SPACE, SMOTE_SPACE.defaults(), fit_from, tune_set, test,
+                        spec.goal, spec.de, seed)
+
+    return _run(spec, body, suffix="+smotuned")
 
 
 def _best_methods(result: ExperimentResult, aggregates) -> dict[str, str]:
@@ -309,8 +280,8 @@ def report(result: ExperimentResult, fmt: str = "table",
 
     if fmt == "csv":
         out = io.StringIO()
-        header = "dataset,method,score,best"
-        out.write(header + (",runtime_seconds\n" if include_runtime else "\n"))
+        out.write("dataset,method,score,best"
+                  + (",runtime_seconds\n" if include_runtime else "\n"))
         for dataset in result.datasets:
             for method in result.methods:
                 if (dataset, method) not in aggregates:
@@ -340,8 +311,7 @@ def report(result: ExperimentResult, fmt: str = "table",
             cells.append(f"{aggregates[(dataset, method)] * 100:.1f}{mark}".rjust(width))
         lines.append(" | ".join([dataset.ljust(name_width)] + cells))
     if include_runtime:
-        lines.append("")
-        lines.append("runtime seconds (median per dataset x method)")
+        lines += ["", "runtime seconds (median per dataset x method)"]
         for dataset in result.datasets:
             cells = [f"{runtimes[(dataset, m)]:.3f}".rjust(width)
                      for m in result.methods if (dataset, m) in runtimes]

@@ -6,9 +6,7 @@ names, defaults and tuning ranges are exposed as ParamSpaces that plug
 straight into the differential-evolution tuner.
 
 The SVM here is linear only: a hinge-loss classifier trained by
-deterministic subgradient descent with regularisation 1/C.  The kernelised
-parameter table is still constructible (svm_kernel_space) so tuners can
-represent it, but no kernel solver is provided.
+deterministic subgradient descent with regularisation 1/C.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,29 +22,7 @@ from .dataset import Dataset
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
-from .tuner import CATEGORICAL, CONTINUOUS, INTEGER, ParamSpace, ParamSpec
-
-KINDS = ("cart", "random_forest", "naive_bayes", "logistic", "knn", "linear_svm", "fft")
-
-_RF_DIMS = (
-    ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5),
-    ParamSpec("max_feature", CONTINUOUS, 0.01, 1.0, default=1.0),
-    ParamSpec("max_leaf_nodes", INTEGER, 1, 50, default=50),
-    ParamSpec("min_sample_split", INTEGER, 2, 20, default=2),
-    ParamSpec("min_samples_leaf", INTEGER, 1, 20, default=1),
-)
-
-_SPACES = {
-    "random_forest": ParamSpace(_RF_DIMS + (
-        ParamSpec("n_estimators", INTEGER, 50, 150, default=100),)),
-    "cart": ParamSpace(_RF_DIMS),
-    "naive_bayes": ParamSpace((ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5),)),
-    "logistic": ParamSpace((ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5),)),
-    "knn": ParamSpace((ParamSpec("k", INTEGER, 1, 20, default=8),
-                       ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5))),
-    "linear_svm": ParamSpace((ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),)),
-    "fft": ParamSpace((ParamSpec("d", INTEGER, 1, 5, default=4),)),
-}
+from .tuner import CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 
 GD_EPOCHS = 500
 GD_LEARNING_RATE = 0.1
@@ -54,25 +30,9 @@ GD_LEARNING_RATE = 0.1
 
 def param_space(kind: str) -> ParamSpace:
     """The tunable dimensions of a learner, with table defaults and ranges."""
-    if kind not in _SPACES:
+    if kind not in _LEARNERS:
         raise ValueError(f"unknown learner kind {kind!r}; choose from {KINDS}")
-    return _SPACES[kind]
-
-
-def svm_kernel_space() -> ParamSpace:
-    """The four-dimensional SVM tuning space, kernel choice included.
-
-    Representable for tuning experiments even though only the linear kernel
-    has a solver here; gamma defaults to 1/n_features for 200-dimensional
-    inputs.
-    """
-    return ParamSpace((
-        ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),
-        ParamSpec("kernel", CATEGORICAL, values=("linear", "poly", "rbf", "sigmoid"),
-                  default="rbf"),
-        ParamSpec("gamma", CONTINUOUS, 0.0, 1.0, default=1 / 200),
-        ParamSpec("coef0", CONTINUOUS, 0.0, 1.0, default=0.0),
-    ))
+    return _LEARNERS[kind].space
 
 
 @dataclass(frozen=True)
@@ -83,10 +43,7 @@ class LearnerSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        space = param_space(self.kind)
-        for name in self.params:
-            space[name]  # raises KeyError for unknown names
-        space.validate(self.params)
+        param_space(self.kind).validate(self.params)  # KeyError for unknown names
 
     def resolved(self) -> dict[str, Any]:
         merged = param_space(self.kind).defaults()
@@ -104,11 +61,12 @@ class Model:
     state: Any
 
 
-def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, std, standardised features); constant columns keep std 1."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0] = 1.0
-    return mean, std
+    return mean, std, (features - mean) / std
 
 
 def _entropy(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -209,12 +167,6 @@ class _Cart:
             consider(node.right, feats[~mask], labs[~mask])
         return self
 
-    def prob_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while node.feature is not None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.prob
-
     def prob(self, features: np.ndarray) -> np.ndarray:
         """Leaf probabilities for a whole matrix, routed with index masks."""
         out = np.empty(len(features))
@@ -238,56 +190,27 @@ class _Cart:
         return walk(self.root)
 
 
-def _require_both_classes(data: Dataset, kind: str) -> None:
-    if len(np.unique(data.labels)) < 2:
-        raise DegenerateDataError(f"{kind} needs both classes in the training data")
-
-
 def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = None) -> Model:
     """Train spec.kind on the data; deterministic given (spec, data, seed)."""
     if not len(data):
         raise ValueError("cannot fit on an empty dataset")
+    learner = _LEARNERS[spec.kind]
+    if learner.needs_both_classes and len(np.unique(data.labels)) < 2:
+        raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
     params = spec.resolved()
-    threshold = params.get("threshold", 0.5)
-    kind = spec.kind
-    features, labels = data.features, data.labels
-
-    if kind == "cart":
-        _require_both_classes(data, kind)
-        state = _Cart(params, seed).fit(features, labels)
-    elif kind == "random_forest":
-        _require_both_classes(data, kind)
-        # Trees differ through per-split feature sampling with per-tree seeds
-        # (seed + index), not bootstrapping, so a one-tree forest at
-        # max_feature=1.0 is exactly the CART build.  With every feature
-        # sampled the builds are identical, so one tree serves all slots.
-        if params["max_feature"] >= 1.0:
-            tree = _Cart(params, seed).fit(features, labels)
-            state = [tree] * params["n_estimators"]
-        else:
-            state = [_Cart(params, seed + i).fit(features, labels)
-                     for i in range(params["n_estimators"])]
-    elif kind == "naive_bayes":
-        state = _fit_naive_bayes(features, labels)
-    elif kind == "logistic":
-        _require_both_classes(data, kind)
-        state = _fit_logistic(features, labels)
-    elif kind == "knn":
-        _require_both_classes(data, kind)
-        mean, std = _z_stats(features)
-        state = {"mean": mean, "std": std, "points": (features - mean) / std,
-                 "labels": labels, "k": min(params["k"], len(labels))}
-    elif kind == "linear_svm":
-        _require_both_classes(data, kind)
-        state = _fit_linear_svm(features, labels, params["C"])
-    elif kind == "fft":
-        _require_both_classes(data, kind)
-        state = fft_mod.fit(data, goal or make_goal("dist2heaven"), params["d"])
-    else:
-        raise ValueError(f"unknown learner kind {kind!r}")
-    return Model(kind, data.schema.feature_names, threshold, state)
+    return Model(spec.kind, data.schema.feature_names, params.get("threshold", 0.5),
+                 learner.fit(params, data, seed, goal))
 
 
+def _fit_forest(params, features, labels, seed):
+    # Trees differ through per-split feature sampling with per-tree seeds
+    # (seed + index), not bootstrapping, so a one-tree forest at
+    # max_feature=1.0 is exactly the CART build.  With every feature
+    # sampled the builds are identical, so one tree serves all slots.
+    if params["max_feature"] >= 1.0:
+        return [_Cart(params, seed).fit(features, labels)] * params["n_estimators"]
+    return [_Cart(params, seed + i).fit(features, labels)
+            for i in range(params["n_estimators"])]
 def _fit_naive_bayes(features, labels):
     classes = np.unique(labels)
     priors, means, variances = {}, {}, {}
@@ -303,8 +226,7 @@ def _fit_naive_bayes(features, labels):
 
 
 def _fit_logistic(features, labels):
-    mean, std = _z_stats(features)
-    x = (features - mean) / std
+    mean, std, x = _z_stats(features)
     y = labels.astype(float)
     w = np.zeros(x.shape[1])
     b = 0.0
@@ -317,8 +239,7 @@ def _fit_logistic(features, labels):
 
 
 def _fit_linear_svm(features, labels, c_penalty):
-    mean, std = _z_stats(features)
-    x = (features - mean) / std
+    mean, std, x = _z_stats(features)
     y = np.where(labels == 1, 1.0, -1.0)
     lam = 1.0 / c_penalty
     w = np.zeros(x.shape[1])
@@ -331,86 +252,116 @@ def _fit_linear_svm(features, labels, c_penalty):
     return {"mean": mean, "std": std, "w": w, "b": b}
 
 
-def _score_features(model: Model, x: np.ndarray) -> float:
-    state = model.state
-    if model.kind == "cart":
-        return state.prob_one(x)
-    if model.kind == "random_forest":
-        return float(np.mean([tree.prob_one(x) >= 0.5 for tree in state]))
-    if model.kind == "naive_bayes":
-        log_post = {}
-        for c in state["classes"]:
-            var = state["vars"][c]
-            log_like = -0.5 * (np.log(2 * math.pi * var)
-                               + (x - state["means"][c]) ** 2 / var).sum()
-            log_post[c] = math.log(state["priors"][c]) + log_like
-        if 1 not in log_post:
-            return 0.0
-        if 0 not in log_post:
-            return 1.0
-        shift = max(log_post.values())
-        p1 = math.exp(log_post[1] - shift)
-        return p1 / (p1 + math.exp(log_post[0] - shift))
-    if model.kind in ("logistic", "linear_svm"):
-        z = (x - state["mean"]) / state["std"]
-        return float(1.0 / (1.0 + np.exp(-(z @ state["w"] + state["b"]))))
-    if model.kind == "knn":
-        z = (x - state["mean"]) / state["std"]
-        distances = np.sqrt(((state["points"] - z) ** 2).sum(axis=1))
-        nearest = np.argsort(distances, kind="stable")[:state["k"]]
-        return float(state["labels"][nearest].mean())
-    if model.kind == "fft":
-        return float(state.best_tree.predict_one(x))
-    raise ValueError(f"unknown learner kind {model.kind!r}")
+def _fit_knn(params, features, labels):
+    mean, std, points = _z_stats(features)
+    return {"mean": mean, "std": std, "points": points, "labels": labels,
+            "k": min(params["k"], len(labels))}
+
+
+def _score_forest(trees, x):
+    vote_cache = {}  # shared trees (max_feature=1.0) vote once
+    votes = np.zeros(len(x))
+    for tree in trees:
+        if id(tree) not in vote_cache:
+            vote_cache[id(tree)] = tree.prob(x) >= 0.5
+        votes += vote_cache[id(tree)]
+    return votes / len(trees)
+
+
+def _score_naive_bayes(state, x):
+    log_post = {}
+    for c in state["classes"]:
+        var = state["vars"][c]
+        log_like = -0.5 * (np.log(2 * math.pi * var)
+                           + (x - state["means"][c]) ** 2 / var).sum(axis=1)
+        log_post[c] = math.log(state["priors"][c]) + log_like
+    if 1 not in log_post:
+        return np.zeros(len(x))
+    if 0 not in log_post:
+        return np.ones(len(x))
+    shift = np.maximum(log_post[0], log_post[1])
+    p1 = np.exp(log_post[1] - shift)
+    return p1 / (p1 + np.exp(log_post[0] - shift))
+
+
+def _score_linear(state, x):
+    z = (x - state["mean"]) / state["std"]
+    return 1.0 / (1.0 + np.exp(-(z @ state["w"] + state["b"])))
+
+
+def _score_knn(state, x):
+    z = (x - state["mean"]) / state["std"]
+    distances = np.sqrt(((z[:, None, :] - state["points"][None, :, :]) ** 2).sum(axis=2))
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :state["k"]]
+    return state["labels"][nearest].mean(axis=1)
+
+
+@dataclass(frozen=True)
+class _Learner:
+    """One learner kind: its tuning space, how it fits, how it scores a matrix."""
+
+    space: ParamSpace
+    fit: Callable  # (params, data, seed, goal) -> fitted state
+    score: Callable  # (state, feature matrix) -> one score in [0, 1] per row
+    needs_both_classes: bool = True
+
+
+_THRESHOLD = ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5)
+_RF_DIMS = (
+    _THRESHOLD,
+    ParamSpec("max_feature", CONTINUOUS, 0.01, 1.0, default=1.0),
+    ParamSpec("max_leaf_nodes", INTEGER, 1, 50, default=50),
+    ParamSpec("min_sample_split", INTEGER, 2, 20, default=2),
+    ParamSpec("min_samples_leaf", INTEGER, 1, 20, default=1),
+)
+
+# The fit entries are lambdas so that module functions (fft_mod.fit above
+# all) are looked up when a model is fitted, not when this table is built.
+_LEARNERS = {
+    "cart": _Learner(
+        ParamSpace(_RF_DIMS),
+        lambda p, data, seed, goal: _Cart(p, seed).fit(data.features, data.labels),
+        lambda cart, x: cart.prob(x)),
+    "random_forest": _Learner(
+        ParamSpace(_RF_DIMS + (ParamSpec("n_estimators", INTEGER, 50, 150, default=100),)),
+        lambda p, data, seed, goal: _fit_forest(p, data.features, data.labels, seed),
+        _score_forest),
+    "naive_bayes": _Learner(
+        ParamSpace((_THRESHOLD,)),
+        lambda p, data, seed, goal: _fit_naive_bayes(data.features, data.labels),
+        _score_naive_bayes, needs_both_classes=False),
+    "logistic": _Learner(
+        ParamSpace((_THRESHOLD,)),
+        lambda p, data, seed, goal: _fit_logistic(data.features, data.labels),
+        _score_linear),
+    "knn": _Learner(
+        ParamSpace((ParamSpec("k", INTEGER, 1, 20, default=8), _THRESHOLD)),
+        lambda p, data, seed, goal: _fit_knn(p, data.features, data.labels),
+        _score_knn),
+    "linear_svm": _Learner(
+        ParamSpace((ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),)),
+        lambda p, data, seed, goal: _fit_linear_svm(data.features, data.labels, p["C"]),
+        _score_linear),
+    "fft": _Learner(
+        ParamSpace((ParamSpec("d", INTEGER, 1, 5, default=4),)),
+        lambda p, data, seed, goal: fft_mod.fit(data, goal or make_goal("dist2heaven"), p["d"]),
+        lambda ensemble, x: ensemble.best_tree.predict(x).astype(float)),
+}
+KINDS = tuple(_LEARNERS)
+
+
+def _score_matrix(model: Model, x: np.ndarray) -> np.ndarray:
+    return _LEARNERS[model.kind].score(model.state, x)
 
 
 def predict(model: Model, instance) -> tuple[int, float]:
-    """(label, score) for one instance; label is score >= model.threshold."""
+    """(label, score) for one instance scored as a one-row matrix; label is score >= threshold."""
     x = np.asarray(getattr(instance, "features", instance), dtype=float)
     if x.shape != (len(model.feature_names),):
         raise ValueError(f"instance has {x.shape} features, "
                          f"model expects {len(model.feature_names)}")
-    score = _score_features(model, x)
+    score = float(_score_matrix(model, x.reshape(1, -1))[0])
     return int(score >= model.threshold), score
-
-
-def _score_matrix(model: Model, x: np.ndarray) -> np.ndarray:
-    state = model.state
-    if model.kind == "cart":
-        return state.prob(x)
-    if model.kind == "random_forest":
-        vote_cache = {}  # shared trees (max_feature=1.0) vote once
-        votes = np.zeros(len(x))
-        for tree in state:
-            if id(tree) not in vote_cache:
-                vote_cache[id(tree)] = tree.prob(x) >= 0.5
-            votes += vote_cache[id(tree)]
-        return votes / len(state)
-    if model.kind == "naive_bayes":
-        log_post = {}
-        for c in state["classes"]:
-            var = state["vars"][c]
-            log_like = -0.5 * (np.log(2 * math.pi * var)
-                               + (x - state["means"][c]) ** 2 / var).sum(axis=1)
-            log_post[c] = math.log(state["priors"][c]) + log_like
-        if 1 not in log_post:
-            return np.zeros(len(x))
-        if 0 not in log_post:
-            return np.ones(len(x))
-        shift = np.maximum(log_post[0], log_post[1])
-        p1 = np.exp(log_post[1] - shift)
-        return p1 / (p1 + np.exp(log_post[0] - shift))
-    if model.kind in ("logistic", "linear_svm"):
-        z = (x - state["mean"]) / state["std"]
-        return 1.0 / (1.0 + np.exp(-(z @ state["w"] + state["b"])))
-    if model.kind == "knn":
-        z = (x - state["mean"]) / state["std"]
-        distances = np.sqrt(((z[:, None, :] - state["points"][None, :, :]) ** 2).sum(axis=2))
-        nearest = np.argsort(distances, axis=1, kind="stable")[:, :state["k"]]
-        return state["labels"][nearest].mean(axis=1)
-    if model.kind == "fft":
-        return state.best_tree.predict(x).astype(float)
-    raise ValueError(f"unknown learner kind {model.kind!r}")
 
 
 def predict_dataset(model: Model, data: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -216,8 +216,8 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
     for candidate in population:
         scored(candidate)
 
-    best = min(population, key=lambda c: c.score) if direction == "minimize" \
-        else max(population, key=lambda c: c.score)
+    best_of = min if direction == "minimize" else max
+    best = best_of(population, key=lambda c: c.score)
     run = DERun(best=best, evaluations=0, generations=0,
                 initial_scores=[c.score for c in population],
                 best_history=[best.score])
@@ -238,8 +238,7 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
             run.log.append((generation, i, incumbent.score, mutant.score, replaced))
             next_population.append(mutant if replaced else incumbent)
         population = next_population
-        generation_best = min(population, key=lambda c: c.score) if direction == "minimize" \
-            else max(population, key=lambda c: c.score)
+        generation_best = best_of(population, key=lambda c: c.score)
         if prefer(generation_best.score, run.best.score):
             run.best = generation_best
         # A life is spent whenever the new population is no better than the

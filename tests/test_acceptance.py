@@ -134,7 +134,7 @@ def test_fft_enumeration_and_rule_list_semantics():
                 text = tree.to_text()
                 names = list(tree.feature_names)
                 for row in small.features:
-                    assert tree.predict_one(row) == interpret_rules(text, names, row)
+                    assert tree.predict(row.reshape(1, -1))[0] == interpret_rules(text, names, row)
     passed("fft enumeration (2, 4, 8, 16, 32 trees) and rule-list equivalence")
 
 

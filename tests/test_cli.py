@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from defectkit.cli import main
 from defectkit.harness import parse_report_csv
@@ -146,6 +147,35 @@ class TestErrorPaths:
         manifest.write_text(json.dumps({"p": ["p-1.0.csv", "p-2.0.csv"]}),
                             encoding="utf-8")
         assert main(["untuned", "--manifest", str(manifest), "--learner", "cart"]) == 1
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("untuned", {"repeats": "2"}, "repeats"),
+        ("untuned", {"repeats": 0}, "repeats"),
+        ("untuned", {"learner": 5}, "learner"),
+        ("untuned", [1, 2], "object"),
+        ("untuned", {"goal": "auc"}, "goal"),
+        ("untuned", {"seed": True}, "seed"),
+        ("untuned", {"format": "xml"}, "format"),
+        ("untuned", {"out": 3}, "out"),
+        ("untuned", {"de": 5}, "de"),
+        ("tune", {"de": {"np": 5.5}}, "de.np"),
+        ("tune", {"de": {"life": 0}}, "de.life"),
+        ("tune", {"de": {"f": "big"}}, "de.f"),
+        ("kfold-tune", {"folds": 1}, "folds"),
+    ])
+    def test_bad_config_values_are_config_errors(self, tmp_path, capsys, command, config,
+                                                 key):
+        manifest = make_project(tmp_path)
+        if isinstance(config, dict):
+            config = {"manifest": str(manifest), **config}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [command, "--config", str(path)]
+        if not isinstance(config, dict):
+            argv += ["--manifest", str(manifest)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
 
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2

@@ -82,6 +82,12 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r"row 3.*'cbo'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_rows(tmp_path, ["1,2,3,4,100,0\n", f"1,{cell},3,4,100,0\n"])
+        with pytest.raises(CsvParseError, match=r"non-finite.*row 3.*'dit'"):
+            load_csv(path)
+
     def test_missing_value_rejected(self, tmp_path):
         path = write_rows(tmp_path, ["1,2,3,4,,0\n"])
         with pytest.raises(CsvParseError):

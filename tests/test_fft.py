@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from defectkit.errors import DegenerateDataError
-from defectkit.fft import (FFTree, Range, build_tree, fit, median_split, predict,
-                           score_ranges, tree_from_dict, tree_from_text)
+from defectkit.fft import (FFTree, Range, build_tree, fit, median_split, score_ranges,
+                           tree_from_dict, tree_from_text)
 from defectkit.metrics import goal
 
 from conftest import make_dataset, planted_dataset
@@ -28,6 +29,11 @@ def interpret_rules(text, names, row):
         if hit:
             return classes[klass]
     raise AssertionError("rule list had no final else")
+
+
+def predict_row(tree, row):
+    """Class of one instance, scored as a one-row matrix."""
+    return int(tree.predict(np.asarray(row, dtype=float).reshape(1, -1))[0])
 
 
 def fig_tree():
@@ -123,7 +129,7 @@ class TestBuildTree:
         tree = build_tree(separator6, D2H, structure_id=0, depth=0)
         assert tree.depth == 0
         assert tree.final_leaf[0] == tree.final_leaf[1]
-        assert predict(tree, separator6.instances[0]) == tree.final_leaf[1]
+        assert predict_row(tree, separator6.instances[0].features) == tree.final_leaf[1]
 
     def test_truncates_when_remaining_single_class(self, separator6):
         # the separating first level leaves only clean instances behind
@@ -174,17 +180,17 @@ class TestFit:
 
 class TestPredictRouting:
     def test_first_level_match_exits_clean(self):
-        assert predict(fig_tree(), np.array([3.0, 40.0, 1.0, 10.0])) == 0
+        assert predict_row(fig_tree(), np.array([3.0, 40.0, 1.0, 10.0])) == 0
 
     def test_second_level_match_exits_defective(self):
-        assert predict(fig_tree(), np.array([5.0, 33.0, 0.0, 50.0])) == 1
+        assert predict_row(fig_tree(), np.array([5.0, 33.0, 0.0, 50.0])) == 1
 
     def test_no_level_matches_falls_to_final_false(self):
-        assert predict(fig_tree(), np.array([5.0, 30.0, 0.0, 40.0])) == 0
+        assert predict_row(fig_tree(), np.array([5.0, 30.0, 0.0, 40.0])) == 0
 
     def test_schema_mismatch(self):
         with pytest.raises(ValueError):
-            predict(fig_tree(), np.array([1.0, 2.0]))
+            predict_row(fig_tree(), np.array([1.0, 2.0]))
 
     def test_every_instance_gets_exactly_one_exit(self):
         data = planted_dataset(n=30, n_noise=2, seed=8)
@@ -193,7 +199,7 @@ class TestPredictRouting:
             exits = [exit_class for rng, exit_class in tree.levels if rng.matches(
                 x.reshape(1, -1))[0]]
             routed = exits[0] if exits else tree.final_leaf[1]
-            assert predict(tree, x) == routed
+            assert predict_row(tree, x) == routed
 
 
 class TestSerialization:
@@ -242,4 +248,16 @@ class TestSerialization:
                     text = tree.to_text()
                     names = list(tree.feature_names)
                     for row in data.features:
-                        assert tree.predict_one(row) == interpret_rules(text, names, row)
+                        assert predict_row(tree, row) == interpret_rules(text, names, row)
+
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=4))
+    def test_text_round_trip_keeps_thresholds_exactly(self, thresholds):
+        names = tuple(f"a{i}" for i in range(len(thresholds)))
+        levels = tuple((Range(i, "<=" if i % 2 else ">", t, i % 2, 0.0), i % 2)
+                       for i, t in enumerate(thresholds))
+        tree = FFTree(levels, (levels[-1][1], 1 - levels[-1][1]), 0, names)
+        again = tree_from_text(tree.to_text(), names)
+        assert [r.threshold for r, _ in again.levels] == list(thresholds)
+        # rows sitting exactly on each threshold route the same way after reloading
+        rows = np.array([thresholds, np.nextafter(thresholds, np.inf)])
+        assert again.predict(rows).tolist() == tree.predict(rows).tolist()

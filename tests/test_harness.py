@@ -52,10 +52,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec_for({}, [LearnerSpec("cart")])
 
-    def test_unknown_preprocess(self):
-        with pytest.raises(ConfigError):
-            spec_for({"d": planted_split()}, [LearnerSpec("cart")], preprocess="downsample")
-
     def test_untuned_rejects_tuning_section(self):
         spec = spec_for({"d": planted_split()}, [LearnerSpec("cart")], de=FAST_DE)
         with pytest.raises(ConfigError):
@@ -85,6 +81,12 @@ class TestRunUntuned:
         assert report(a, "csv", include_runtime=False) == \
                report(b, "csv", include_runtime=False)
 
+    def test_degenerate_training_data_names_dataset(self):
+        train = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 0])
+        spec = spec_for({"allclean": (train, train)}, [LearnerSpec("cart")])
+        with pytest.raises(DegenerateDataError, match="allclean"):
+            run_untuned(spec)
+
     def test_planted_signal_vs_shuffled_control(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("fft")], seed=42)
         signal = run_untuned(spec).rows[0].score
@@ -96,7 +98,7 @@ class TestRunUntuned:
     def test_fixed_smote_preprocess_leaves_test_alone(self):
         train, test = planted_split()
         spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
-                        preprocess=SmoteConfig(k=3, m=50))
+                        smote=SmoteConfig(k=3, m=50))
         result = run_untuned(spec)
         assert len(result.rows) == 1
         assert len(test) == len(planted_split()[1])
@@ -173,6 +175,20 @@ class TestRunKfoldTuned:
         expected = sum(r.score for r in result.rows) / 4
         assert result.aggregates()[("planted", "cart")] == pytest.approx(expected, abs=1e-12)
 
+    def test_fixed_smote_rebalances_each_fold_once(self, monkeypatch):
+        seeds = []
+        original = harness.smote.apply
+
+        def watching(data, cfg):
+            seeds.append(cfg.seed)
+            return original(data, cfg)
+
+        monkeypatch.setattr(harness.smote, "apply", watching)
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
+                        folds=3, seed=11, de=FAST_DE, smote=SmoteConfig(k=3, m=50))
+        run_kfold_tuned(spec)
+        assert len(seeds) == len(set(seeds)) == 3  # one fold seed each, before tuning
+
     def test_two_folds_smallest_case(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
                         folds=2, seed=12, de=FAST_DE)
@@ -193,7 +209,7 @@ class TestRunKfoldTuned:
 class TestRunSmotuned:
     def test_tunings_stay_in_table_ranges(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
-                        repeats=2, seed=14, de=FAST_DE, preprocess="smotuned")
+                        repeats=2, seed=14, de=FAST_DE)
         result = run_smotuned(spec)
         for row in result.rows:
             assert row.method == "cart+smotuned"
@@ -206,13 +222,8 @@ class TestRunSmotuned:
         train = make_dataset(rng.random((30, 2)), [1] + [0] * 29)
         test = make_dataset(rng.random((10, 2)), [1] * 5 + [0] * 5)
         spec = spec_for({"lonely": (train, test)}, [LearnerSpec("cart")],
-                        seed=15, de=FAST_DE, preprocess="smotuned")
+                        seed=15, de=FAST_DE)
         with pytest.raises(DegenerateDataError, match="lonely"):
-            run_smotuned(spec)
-
-    def test_requires_smotuned_preprocess(self):
-        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")], de=FAST_DE)
-        with pytest.raises(ConfigError):
             run_smotuned(spec)
 
     def test_test_set_never_rebalanced(self, monkeypatch):
@@ -226,7 +237,7 @@ class TestRunSmotuned:
         monkeypatch.setattr(harness, "_score_on_test", watching)
         train, test = planted_split()
         spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
-                        seed=16, de=FAST_DE, preprocess="smotuned")
+                        seed=16, de=FAST_DE)
         run_smotuned(spec)
         assert seen_sizes == [len(test)]
 

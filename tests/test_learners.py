@@ -1,12 +1,61 @@
+import math
+
 import numpy as np
 import pytest
 
 from defectkit.errors import DegenerateDataError
-from defectkit.learners import (KINDS, LearnerSpec, fit, param_space, predict,
-                                predict_dataset, svm_kernel_space)
-from defectkit.tuner import CATEGORICAL, CONTINUOUS, INTEGER
+from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict, predict_dataset
+from defectkit.tuner import INTEGER
 
 from conftest import make_dataset, planted_dataset
+
+
+def walk_cart(tree, x):
+    """Leaf probability of one row, found by walking the tree node by node."""
+    node = tree.root
+    while node.feature is not None:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.prob
+
+
+def reference_score(model, x):
+    """Per-instance score of one feature vector, written independently of the
+    matrix scorers (the oracle for predict_dataset)."""
+    state = model.state
+    if model.kind == "cart":
+        return walk_cart(state, x)
+    if model.kind == "random_forest":
+        return float(np.mean([walk_cart(tree, x) >= 0.5 for tree in state]))
+    if model.kind == "naive_bayes":
+        log_post = {}
+        for c in state["classes"]:
+            var = state["vars"][c]
+            log_like = -0.5 * (np.log(2 * math.pi * var)
+                               + (x - state["means"][c]) ** 2 / var).sum()
+            log_post[c] = math.log(state["priors"][c]) + log_like
+        if 1 not in log_post:
+            return 0.0
+        if 0 not in log_post:
+            return 1.0
+        shift = max(log_post.values())
+        p1 = math.exp(log_post[1] - shift)
+        return p1 / (p1 + math.exp(log_post[0] - shift))
+    if model.kind in ("logistic", "linear_svm"):
+        z = (x - state["mean"]) / state["std"]
+        return float(1.0 / (1.0 + np.exp(-(z @ state["w"] + state["b"]))))
+    if model.kind == "knn":
+        z = (x - state["mean"]) / state["std"]
+        distances = np.sqrt(((state["points"] - z) ** 2).sum(axis=1))
+        nearest = np.argsort(distances, kind="stable")[:state["k"]]
+        return float(state["labels"][nearest].mean())
+    if model.kind == "fft":
+        tree = state.best_tree
+        for rng, exit_class in tree.levels:
+            if (x[rng.attribute] <= rng.threshold if rng.relation == "<="
+                    else x[rng.attribute] > rng.threshold):
+                return float(exit_class)
+        return float(tree.final_leaf[1])
+    raise AssertionError(f"no reference scorer for {model.kind!r}")
 
 
 def probe_accuracy(kind, data, params=None, seed=0):
@@ -28,6 +77,7 @@ class TestParamSpaces:
         assert (dims["min_samples_leaf"].lo, dims["min_samples_leaf"].hi) == (1, 20)
         assert (dims["n_estimators"].lo, dims["n_estimators"].hi) == (50, 150)
         assert dims["n_estimators"].default == 100
+        assert dims["n_estimators"].kind == INTEGER
         assert dims["threshold"].default == 0.5
 
     def test_linear_svm_exposes_only_c(self):
@@ -45,17 +95,6 @@ class TestParamSpaces:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             param_space("perceptron")
-
-    def test_kernel_table_is_constructible(self):
-        space = svm_kernel_space()
-        dims = {s.name: s for s in space}
-        assert dims["kernel"].kind == CATEGORICAL
-        assert set(dims["kernel"].values) == {"linear", "poly", "rbf", "sigmoid"}
-        assert (dims["C"].lo, dims["C"].hi) == (1.0, 50.0)
-        assert (dims["gamma"].lo, dims["gamma"].hi) == (0.0, 1.0)
-        assert (dims["coef0"].lo, dims["coef0"].hi) == (0.0, 1.0)
-        assert dims["gamma"].kind == CONTINUOUS
-        assert param_space("random_forest")["n_estimators"].kind == INTEGER
 
 
 class TestSpecValidation:
@@ -125,7 +164,7 @@ class TestRandomForest:
         # n_estimators floor is 50; compare the first tree, seeded seed+0
         cart = fit(LearnerSpec("cart"), data, seed=3)
         assert rf.state[0].structure() == cart.state.structure()
-        rf_labels = np.array([tree.prob_one(x) >= 0.5 for tree in rf.state[:1]
+        rf_labels = np.array([walk_cart(tree, x) >= 0.5 for tree in rf.state[:1]
                               for x in data.features], dtype=int)
         cart_labels, _ = predict_dataset(cart, data)
         assert rf_labels.tolist() == cart_labels.tolist()
@@ -206,9 +245,11 @@ class TestVectorizedAgreement:
                 else {"k": 3} if kind == "knn" else {}
             model = fit(LearnerSpec(kind, params), data, seed=4)
             labels, scores = predict_dataset(model, probe)
+            reference = [reference_score(model, x) for x in probe.features]
+            assert labels.tolist() == [int(s >= model.threshold) for s in reference], kind
+            assert scores == pytest.approx(reference, abs=1e-12), kind
             singly = [predict(model, x) for x in probe.features]
-            assert labels.tolist() == [lab for lab, _ in singly], kind
-            assert scores == pytest.approx([s for _, s in singly], abs=1e-12), kind
+            assert [s for _, s in singly] == pytest.approx(reference, abs=1e-12), kind
 
 
 class TestSchemaFingerprint:
