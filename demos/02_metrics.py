@@ -9,7 +9,7 @@ inspection orders?  Larger is better and 0.5 is the random baseline.
 """
 
 from defectkit import (accuracy, class_metrics, confusion, dist2heaven, evaluate,
-                       goal, lift_curve, p_opt)
+                       goal, inspection_areas, p_opt)
 
 # --- threshold metrics from a confusion matrix -----------------------------
 actual = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
@@ -29,11 +29,12 @@ for r, fa in ((1.0, 0.0), (0.8, 0.3), (0.5, 0.5), (0.0, 1.0)):
 # three modules: two small defective ones and a big clean one
 instances = [(1, 1), (2, 1), (7, 0)]  # (loc, actual label)
 
-curve = lift_curve(instances, order=[0, 1, 2])
-print("\nlift curve when inspecting small defective modules first:")
-for x, y in curve.points:
-    print(f"  {x:.0%} of the code read -> {y:.0%} of the defects found")
-print(f"area under that curve: {curve.area():.3f}")
+# Each area sits under the curve of (share of code read, share of defects found).
+s_model, s_optimal, s_worst = inspection_areas(instances, [0, 1, 0])
+print("\nareas under the inspection curves for predicted=[0, 1, 0]:")
+print(f"  model order (predicted-defective first, small files first): {s_model:.3f}")
+print(f"  optimal order (highest defect density first):               {s_optimal:.3f}")
+print(f"  worst order (lowest defect density first):                  {s_worst:.3f}")
 
 print("\nP_opt for different prediction vectors:")
 for pred in ([1, 1, 0], [0, 1, 0], [0, 0, 1]):

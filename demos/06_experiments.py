@@ -61,7 +61,7 @@ print(f"untuned cart after fixed SMOTE (k=5, m=50, r=2): "
       f"{rebalanced.rows[0].score * 100:.1f}\n")
 
 # --- data-savvy tuning: DE over the SMOTE preprocessor ----------------------
-# run_smotuned is the workflow: it tunes (k, m, r) per cell and ignores `smote`.
+# run_smotuned is the workflow: it tunes (k, m, r) per cell and rejects a fixed `smote`.
 smotuned = run_smotuned(ExperimentSpec(
     datasets, [LearnerSpec("cart")], d2h, repeats=3, seed=42, de=DEConfig()))
 print(report(smotuned, "table"))

@@ -11,8 +11,8 @@ from .fft import FFTEnsemble, FFTree, Range, build_tree, median_split, score_ran
 from .harness import (ExperimentResult, ExperimentSpec, ResultRow, report,
                       run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
 from .learners import LearnerSpec, Model, param_space, predict_dataset
-from .metrics import (ConfusionMatrix, GoalSpec, LiftCurve, accuracy, class_metrics,
-                      confusion, dist2heaven, evaluate, goal, lift_curve, p_opt)
+from .metrics import (ConfusionMatrix, GoalSpec, accuracy, class_metrics, confusion,
+                      dist2heaven, evaluate, goal, inspection_areas, p_opt)
 from .smote import SmoteConfig, minkowski
 from .tuner import Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate, init_population, optimize
 
@@ -23,8 +23,8 @@ __all__ = [
     "ExperimentResult", "ExperimentSpec", "ResultRow", "report", "run_kfold_tuned",
     "run_smotuned", "run_tuned", "run_untuned",
     "LearnerSpec", "Model", "param_space", "predict_dataset",
-    "ConfusionMatrix", "GoalSpec", "LiftCurve", "accuracy", "class_metrics", "confusion",
-    "dist2heaven", "evaluate", "goal", "lift_curve", "p_opt",
+    "ConfusionMatrix", "GoalSpec", "accuracy", "class_metrics", "confusion", "dist2heaven",
+    "evaluate", "goal", "inspection_areas", "p_opt",
     "SmoteConfig", "minkowski",
     "Candidate", "DEConfig", "ParamSpace", "ParamSpec", "extrapolate", "init_population",
     "optimize",

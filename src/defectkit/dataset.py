@@ -232,7 +232,7 @@ def merge(parts: list[Dataset]) -> Dataset:
                 if a != b:
                     raise SchemaError(f"schema mismatch: column {a!r} vs {b!r}")
             raise SchemaError("schema mismatch: differing loc/label positions or column count")
-    features = np.concatenate([p.features for p in parts]) if parts else np.zeros((0, 0))
+    features = np.concatenate([p.features for p in parts])
     labels = np.concatenate([p.labels for p in parts])
     provenance = tuple(tag for p in parts for tag in p.provenance)
     return Dataset(first.schema, features, labels, provenance)

@@ -10,13 +10,13 @@ metric, and keeps the best.  Trees render to a human-readable rule list
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CLEAN, DEFECTIVE, Dataset
 from .errors import DegenerateDataError
-from .metrics import GoalSpec, evaluate
+from .metrics import MINIMIZE, GoalSpec, evaluate
 
 LE = "<="
 GT = ">"
@@ -157,38 +157,59 @@ def _majority(labels: np.ndarray, fallback: int = CLEAN) -> int:
     return int(np.bincount(labels, minlength=2).argmax())
 
 
-def _score_range(rng: Range, features, labels, locs, goal: GoalSpec) -> float:
-    # A range alone is a one-rule model: matches get its class, the rest the
-    # opposite class, which yields a complete confusion matrix to score.
-    predicted = np.where(rng.matches(features), rng.predicted, 1 - rng.predicted)
-    return evaluate(goal, labels, predicted, locs)
+def _ranked(data: Dataset, goal: GoalSpec) -> list[Range]:
+    """All four median-split ranges of every attribute, best-scoring first.
 
-
-def _candidate_ranges(features, labels, locs, goal: GoalSpec) -> list[Range]:
+    A range alone is a one-rule model: matches get its class, the rest the
+    opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and two
+    scores per attribute cover all four ranges.
+    """
     candidates = []
-    for attribute in range(features.shape[1]):
-        values = np.sort(features[:, attribute])
-        threshold = float(values[(len(values) - 1) // 2])
-        for relation in (LE, GT):
-            for predicted in (CLEAN, DEFECTIVE):
-                rng = Range(attribute, relation, threshold, predicted, 0.0)
-                score = _score_range(rng, features, labels, locs, goal)
-                candidates.append(replace(rng, score=score))
-    return candidates
-
-
-def _rank(candidates: list[Range], goal: GoalSpec) -> list[Range]:
-    sign = 1.0 if goal.direction == "minimize" else -1.0
+    for attribute in range(data.features.shape[1]):
+        threshold = median_split(data, attribute)
+        below = data.features[:, attribute] <= threshold
+        for c in (CLEAN, DEFECTIVE):
+            score = evaluate(goal, data.labels, np.where(below, c, 1 - c), data.locs)
+            candidates += [Range(attribute, LE, threshold, c, score),
+                           Range(attribute, GT, threshold, 1 - c, score)]
+    sign = 1.0 if goal.direction == MINIMIZE else -1.0
     return sorted(candidates,
-                  key=lambda r: (sign * r.score, r.attribute, 0 if r.relation == LE else 1))
+                  key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
 
 
 def score_ranges(data: Dataset, goal: GoalSpec) -> list[Range]:
     """All median-split ranges over all attributes, best-scoring first."""
     if len(np.unique(data.labels)) < 2:
         raise DegenerateDataError("range scoring needs both classes present")
-    candidates = _candidate_ranges(data.features, data.labels, data.locs, goal)
-    return _rank(candidates, goal)
+    return _ranked(data, goal)
+
+
+def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels: tuple,
+          trees: dict) -> dict:
+    """Add to `trees`, and return it, each tree in `ids`; all share the exits in `levels`.
+
+    `node` is the data those levels leave undecided.  It is scored and ranked
+    once, then each exit class some id takes next gets its best range.  When
+    the node runs out (empty or single-class) every id under it closes early.
+    """
+    level, names = len(levels), data.schema.feature_names
+    if level == depth or len(np.unique(node.labels)) < 2:
+        leaf = _majority(node.labels, _majority(data.labels))
+        trees.update((sid, FFTree(levels, (leaf, leaf), sid, names)) for sid in ids)
+        return trees
+    ranked = _ranked(node, goal)
+    for exit_class in (CLEAN, DEFECTIVE):
+        branch = [sid for sid in ids if (sid >> level) & 1 == exit_class]
+        if not branch:
+            continue
+        best = next(r for r in ranked if r.predicted == exit_class)
+        path = levels + ((best, exit_class),)
+        if level == depth - 1:
+            trees[branch[0]] = FFTree(path, (exit_class, 1 - exit_class), branch[0], names)
+        else:
+            rest = node.subset(np.flatnonzero(~best.matches(node.features)))
+            _grow(data, rest, goal, depth, branch, path, trees)
+    return trees
 
 
 def build_tree(data: Dataset, goal: GoalSpec, structure_id: int, depth: int) -> FFTree:
@@ -201,25 +222,7 @@ def build_tree(data: Dataset, goal: GoalSpec, structure_id: int, depth: int) -> 
     """
     if depth < 0 or not 0 <= structure_id < 2 ** depth:
         raise ValueError(f"structure_id {structure_id} out of range for depth {depth}")
-    names = data.schema.feature_names
-    features, labels, locs = data.features, data.labels, data.locs
-    overall_majority = _majority(labels)
-    levels = []
-    for level in range(depth):
-        if not len(labels) or len(np.unique(labels)) < 2:
-            leaf = _majority(labels, overall_majority)
-            return FFTree(tuple(levels), (leaf, leaf), structure_id, names)
-        exit_class = (structure_id >> level) & 1
-        candidates = [r for r in _candidate_ranges(features, labels, locs, goal)
-                      if r.predicted == exit_class]
-        best = _rank(candidates, goal)[0]
-        levels.append((best, exit_class))
-        if level == depth - 1:
-            return FFTree(tuple(levels), (exit_class, 1 - exit_class), structure_id, names)
-        keep = ~best.matches(features)
-        features, labels, locs = features[keep], labels[keep], locs[keep]
-    leaf = _majority(labels, overall_majority)
-    return FFTree((), (leaf, leaf), structure_id, names)
+    return _grow(data, data, goal, depth, [structure_id], (), {})[structure_id]
 
 
 def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
@@ -228,16 +231,9 @@ def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if len(np.unique(data.labels)) < 2:
         raise DegenerateDataError("fitting needs both classes present")
-    trees = []
-    scores = []
-    for structure_id in range(2 ** depth):
-        tree = build_tree(data, goal, structure_id, depth)
-        predicted = tree.predict(data.features)
-        trees.append(tree)
-        scores.append(evaluate(goal, data.labels, predicted, data.locs))
-    best = 0
-    for i, score in enumerate(scores):
-        if goal.better(score, scores[best]):
-            best = i
-    return FFTEnsemble(tuple(trees), tuple(scores), best, goal)
-
+    grown = _grow(data, data, goal, depth, range(2 ** depth), (), {})
+    trees = tuple(grown[sid] for sid in range(2 ** depth))
+    scores = tuple(evaluate(goal, data.labels, tree.predict(data.features), data.locs)
+                   for tree in trees)
+    best = (min if goal.direction == MINIMIZE else max)(range(len(scores)), key=scores.__getitem__)
+    return FFTEnsemble(trees, scores, best, goal)

@@ -58,7 +58,7 @@ class ExperimentSpec:
     folds: int = 10
     de: tuner.DEConfig | None = None
     # Fixed rebalancing of what untuned, tuned and k-fold runs fit on (never
-    # the tuning or test data); run_smotuned tunes SMOTE itself instead.
+    # the tuning or test data); run_smotuned tunes SMOTE itself and rejects it.
     smote: SmoteConfig | None = None
 
     def __post_init__(self):
@@ -235,6 +235,9 @@ def run_kfold_tuned(spec: ExperimentSpec) -> ExperimentResult:
 
 def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     """Tune the SMOTE preprocessor (k, m, r) by DE; learner parameters stay fixed."""
+    if spec.smote is not None:
+        raise ConfigError("run_smotuned tunes SMOTE itself; a fixed `smote` config is an error")
+
     def body(lspec, train, test, seed):
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
 

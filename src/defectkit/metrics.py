@@ -126,78 +126,39 @@ def dist2heaven(recall: float, fa: float) -> float:
     return math.sqrt((1 - recall) ** 2 + fa ** 2) / math.sqrt(2)
 
 
-@dataclass(frozen=True)
-class LiftCurve:
-    """Cumulative (effort fraction, recall fraction) polyline from (0,0) to (1,1)."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
-            raise ValueError("lift curve must run from (0,0) to (1,1)")
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        if any(b < a - 1e-12 for a, b in zip(xs, xs[1:])) \
-                or any(b < a - 1e-12 for a, b in zip(ys, ys[1:])):
-            raise ValueError("lift curve coordinates must be non-decreasing")
-
-    def area(self) -> float:
-        """Area under the polyline by the trapezoid rule."""
-        total = 0.0
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            total += (x1 - x0) * (y0 + y1) / 2.0
-        return total
-
-
-def lift_curve(instances, order) -> LiftCurve:
-    """Accumulate effort (loc) against defects found while visiting `order`.
-
-    `instances` is a sequence of (loc, label) pairs; `order` must be a
-    permutation of their indices.
-    """
-    locs = np.asarray([loc for loc, _ in instances], dtype=float)
-    labels = np.asarray([lab for _, lab in instances], dtype=int)
-    order = np.asarray(order, dtype=int)
-    if sorted(order.tolist()) != list(range(len(instances))):
-        raise ValueError("order must be a permutation of the instance indices")
-    total_loc = locs.sum()
-    total_defects = labels.sum()
-    if total_loc <= 0:
-        raise DegenerateDataError("total loc is zero; effort axis undefined")
-    if total_defects == 0:
-        raise DegenerateDataError("no defective instances; recall axis undefined")
-    points = [(0.0, 0.0)]
-    cum_loc = 0.0
-    cum_defects = 0
-    for idx in order:
-        cum_loc += locs[idx]
-        cum_defects += labels[idx]
-        points.append((cum_loc / total_loc, cum_defects / total_defects))
-    points[-1] = (1.0, 1.0)
-    return LiftCurve(tuple(points))
-
-
-def _defect_density(locs, labels) -> np.ndarray:
-    # loc=0 rows would divide by zero; clamp the denominator.
-    return np.asarray(labels, dtype=float) / np.maximum(np.asarray(locs, dtype=float), 1.0)
-
-
-def _model_order(locs, predicted) -> list[int]:
-    # Predicted-defective modules first, each group in ascending loc, stable.
-    return sorted(range(len(locs)), key=lambda i: (0 if predicted[i] else 1, locs[i]))
+def _lift_area(locs: np.ndarray, labels: np.ndarray, order: np.ndarray) -> float:
+    """Trapezoid area under the (effort, recall) curve of inspecting rows in `order`."""
+    x = np.concatenate(([0.0], np.cumsum(locs[order]) / locs.sum()))
+    y = np.concatenate(([0.0], np.cumsum(labels[order]) / labels.sum()))
+    x[-1] = y[-1] = 1.0
+    # A running sum, not np.sum: pairwise summation would change the last bits.
+    return float(np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)[-1])
 
 
 def inspection_areas(instances, predicted) -> tuple[float, float, float]:
-    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector."""
-    locs = [loc for loc, _ in instances]
-    labels = [lab for _, lab in instances]
-    density = _defect_density(locs, labels)
-    model = _model_order(locs, predicted)
-    optimal = sorted(range(len(locs)), key=lambda i: -density[i])
-    worst = sorted(range(len(locs)), key=lambda i: density[i])
-    return (lift_curve(instances, model).area(),
-            lift_curve(instances, optimal).area(),
-            lift_curve(instances, worst).area())
+    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
+
+    `instances` holds (loc, label) pairs.  The model inspects predicted-defective
+    modules first, each group by ascending loc; the optimal and worst orders sort
+    by defect density (loc clamped at 1) down and up.  All three sorts are stable.
+    """
+    locs = np.asarray([loc for loc, _ in instances], dtype=float)
+    labels = np.asarray([lab for _, lab in instances], dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    if predicted.shape != locs.shape:
+        raise ValueError(f"{predicted.size} predictions for {len(locs)} instances")
+    if not (np.isfinite(locs) & (locs >= 0)).all():
+        raise ValueError("every loc must be finite and non-negative")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("every label must be 0 or 1")
+    if locs.sum() <= 0:
+        raise DegenerateDataError("total loc is zero; effort axis undefined")
+    if labels.sum() == 0:
+        raise DegenerateDataError("no defective instances; recall axis undefined")
+    density = labels / np.maximum(locs, 1.0)
+    model = np.lexsort((locs, predicted == 0))
+    return tuple(_lift_area(locs, labels, order) for order in
+                 (model, np.argsort(-density, kind="stable"), np.argsort(density, kind="stable")))
 
 
 def p_opt(instances, predicted) -> float:
@@ -206,8 +167,8 @@ def p_opt(instances, predicted) -> float:
     `predicted` holds hard labels or scores; scores are thresholded at 0.5
     before the predicted-defective-first, ascending-loc layout is built.
     """
-    predicted = [int(float(p) >= 0.5) for p in predicted]
-    s_model, s_optimal, s_worst = inspection_areas(instances, predicted)
+    s_model, s_optimal, s_worst = inspection_areas(instances,
+                                                   np.asarray(predicted, dtype=float) >= 0.5)
     if s_optimal == s_worst:
         raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
     return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
@@ -216,8 +177,8 @@ def p_opt(instances, predicted) -> float:
 def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float:
     """Score a prediction vector under the named goal (binary defect labels)."""
     if g.kind == "p_opt":
-        if locs is None:
-            raise ValueError("p_opt needs loc values")
+        if locs is None or len(locs) != len(actual):
+            raise ValueError("p_opt needs one loc value per label")
         return p_opt(list(zip(locs, actual)), predicted)
     hard = (np.asarray(predicted, dtype=float) >= 0.5).astype(int)
     m = confusion(actual, hard, 2)

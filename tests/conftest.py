@@ -1,9 +1,12 @@
-"""Shared builders for synthetic defect datasets."""
+"""Shared builders for synthetic defect datasets, and the lift-curve oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from defectkit.dataset import AttributeSchema, Dataset
+from defectkit.errors import DegenerateDataError
 
 
 def make_dataset(features, labels, loc=None, names=None, provenance=()):
@@ -52,3 +55,56 @@ def separated8():
     clean = np.column_stack([rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)])
     defective = np.column_stack([rng.uniform(9, 10, 4), rng.uniform(9, 10, 4)])
     return make_dataset(np.vstack([clean, defective]), [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+# The point-by-point lift curve that metrics.inspection_areas replaced with one
+# numpy pass, kept as the oracle that the tests compare it against exactly.
+@dataclass(frozen=True)
+class LiftCurve:
+    """Cumulative (effort fraction, recall fraction) polyline from (0,0) to (1,1)."""
+
+    points: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        if self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
+            raise ValueError("lift curve must run from (0,0) to (1,1)")
+        xs = [p[0] for p in self.points]
+        ys = [p[1] for p in self.points]
+        if any(b < a - 1e-12 for a, b in zip(xs, xs[1:])) \
+                or any(b < a - 1e-12 for a, b in zip(ys, ys[1:])):
+            raise ValueError("lift curve coordinates must be non-decreasing")
+
+    def area(self) -> float:
+        """Area under the polyline by the trapezoid rule."""
+        total = 0.0
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            total += (x1 - x0) * (y0 + y1) / 2.0
+        return total
+
+
+def lift_curve(instances, order) -> LiftCurve:
+    """Accumulate effort (loc) against defects found while visiting `order`.
+
+    `instances` is a sequence of (loc, label) pairs; `order` must be a
+    permutation of their indices.
+    """
+    locs = np.asarray([loc for loc, _ in instances], dtype=float)
+    labels = np.asarray([lab for _, lab in instances], dtype=int)
+    order = np.asarray(order, dtype=int)
+    if sorted(order.tolist()) != list(range(len(instances))):
+        raise ValueError("order must be a permutation of the instance indices")
+    total_loc = locs.sum()
+    total_defects = labels.sum()
+    if total_loc <= 0:
+        raise DegenerateDataError("total loc is zero; effort axis undefined")
+    if total_defects == 0:
+        raise DegenerateDataError("no defective instances; recall axis undefined")
+    points = [(0.0, 0.0)]
+    cum_loc = 0.0
+    cum_defects = 0
+    for idx in order:
+        cum_loc += locs[idx]
+        cum_defects += labels[idx]
+        points.append((cum_loc / total_loc, cum_defects / total_defects))
+    points[-1] = (1.0, 1.0)
+    return LiftCurve(tuple(points))

@@ -22,12 +22,12 @@ from defectkit.fft import build_tree, fit as fit_forest
 from defectkit.harness import ExperimentSpec, report, run_tuned, run_untuned
 from defectkit.learners import LearnerSpec
 from defectkit.metrics import (accuracy, class_metrics, confusion, dist2heaven,
-                               goal, lift_curve, p_opt)
+                               goal, p_opt)
 from defectkit.smote import SmoteConfig, apply as smote_apply
 from defectkit.tuner import (CONTINUOUS, Candidate, DEConfig, ParamSpace, ParamSpec,
                              extrapolate, run_de)
 
-from conftest import make_dataset, planted_dataset
+from conftest import lift_curve, make_dataset, planted_dataset
 from test_fft import interpret_rules
 from test_smote import is_convex_combination
 

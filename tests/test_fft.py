@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from defectkit.dataset import CLEAN, DEFECTIVE
 from defectkit.errors import DegenerateDataError
-from defectkit.fft import (FFTree, Range, build_tree, fit, median_split, score_ranges,
-                           tree_from_dict, tree_from_text)
-from defectkit.metrics import goal
+from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, build_tree, fit, median_split,
+                           score_ranges, tree_from_dict, tree_from_text)
+from defectkit.metrics import GOAL_DIRECTIONS, evaluate, goal
 
 from conftest import make_dataset, planted_dataset
 
@@ -29,6 +32,55 @@ def interpret_rules(text, names, row):
         if hit:
             return classes[klass]
     raise AssertionError("rule list had no final else")
+
+
+def reference_ranges(features, labels, locs, g):
+    """Every median-split range scored on its own (four evaluations per attribute), best first."""
+    candidates = []
+    for attribute in range(features.shape[1]):
+        values = np.sort(features[:, attribute])
+        threshold = float(values[(len(values) - 1) // 2])
+        for relation in (LE, GT):
+            for predicted in (CLEAN, DEFECTIVE):
+                rng = Range(attribute, relation, threshold, predicted, 0.0)
+                hits = np.where(rng.matches(features), predicted, 1 - predicted)
+                candidates.append(replace(rng, score=evaluate(g, labels, hits, locs)))
+    sign = 1.0 if g.direction == "minimize" else -1.0
+    return sorted(candidates,
+                  key=lambda r: (sign * r.score, r.attribute, 0 if r.relation == LE else 1))
+
+
+def reference_tree(data, g, structure_id, depth):
+    """One tree built from scratch, level by level, along the bits of structure_id."""
+    names = data.schema.feature_names
+    features, labels, locs = data.features, data.labels, data.locs
+    overall = int(np.bincount(labels, minlength=2).argmax())
+    levels = []
+    for level in range(depth):
+        if not len(labels) or len(np.unique(labels)) < 2:
+            leaf = int(np.bincount(labels, minlength=2).argmax()) if len(labels) else overall
+            return FFTree(tuple(levels), (leaf, leaf), structure_id, names)
+        exit_class = (structure_id >> level) & 1
+        best = [r for r in reference_ranges(features, labels, locs, g)
+                if r.predicted == exit_class][0]
+        levels.append((best, exit_class))
+        if level == depth - 1:
+            return FFTree(tuple(levels), (exit_class, 1 - exit_class), structure_id, names)
+        keep = ~best.matches(features)
+        features, labels, locs = features[keep], labels[keep], locs[keep]
+
+
+def reference_fit(data, g, depth):
+    """All 2^depth trees, each built and scored on its own; the first best score wins."""
+    trees = tuple(reference_tree(data, g, structure_id, depth)
+                  for structure_id in range(2 ** depth))
+    scores = tuple(evaluate(g, data.labels, tree.predict(data.features), data.locs)
+                   for tree in trees)
+    best = 0
+    for i, score in enumerate(scores):
+        if g.better(score, scores[best]):
+            best = i
+    return FFTEnsemble(trees, scores, best, g)
 
 
 def predict_row(tree, row):
@@ -176,6 +228,32 @@ class TestFit:
         data = planted_dataset(n=40, n_noise=2, seed=3)
         ensemble = fit(data, goal("p_opt"), 2)
         assert 0.0 <= ensemble.scores[ensemble.best] <= 1.0
+
+
+    @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
+    def test_equals_per_tree_reference(self, kind):
+        g = goal(kind)
+        rng = np.random.default_rng(41)
+        cases = [planted_dataset(n=60, n_noise=3, seed=10)]
+        while len(cases) < 4:
+            n = int(rng.integers(8, 30))
+            data = make_dataset(rng.integers(0, 5, (n, 3)).astype(float),
+                                rng.integers(0, 2, n), loc=rng.integers(0, 20, n))
+            if len(np.unique(data.labels)) == 2:
+                cases.append(data)
+        for data in cases:
+            assert score_ranges(data, g) == reference_ranges(data.features, data.labels,
+                                                             data.locs, g)
+            for depth in range(1, 6):
+                try:
+                    expected = reference_fit(data, g, depth)
+                except DegenerateDataError:
+                    with pytest.raises(DegenerateDataError):
+                        fit(data, g, depth)
+                    continue
+                assert fit(data, g, depth) == expected
+                assert tuple(build_tree(data, g, sid, depth)
+                             for sid in range(2 ** depth)) == expected.trees
 
 
 class TestPredictRouting:

@@ -241,6 +241,12 @@ class TestRunSmotuned:
         run_smotuned(spec)
         assert seen_sizes == [len(test)]
 
+    def test_fixed_smote_rejected(self):
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
+                        seed=17, de=FAST_DE, smote=SmoteConfig(k=3, m=50))
+        with pytest.raises(ConfigError, match="smote"):
+            run_smotuned(spec)
+
 
 class TestReport:
     def build_result(self):

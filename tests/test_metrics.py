@@ -1,12 +1,33 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectkit.errors import DegenerateDataError
-from defectkit.metrics import (ConfusionMatrix, GoalSpec, LiftCurve, accuracy,
-                               class_metrics, confusion, dist2heaven, evaluate,
-                               false_alarm, goal, inspection_areas, lift_curve, p_opt)
+from defectkit.metrics import (ConfusionMatrix, GoalSpec, accuracy, class_metrics, confusion,
+                               dist2heaven, evaluate, false_alarm, goal, inspection_areas, p_opt)
+
+from conftest import LiftCurve, lift_curve
+
+
+def oracle_areas(instances, predicted):
+    """The three lift-curve areas, with orders built by Python's stable sort."""
+    locs = [loc for loc, _ in instances]
+    density = [lab / max(float(loc), 1.0) for loc, lab in instances]
+    model = sorted(range(len(locs)), key=lambda i: (0 if predicted[i] else 1, locs[i]))
+    optimal = sorted(range(len(locs)), key=lambda i: -density[i])
+    worst = sorted(range(len(locs)), key=lambda i: density[i])
+    return tuple(lift_curve(instances, order).area() for order in (model, optimal, worst))
+
+
+def oracle_p_opt(instances, predicted):
+    s_model, s_optimal, s_worst = oracle_areas(instances, [int(p >= 0.5) for p in predicted])
+    if s_optimal == s_worst:
+        raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
+    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
 
 
 def brute_confusion(actual, predicted, n_classes):
@@ -208,6 +229,39 @@ class TestPopt:
                 if s_opt > s_worst:
                     value = p_opt(instances, list(bits))
                     assert -1e-9 <= value <= 1 + 1e-9
+
+    # Few distinct locs give tied locs and tied densities; loc 0 clamps to 1 in density.
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 7.0, 10.0]),
+                                        st.floats(0, 1e6)),
+                              st.integers(0, 1), st.floats(0, 1)),
+                    min_size=1, max_size=12))
+    def test_equals_lift_curve_oracle_exactly(self, rows):
+        instances = [(loc, label) for loc, label, _ in rows]
+        scores = [score for _, _, score in rows]
+        hard = [int(score >= 0.5) for score in scores]
+        for kernel, oracle, predicted in ((inspection_areas, oracle_areas, hard),
+                                          (p_opt, oracle_p_opt, scores)):
+            try:
+                expected = oracle(instances, predicted)
+            except DegenerateDataError as exc:
+                with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
+                    kernel(instances, predicted)
+            else:
+                assert kernel(instances, predicted) == expected
+
+    @pytest.mark.parametrize("call,problem", [
+        (lambda: p_opt([(math.nan, 1), (10, 0)], [1, 0]), "loc"),
+        (lambda: p_opt([(math.inf, 1), (10, 0)], [1, 0]), "loc"),
+        (lambda: p_opt([(-5, 1), (20, 0)], [1, 0]), "loc"),
+        (lambda: p_opt([(10, 2), (20, 0)], [1, 0]), "label"),
+        (lambda: p_opt([(10, 1), (20, 0), (5, 0)], [1, 0]), "predictions"),
+        (lambda: evaluate(goal("p_opt"), [1, 0, 1], [1, 0, 1], locs=[10, 5]), "loc"),
+    ], ids=["nan_loc", "inf_loc", "negative_loc", "label_2", "short_predictions",
+            "short_locs"])
+    def test_bad_inputs_rejected(self, call, problem):
+        with pytest.raises(ValueError, match=problem):
+            call()
 
 
 class TestEvaluate:
