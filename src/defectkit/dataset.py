@@ -27,6 +27,11 @@ IDENTIFIER_COLUMNS = ("name", "version")
 CLEAN = 0
 DEFECTIVE = 1
 
+# Nearest-neighbour kernels (knn scoring, SMOTE's neighbour table) hold at most
+# this many query-row x point x feature terms at once, so their memory grows
+# with n*F, not with n*n*F.
+CHUNK_TERMS = 1 << 18
+
 
 @dataclass(frozen=True)
 class AttributeSchema:
@@ -269,6 +274,15 @@ def kfold(data: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
         rest = np.concatenate([f for j, f in enumerate(folds) if j != i])
         pairs.append((data.subset(np.sort(rest)), data.subset(np.sort(fold))))
     return pairs
+
+
+def row_chunks(n_rows: int, row_terms: int) -> list[slice]:
+    """In-order slices covering range(n_rows), each of at most CHUNK_TERMS terms.
+
+    A chunk holds at least one row; zero rows give one empty slice.
+    """
+    step = max(1, CHUNK_TERMS // max(row_terms, 1))
+    return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 A run walks (dataset x learner x repeat) cells.  Tuned cells split the
 training data 80/20 into new-training and tuning sets, let differential
-evolution pick parameters by the goal score on the tuning set, refit the
-winner on new-training, and score it once on the held-out test set.  The
+evolution pick parameters by the goal score on the tuning set, and score
+the winner's model, fitted on new-training, once on the held-out test set.
+Candidates that differ only in `threshold` share one fit, and each cell
+caches at most `np` (the DE population size) fitted models.  The
 learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -175,23 +177,39 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
 
 
 def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
-    """Tune by DE, refit the winner, score it once on the test set.
+    """Tune by DE, take the winner's model, score it once on the test set.
 
     DE searches `space` from a population holding `planted`; every candidate
     becomes a model through `fit_from(tunings)` and is scored on `tune_set`.
+    Candidates with equal fit-time tunings (all but learners.DECISION_PARAM)
+    share one model, whose threshold is set before each scoring; the cell
+    keeps the de_cfg.np most recently used models.
     """
     calls = 0
+    models: dict[tuple, learners.Model] = {}  # least recently used first
+
+    def model_for(tunings: dict) -> learners.Model:
+        # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
+        key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
+                    if name != learners.DECISION_PARAM)
+        model = models.pop(key, None) or fit_from(tunings)
+        models[key] = model
+        if len(models) > de_cfg.np:
+            del models[next(iter(models))]
+        if learners.DECISION_PARAM in tunings:
+            model.threshold = tunings[learners.DECISION_PARAM]
+        return model
 
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
-        return _score_on(fit_from(candidate.tunings), tune_set, g)
+        return _score_on(model_for(candidate.tunings), tune_set, g)
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
                        seed_candidates=[planted])
     assert calls == run.evaluations
     return {
-        "score": _score_on_test(fit_from(run.best.tunings), test, g),
+        "score": _score_on_test(model_for(run.best.tunings), test, g),
         "tunings": dict(run.best.tunings),
         "evaluations": run.evaluations,
         "default_tune_score": run.initial_scores[0],

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, row_chunks
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -26,6 +26,9 @@ from .tuner import CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 
 GD_EPOCHS = 500
 GD_LEARNING_RATE = 0.1
+# The one decision-time dimension: it sets Model.threshold and no learner's fit
+# reads it, so tuning candidates that differ only here can share one model.
+DECISION_PARAM = "threshold"
 
 
 def param_space(kind: str) -> ParamSpace:
@@ -198,7 +201,7 @@ def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = Non
     if learner.needs_both_classes and len(np.unique(data.labels)) < 2:
         raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
     params = spec.resolved()
-    return Model(spec.kind, data.schema.feature_names, params.get("threshold", 0.5),
+    return Model(spec.kind, data.schema.feature_names, params.get(DECISION_PARAM, 0.5),
                  learner.fit(params, data, seed, goal))
 
 
@@ -291,8 +294,11 @@ def _score_linear(state, x):
 
 def _score_knn(state, x):
     z = (x - state["mean"]) / state["std"]
-    distances = np.sqrt(((z[:, None, :] - state["points"][None, :, :]) ** 2).sum(axis=2))
-    nearest = np.argsort(distances, axis=1, kind="stable")[:, :state["k"]]
+    points = state["points"]
+    nearest = np.concatenate([
+        np.argsort(np.sqrt(((z[rows, None, :] - points[None, :, :]) ** 2).sum(axis=2)),
+                   axis=1, kind="stable")[:, :state["k"]]
+        for rows in row_chunks(len(z), points.size)])
     return state["labels"][nearest].mean(axis=1)
 
 
@@ -306,7 +312,7 @@ class _Learner:
     needs_both_classes: bool = True
 
 
-_THRESHOLD = ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5)
+_THRESHOLD = ParamSpec(DECISION_PARAM, CONTINUOUS, 0.01, 1.0, default=0.5)
 _RF_DIMS = (
     _THRESHOLD,
     ParamSpec("max_feature", CONTINUOUS, 0.01, 1.0, default=1.0),

@@ -49,9 +49,6 @@ class GoalSpec:
         """True when score `a` beats score `b` under this goal."""
         return a < b if self.direction == MINIMIZE else a > b
 
-    def worst_value(self) -> float:
-        return math.inf if self.direction == MINIMIZE else -math.inf
-
 
 def goal(kind: str) -> GoalSpec:
     return GoalSpec(kind)
@@ -135,15 +132,10 @@ def _lift_area(locs: np.ndarray, labels: np.ndarray, order: np.ndarray) -> float
     return float(np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)[-1])
 
 
-def inspection_areas(instances, predicted) -> tuple[float, float, float]:
-    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
-
-    `instances` holds (loc, label) pairs.  The model inspects predicted-defective
-    modules first, each group by ascending loc; the optimal and worst orders sort
-    by defect density (loc clamped at 1) down and up.  All three sorts are stable.
-    """
-    locs = np.asarray([loc for loc, _ in instances], dtype=float)
-    labels = np.asarray([lab for _, lab in instances], dtype=float)
+def _areas(locs, labels, predicted) -> tuple[float, float, float]:
+    """inspection_areas on columns: locs, 0/1 labels and predictions, one per instance."""
+    locs = np.asarray(locs, dtype=float)
+    labels = np.asarray(labels, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if predicted.shape != locs.shape:
         raise ValueError(f"{predicted.size} predictions for {len(locs)} instances")
@@ -161,27 +153,42 @@ def inspection_areas(instances, predicted) -> tuple[float, float, float]:
                  (model, np.argsort(-density, kind="stable"), np.argsort(density, kind="stable")))
 
 
+def inspection_areas(instances, predicted) -> tuple[float, float, float]:
+    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
+
+    `instances` holds (loc, label) pairs.  The model inspects predicted-defective
+    modules first, each group by ascending loc; the optimal and worst orders sort
+    by defect density (loc clamped at 1) down and up.  All three sorts are stable.
+    """
+    return _areas([loc for loc, _ in instances], [lab for _, lab in instances], predicted)
+
+
+def _p_opt(locs, labels, hard) -> float:
+    """P_opt on columns, for hard (0/1 or boolean) predictions."""
+    s_model, s_optimal, s_worst = _areas(locs, labels, hard)
+    if s_optimal == s_worst:
+        raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
+    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
+
+
 def p_opt(instances, predicted) -> float:
     """Effort-aware score: 1 - (S(optimal) - S(model)) / (S(optimal) - S(worst)).
 
     `predicted` holds hard labels or scores; scores are thresholded at 0.5
     before the predicted-defective-first, ascending-loc layout is built.
     """
-    s_model, s_optimal, s_worst = inspection_areas(instances,
-                                                   np.asarray(predicted, dtype=float) >= 0.5)
-    if s_optimal == s_worst:
-        raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
-    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
+    hard = np.asarray(predicted, dtype=float) >= 0.5
+    return _p_opt([loc for loc, _ in instances], [lab for _, lab in instances], hard)
 
 
 def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float:
     """Score a prediction vector under the named goal (binary defect labels)."""
+    if g.kind == "p_opt" and (locs is None or len(locs) != len(actual)):
+        raise ValueError("p_opt needs one loc value per label")
+    hard = np.asarray(predicted, dtype=float) >= 0.5
     if g.kind == "p_opt":
-        if locs is None or len(locs) != len(actual):
-            raise ValueError("p_opt needs one loc value per label")
-        return p_opt(list(zip(locs, actual)), predicted)
-    hard = (np.asarray(predicted, dtype=float) >= 0.5).astype(int)
-    m = confusion(actual, hard, 2)
+        return _p_opt(locs, actual, hard)
+    m = confusion(actual, hard.astype(int), 2)
     if g.kind == "accuracy":
         return accuracy(m)
     precision, recall, f1 = class_metrics(m, 1)

@@ -1,12 +1,17 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import defectkit.harness as harness
+from defectkit import tuner
 from defectkit.dataset import random_split
 from defectkit.errors import ConfigError, DegenerateDataError
 from defectkit.harness import (ExperimentResult, ExperimentSpec, derive_seed, parse_report_csv,
                                report, run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
-from defectkit.learners import LearnerSpec
+from defectkit.learners import KINDS, LearnerSpec
 from defectkit.metrics import goal
 from defectkit.smote import SmoteConfig
 from defectkit.tuner import DEConfig
@@ -204,6 +209,85 @@ class TestRunKfoldTuned:
         folds = kfold(train, 4, derive_seed(13, 0))
         assert all(len(t) + len(h) == len(train) for t, h in folds)
         run_kfold_tuned(spec)
+
+
+def reference_de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
+    """The DE cell before its model cache: every candidate refits from scratch."""
+    calls = 0
+
+    def objective(candidate):
+        nonlocal calls
+        calls += 1
+        return harness._score_on(fit_from(candidate.tunings), tune_set, g)
+
+    run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
+                       seed_candidates=[planted])
+    assert calls == run.evaluations
+    return {
+        "score": harness._score_on_test(fit_from(run.best.tunings), test, g),
+        "tunings": dict(run.best.tunings),
+        "evaluations": run.evaluations,
+        "default_tune_score": run.initial_scores[0],
+        "best_tune_score": run.best.score,
+    }
+
+
+def row_fields(result):
+    return [(r.dataset, r.method, r.repeat, r.score, r.tunings, r.evaluations,
+             r.default_tune_score, r.best_tune_score) for r in result.rows]
+
+
+def recorded_fits(monkeypatch):
+    """Patch learners.fit to keep a weak reference to every model it returns."""
+    fitted = []
+    original = harness.learners.fit
+
+    def recording(*args, **kwargs):
+        model = original(*args, **kwargs)
+        fitted.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(harness.learners, "fit", recording)
+    return fitted
+
+
+class TestModelCache:
+    """Candidates that share fit-time tunings share one fitted model."""
+
+    @pytest.mark.parametrize("goal_kind", ["dist2heaven", "p_opt"])
+    @pytest.mark.parametrize("runner", [run_tuned, run_kfold_tuned, run_smotuned])
+    def test_rows_equal_refit_every_candidate(self, monkeypatch, runner, goal_kind):
+        spec = spec_for({"planted": planted_split(n=120)}, [LearnerSpec(k) for k in KINDS],
+                        goal=goal(goal_kind), seed=21, folds=2, de=DEConfig(np=4, life=1))
+        cached = row_fields(runner(spec))
+        monkeypatch.setattr(harness, "_de_cell", reference_de_cell)
+        assert cached == row_fields(runner(spec))
+
+    @pytest.mark.parametrize("kind", ["logistic", "naive_bayes"])
+    def test_threshold_only_space_fits_once(self, monkeypatch, kind):
+        fitted = recorded_fits(monkeypatch)
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec(kind)], seed=22, de=FAST_DE)
+        row = run_tuned(spec).rows[0]
+        assert row.evaluations > FAST_DE.np
+        assert len(fitted) == 1
+
+    def test_cell_holds_at_most_np_models(self, monkeypatch):
+        fitted = recorded_fits(monkeypatch)
+        alive = []
+        original = harness._score_on
+
+        def watching(model, data, g):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in fitted))
+            return original(model, data, g)
+
+        monkeypatch.setattr(harness, "_score_on", watching)
+        spec = spec_for({"planted": planted_split()},
+                        [LearnerSpec("cart"), LearnerSpec("knn")], seed=23, de=FAST_DE)
+        run_tuned(spec)
+        run_smotuned(spec)
+        assert len(fitted) > 4 * FAST_DE.np  # so some of the 4 cells evicted
+        assert max(alive) == FAST_DE.np
 
 
 class TestRunSmotuned:

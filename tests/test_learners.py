@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from defectkit.dataset import row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict, predict_dataset
 from defectkit.tuner import INTEGER
@@ -250,6 +252,43 @@ class TestVectorizedAgreement:
             assert scores == pytest.approx(reference, abs=1e-12), kind
             singly = [predict(model, x) for x in probe.features]
             assert [s for _, s in singly] == pytest.approx(reference, abs=1e-12), kind
+
+
+def one_shot_knn(state, x):
+    """knn scores from one n_test x n_train x F distance array (the chunking oracle)."""
+    z = (x - state["mean"]) / state["std"]
+    distances = np.sqrt(((z[:, None, :] - state["points"][None, :, :]) ** 2).sum(axis=2))
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :state["k"]]
+    return state["labels"][nearest].mean(axis=1)
+
+
+class TestKnnChunks:
+    @pytest.mark.parametrize("n_train,n_test,n_features,k", [
+        (300, 200, 21, 8), (257, 131, 9, 1), (120, 333, 40, 20)])
+    def test_chunked_scores_equal_one_shot(self, n_train, n_test, n_features, k):
+        rng = np.random.default_rng(n_train)
+        # Small integer features make many equal distances, so tie order counts.
+        features = rng.integers(0, 4, size=(n_train + n_test, n_features)).astype(float)
+        labels = (rng.random(n_train + n_test) < 0.3).astype(int)
+        train = make_dataset(features[:n_train], labels[:n_train])
+        test = make_dataset(features[n_train:], labels[n_train:])
+        model = fit(LearnerSpec("knn", {"k": k}), train, seed=0)
+        assert len(row_chunks(len(test), model.state["points"].size)) > 1
+        _, scores = predict_dataset(model, test)
+        assert np.array_equal(scores, one_shot_knn(model.state, test.features))
+
+    def test_peak_memory_does_not_grow_with_test_rows(self):
+        rng = np.random.default_rng(0)
+        data = make_dataset(rng.normal(size=(600, 10)), rng.random(600) < 0.3)
+        model = fit(LearnerSpec("knn"), data, seed=0)
+        tracemalloc.start()
+        try:
+            predict_dataset(model, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One 600 x 600 x 11 float array alone is 31.7 MB.
+        assert peak < 16 * 2 ** 20
 
 
 class TestSchemaFingerprint:

@@ -250,6 +250,22 @@ class TestPopt:
             else:
                 assert kernel(instances, predicted) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 7.0, 10.0, 333.0]),
+                              st.integers(0, 1), st.floats(0, 1)),
+                    min_size=1, max_size=12))
+    def test_evaluate_arrays_equal_p_opt_pairs(self, rows):
+        locs = np.array([loc for loc, _, _ in rows])
+        labels = np.array([label for _, label, _ in rows])
+        scores = np.array([score for _, _, score in rows])
+        try:
+            expected = p_opt(list(zip(locs, labels)), scores)
+        except DegenerateDataError as exc:
+            with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
+                evaluate(goal("p_opt"), labels, scores, locs)
+        else:
+            assert evaluate(goal("p_opt"), labels, scores, locs) == expected
+
     @pytest.mark.parametrize("call,problem", [
         (lambda: p_opt([(math.nan, 1), (10, 0)], [1, 0]), "loc"),
         (lambda: p_opt([(math.inf, 1), (10, 0)], [1, 0]), "loc"),

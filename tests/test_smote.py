@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from defectkit.dataset import row_chunks
 from defectkit.errors import DegenerateDataError
-from defectkit.smote import SmoteConfig, apply, minkowski
+from defectkit.smote import SmoteConfig, _neighbour_table, apply, minkowski
 
 from conftest import make_dataset
 
@@ -149,3 +152,33 @@ class TestApply:
         data = imbalanced(4, 16)
         out = apply(data, SmoteConfig(k=2, m=100, seed=6))
         assert (out.labels[len(out.labels) - (20 - 4):] == 1).all()
+
+
+def one_shot_neighbours(points, k, r):
+    """The neighbour table from one m x m x F distance array (the chunking oracle)."""
+    diffs = np.abs(points[:, None, :] - points[None, :, :]) ** r
+    distances = diffs.sum(axis=2) ** (1.0 / r)
+    np.fill_diagonal(distances, np.inf)
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
+class TestNeighbourChunks:
+    @pytest.mark.parametrize("m,n_features,k,r", [
+        (250, 22, 5, 2.0), (301, 9, 1, 1.0), (180, 40, 20, 0.5), (223, 17, 7, 3.7)])
+    def test_chunked_table_equals_one_shot(self, m, n_features, k, r):
+        rng = np.random.default_rng(m)
+        # Small integer coordinates make many equal distances, so tie order counts.
+        points = rng.integers(0, 4, size=(m, n_features)).astype(float)
+        assert len(row_chunks(m, points.size)) > 1
+        assert np.array_equal(_neighbour_table(points, k, r), one_shot_neighbours(points, k, r))
+
+    def test_peak_memory_does_not_grow_with_minority_squared(self):
+        data = imbalanced(n_minority=600, n_majority=700, n_features=10)
+        tracemalloc.start()
+        try:
+            apply(data, SmoteConfig(k=5, m=50, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One 600 x 600 x 11 float array alone is 31.7 MB.
+        assert peak < 16 * 2 ** 20
