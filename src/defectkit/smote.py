@@ -6,11 +6,14 @@ and u uniform in [0, 1].  The m parameter sets the target minority count as
 a percent of the original training size: m=50 balances the classes exactly
 (the majority is undersampled to make room), m >= 100 only synthesises.
 Tuning k, m, r with differential evolution is what the harness calls a
-"smotuned" run.
+"smotuned" run.  Each synthetic row draws a minority index, a neighbour rank
+and u, in that order, from default_rng(cfg.seed); the majority undersample
+comes last.  `apply` reproduces that stream in one vectorised pass.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,12 +33,15 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.k <= 20:
-            raise ValueError(f"k must be in [1, 20], got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) \
+                or not 1 <= self.k <= 20:
+            raise ValueError(f"k must be an integer in [1, 20], got {self.k!r}")
         if self.m not in M_CHOICES:
             raise ValueError(f"m must be one of {M_CHOICES}, got {self.m}")
-        if not 0.1 <= self.r <= 5:
-            raise ValueError(f"r must be in [0.1, 5], got {self.r}")
+        if not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
+            raise ValueError(f"r must be a real number in [0.1, 5], got {self.r!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def minkowski(a, b, r: float) -> float:
@@ -60,6 +66,27 @@ def _neighbour_table(points: np.ndarray, k: int, r: float) -> np.ndarray:
         # argsort is stable, so equal distances break by dataset index.
         tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
     return np.concatenate(tables)
+
+
+def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
+    """`count` rounds of rng.integers(0, n_points), rng.integers(0, k), rng.uniform(), as arrays.
+
+    A round reads two 64-bit words: numpy's Lemire draws map the low, then high, 32 bits x of
+    the first to (x * n) >> 32; uniform() is (w >> 11) * 2**-53 of the second.  A draw numpy
+    would reject, k == 1 (it reads nothing) or a buffered half word rewinds to scalar draws.
+    """
+    saved = rng.bit_generator.state
+    if k > 1 and not saved["has_uint32"]:
+        words = rng.bit_generator.random_raw(2 * count).reshape(count, 2).T
+        bounds = np.array([[n_points], [k]], dtype=np.uint64)
+        scaled = np.stack([words[0] & 0xFFFF_FFFF, words[0] >> 32]) * bounds
+        if ((scaled & 0xFFFF_FFFF) >= (2**32 - bounds) % bounds).all():
+            seed_pos, nn_rank = (scaled >> 32).astype(np.int64)
+            return seed_pos, nn_rank, (words[1] >> 11) * 2.0**-53
+        rng.bit_generator.state = saved
+    draws = np.array([(rng.integers(0, n_points), rng.integers(0, k), rng.uniform())
+                      for _ in range(count)]).reshape(count, 3).T
+    return draws[0].astype(np.int64), draws[1].astype(np.int64), draws[2]
 
 
 def apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
@@ -97,13 +124,9 @@ def apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
     minority_points = data.features[minority_idx]
     neighbours = _neighbour_table(minority_points, k, cfg.r)
 
-    synthetic = np.empty((n_synthetic, data.features.shape[1]))
-    for i in range(n_synthetic):
-        seed_pos = int(rng.integers(0, len(minority_idx)))
-        nn_pos = int(neighbours[seed_pos][int(rng.integers(0, k))])
-        u = rng.uniform()
-        synthetic[i] = minority_points[seed_pos] + u * (minority_points[nn_pos]
-                                                        - minority_points[seed_pos])
+    seed_pos, nn_rank, u = _segment_draws(rng, len(minority_idx), k, n_synthetic)
+    base = minority_points[seed_pos]
+    synthetic = base + u[:, None] * (minority_points[neighbours[seed_pos, nn_rank]] - base)
 
     if keep_majority < len(majority_idx):
         kept = np.sort(rng.choice(majority_idx, size=keep_majority, replace=False))

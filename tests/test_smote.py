@@ -1,11 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from defectkit.dataset import row_chunks
+from defectkit.dataset import Dataset, row_chunks
 from defectkit.errors import DegenerateDataError
-from defectkit.smote import SmoteConfig, _neighbour_table, apply, minkowski
+from defectkit.harness import SMOTE_SPACE
+from defectkit.smote import (M_CHOICES, SmoteConfig, _neighbour_table, _segment_draws, apply,
+                             minkowski)
 
 from conftest import make_dataset
 
@@ -65,6 +69,26 @@ class TestConfig:
     def test_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             SmoteConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"k": 2.5}, "k"), ({"k": 3.0}, "k"), ({"k": True}, "k"), ({"k": "3"}, "k"),
+        ({"r": "2"}, "r"), ({"r": None}, "r"), ({"seed": -1}, "seed"),
+    ])
+    def test_wrong_type_or_sign_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SmoteConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SmoteConfig(k=np.int64(3), r=np.float64(1.5), seed=np.int64(2))
+        assert (cfg.k, cfg.r, cfg.seed) == (3, 1.5, 2)
+
+    def test_de_integer_dimension_passes_k_through(self):
+        rng = np.random.default_rng(0)
+        k_spec = SMOTE_SPACE["k"]
+        values = [k_spec.sample(rng) for _ in range(50)]
+        values += [k_spec.trim(raw) for raw in rng.uniform(-10, 30, 50)]
+        for k in values:
+            assert SmoteConfig(k=k, m=50, r=2.0, seed=1).k is k
 
 
 class TestApply:
@@ -182,3 +206,106 @@ class TestNeighbourChunks:
             tracemalloc.stop()
         # One 600 x 600 x 11 float array alone is 31.7 MB.
         assert peak < 16 * 2 ** 20
+
+
+def reference_apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
+    """SMOTE with one synthetic row per loop iteration (the vectorised kernel's oracle)."""
+    labels = data.labels
+    counts = np.bincount(labels, minlength=2)
+    if counts.min() == 0:
+        raise DegenerateDataError("both classes must be present to rebalance")
+    minority = 1 if counts[1] <= counts[0] else 0
+    minority_idx = np.nonzero(labels == minority)[0]
+    majority_idx = np.nonzero(labels != minority)[0]
+    if len(minority_idx) < 2:
+        raise DegenerateDataError("need at least 2 minority instances to interpolate")
+
+    k = cfg.k
+    if k >= len(minority_idx):
+        k = len(minority_idx) - 1
+        warnings.warn(f"k={cfg.k} clamped to {k}: only {len(minority_idx)} minority instances")
+
+    n = len(data)
+    target_minority = int(np.floor(cfg.m / 100 * n + 0.5))
+    n_synthetic = max(0, target_minority - len(minority_idx))
+    if target_minority < n:
+        keep_majority = min(len(majority_idx), n - target_minority)
+    else:
+        keep_majority = len(majority_idx)
+
+    rng = np.random.default_rng(cfg.seed)
+    minority_points = data.features[minority_idx]
+    neighbours = _neighbour_table(minority_points, k, cfg.r)
+
+    synthetic = np.empty((n_synthetic, data.features.shape[1]))
+    for i in range(n_synthetic):
+        seed_pos = int(rng.integers(0, len(minority_idx)))
+        nn_pos = int(neighbours[seed_pos][int(rng.integers(0, k))])
+        u = rng.uniform()
+        synthetic[i] = minority_points[seed_pos] + u * (minority_points[nn_pos]
+                                                        - minority_points[seed_pos])
+
+    if keep_majority < len(majority_idx):
+        kept = np.sort(rng.choice(majority_idx, size=keep_majority, replace=False))
+    else:
+        kept = majority_idx
+    originals = np.sort(np.concatenate([minority_idx, kept]))
+
+    features = np.concatenate([data.features[originals], synthetic])
+    new_labels = np.concatenate([labels[originals],
+                                 np.full(n_synthetic, minority, dtype=int)])
+    return Dataset(data.schema, features, new_labels, data.provenance)
+
+
+class TestVectorisedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_minority=st.integers(2, 40),
+           extra_majority=st.integers(0, 40), n_features=st.integers(1, 5),
+           levels=st.sampled_from([1, 2, 3, None]), k=st.integers(1, 20),
+           m=st.sampled_from(M_CHOICES), r=st.floats(0.1, 5.0))
+    @example(seed=0, n_minority=6, extra_majority=0, n_features=2, levels=None, k=3, m=50, r=2.0)
+    @example(seed=7, n_minority=2, extra_majority=3, n_features=1, levels=1, k=20, m=400, r=0.37)
+    def test_equals_per_row_reference(self, seed, n_minority, extra_majority, n_features,
+                                      levels, k, m, r):
+        rng = np.random.default_rng(seed)
+        n = 2 * n_minority + extra_majority
+        # Few coordinate levels give duplicate minority rows and tied distances.
+        features = (rng.uniform(0, 10, (n, n_features)) if levels is None
+                    else rng.integers(0, levels, (n, n_features)).astype(float))
+        labels = rng.permutation([1] * n_minority + [0] * (n - n_minority))
+        data = make_dataset(features, labels, loc=rng.integers(1, 100, n).astype(float))
+        cfg = SmoteConfig(k=k, m=m, r=r, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert apply(data, cfg) == reference_apply(data, cfg)
+
+
+def comparable_state(rng):
+    """The generator state, minus the stale 32-bit buffer that no draw will read."""
+    state = dict(rng.bit_generator.state)
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
+
+
+class TestSegmentDraws:
+    # n = 2**31 + 1 rejects about half of all 32-bit words, so those cases take
+    # the rewind-and-redraw path; the small ranges almost never reject, and
+    # k == 1 or a half-used 32-bit buffer always redraws one round at a time.
+    @pytest.mark.parametrize("n_points", [2, 64, 1000, 2 ** 31 + 1])
+    @pytest.mark.parametrize("k", [1, 2, 20])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_scalar_draws(self, n_points, k, count, buffered):
+        fast, scalar = np.random.default_rng(count + k), np.random.default_rng(count + k)
+        if buffered:
+            assert fast.integers(0, 5) == scalar.integers(0, 5)
+        seed_pos, nn_rank, u = _segment_draws(fast, n_points, k, count)
+        rounds = [(scalar.integers(0, n_points), scalar.integers(0, k), scalar.uniform())
+                  for _ in range(count)]
+        assert seed_pos.tolist() == [row[0] for row in rounds]
+        assert nn_rank.tolist() == [row[1] for row in rounds]
+        assert u.tolist() == [row[2] for row in rounds]
+        assert comparable_state(fast) == comparable_state(scalar)
+        assert np.array_equal(fast.choice(np.arange(500), size=120, replace=False),
+                              scalar.choice(np.arange(500), size=120, replace=False))

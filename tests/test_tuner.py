@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defectkit import tuner
 from defectkit.tuner import (BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
                              DEConfig, ParamSpace, ParamSpec, extrapolate,
                              init_population, optimize, run_de)
@@ -154,6 +155,24 @@ class TestOptimize:
         assert run.evaluations == 10 * (5 + 1)
         initial = init_population(QUADRATIC_SPACE, DEConfig(seed=4))
         assert run.best.tunings in [c.tunings for c in initial]
+
+    def test_run_that_spends_its_lives_stops_for_life(self):
+        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=4))
+        assert run.generations < tuner.MAX_GENERATIONS
+        assert run.stop_reason == "life"
+
+    def test_objective_that_always_improves_stops_at_the_cap(self):
+        calls = iter(range(10 ** 6))
+        run = run_de(QUADRATIC_SPACE, lambda c: next(calls), "maximize",
+                     DEConfig(np=4, life=10 ** 6, seed=4))
+        assert run.generations == tuner.MAX_GENERATIONS
+        assert run.stop_reason == "max_generations"
+
+    def test_last_life_spent_at_the_cap_stops_for_life(self, monkeypatch):
+        monkeypatch.setattr(tuner, "MAX_GENERATIONS", 5)
+        run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(seed=4, life=5))
+        assert run.generations == 5
+        assert run.stop_reason == "life"
 
     def test_quadratic_converges(self):
         for seed in (0, 1, 2):
