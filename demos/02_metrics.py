@@ -27,10 +27,11 @@ for r, fa in ((1.0, 0.0), (0.8, 0.3), (0.5, 0.5), (0.0, 1.0)):
 
 # --- effort-aware evaluation -----------------------------------------------
 # three modules: two small defective ones and a big clean one
-instances = [(1, 1), (2, 1), (7, 0)]  # (loc, actual label)
+locs = [1, 2, 7]
+labels = [1, 1, 0]  # actual labels
 
 # Each area sits under the curve of (share of code read, share of defects found).
-s_model, s_optimal, s_worst = inspection_areas(instances, [0, 1, 0])
+s_model, s_optimal, s_worst = inspection_areas(locs, labels, [0, 1, 0])
 print("\nareas under the inspection curves for predicted=[0, 1, 0]:")
 print(f"  model order (predicted-defective first, small files first): {s_model:.3f}")
 print(f"  optimal order (highest defect density first):               {s_optimal:.3f}")
@@ -38,11 +39,9 @@ print(f"  worst order (lowest defect density first):                  {s_worst:.
 
 print("\nP_opt for different prediction vectors:")
 for pred in ([1, 1, 0], [0, 1, 0], [0, 0, 1]):
-    print(f"  predicted={pred} -> P_opt={p_opt(instances, pred):.4f}")
+    print(f"  predicted={pred} -> P_opt={p_opt(locs, labels, pred):.4f}")
 
 # --- one entry point for every goal ----------------------------------------
-locs = [loc for loc, _ in instances]
-labels = [lab for _, lab in instances]
 imperfect = [0, 1, 0]  # misses the first defective module
 print("\nevaluate() dispatches on the goal (for an imperfect prediction):")
 for kind in ("accuracy", "f1", "dist2heaven", "p_opt"):

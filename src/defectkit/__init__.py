@@ -5,27 +5,24 @@ with differential evolution, rebalances training data with SMOTE, and
 scores everything with confusion-matrix and effort-aware metrics.
 """
 
-from .dataset import (AttributeSchema, Dataset, Instance, Manifest, kfold, load_csv,
-                      merge, random_split, write_csv)
-from .fft import FFTEnsemble, FFTree, Range, build_tree, median_split, score_ranges
+from .dataset import AttributeSchema, Dataset, Manifest, kfold, load_csv, merge, random_split
+from .fft import FFTEnsemble, FFTree, Range, median_split
 from .harness import (ExperimentResult, ExperimentSpec, ResultRow, report,
                       run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
 from .learners import LearnerSpec, Model, param_space, predict_dataset
 from .metrics import (ConfusionMatrix, GoalSpec, accuracy, class_metrics, confusion,
                       dist2heaven, evaluate, goal, inspection_areas, p_opt)
 from .smote import SmoteConfig, minkowski
-from .tuner import Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate, init_population, optimize
+from .tuner import Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate, optimize
 
 __all__ = [
-    "AttributeSchema", "Dataset", "Instance", "Manifest", "kfold", "load_csv", "merge",
-    "random_split", "write_csv",
-    "FFTEnsemble", "FFTree", "Range", "build_tree", "median_split", "score_ranges",
+    "AttributeSchema", "Dataset", "Manifest", "kfold", "load_csv", "merge", "random_split",
+    "FFTEnsemble", "FFTree", "Range", "median_split",
     "ExperimentResult", "ExperimentSpec", "ResultRow", "report", "run_kfold_tuned",
     "run_smotuned", "run_tuned", "run_untuned",
     "LearnerSpec", "Model", "param_space", "predict_dataset",
     "ConfusionMatrix", "GoalSpec", "accuracy", "class_metrics", "confusion", "dist2heaven",
     "evaluate", "goal", "inspection_areas", "p_opt",
     "SmoteConfig", "minkowski",
-    "Candidate", "DEConfig", "ParamSpace", "ParamSpec", "extrapolate", "init_population",
-    "optimize",
+    "Candidate", "DEConfig", "ParamSpace", "ParamSpec", "extrapolate", "optimize",
 ]

@@ -62,20 +62,10 @@ class AttributeSchema:
         return self.loc_index if self.loc_index < self.label_index else self.loc_index - 1
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One module: its metric vector, lines of code, and defect label."""
-
-    features: np.ndarray
-    loc: float
-    label: int
-
-
 class Dataset:
     """Immutable set of instances sharing one schema.
 
-    Feature rows, labels and loc values are held as read-only numpy arrays;
-    `instances` materialises the row objects when object-level access helps.
+    Feature rows, labels and loc values are held as read-only numpy arrays.
     """
 
     def __init__(self, schema: AttributeSchema, features: np.ndarray, labels: np.ndarray,
@@ -119,11 +109,6 @@ class Dataset:
     @property
     def defect_ratio(self) -> float:
         return self.n_defective / len(self) if len(self) else 0.0
-
-    @property
-    def instances(self) -> list[Instance]:
-        return [Instance(self.features[i], float(self.locs[i]), int(self.labels[i]))
-                for i in range(len(self))]
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
@@ -212,20 +197,6 @@ def load_csv(path, schema_hints: dict | None = None,
     return Dataset(schema, features, labels, provenance)
 
 
-def write_csv(data: Dataset, path) -> None:
-    """Write a Dataset back to CSV; load_csv on the result reproduces it."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.schema.names)
-        feature_cols = iter(range(len(data.schema.feature_names)))
-        col_source = [None if i == data.schema.label_index else next(feature_cols)
-                      for i in range(len(data.schema.names))]
-        for r in range(len(data)):
-            row = [repr(int(data.labels[r])) if src is None else repr(float(data.features[r, src]))
-                   for src in col_source]
-            writer.writerow(row)
-
-
 def merge(parts: list[Dataset]) -> Dataset:
     """Concatenate datasets that share one schema, keeping input order."""
     if not parts:
@@ -285,6 +256,28 @@ def row_chunks(n_rows: int, row_terms: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
+def nearest(queries: np.ndarray, points: np.ndarray, k: int, r: float,
+            exclude_self: bool = False) -> np.ndarray:
+    """Indices of each query row's k nearest points under Minkowski distance with power r.
+
+    Distances are taken CHUNK_TERMS terms at a time.  The argsort is stable, so
+    equal distances break by point index.  With `exclude_self` the queries are
+    the points themselves, and each one is left out of its own list.
+    """
+    tables = []
+    for rows in row_chunks(len(queries), points.size):
+        terms = queries[rows, None, :] - points[None, :, :]
+        # In place: a second chunk-sized temporary costs more than the arithmetic.
+        np.abs(terms, out=terms)
+        terms **= r
+        distances = terms.sum(axis=2) ** (1.0 / r)
+        if exclude_self:
+            own = np.arange(len(points))[rows]
+            distances[np.arange(len(own)), own] = np.inf
+        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
+    return np.concatenate(tables)
+
+
 @dataclass
 class Manifest:
     """Maps project name to its ordered version CSVs (oldest first, newest = test)."""
@@ -315,5 +308,8 @@ class Manifest:
                 raise ConfigError(
                     f"project {project!r} needs at least two versions (training + testing)")
             versions = [load_csv(f, schema_hints) for f in files]
+            for f, version in zip(files, versions):
+                if not len(version):
+                    raise ConfigError(f"project {project!r}: version file {f} has no data rows")
             out[project] = (merge(versions[:-1]), versions[-1])
         return out

@@ -5,7 +5,7 @@ its median and exits straight to a class when the test matches.  Choosing
 the exit class at every level gives 2^d distinct tree shapes, so fitting
 enumerates all of them, scores each on the training data with the goal
 metric, and keeps the best.  Trees render to a human-readable rule list
-(`if rfc > 32 then true`) and to a dict for machine use; both round-trip.
+(`if rfc > 32 then true`) that loads back with `tree_from_text`.
 """
 
 from __future__ import annotations
@@ -79,26 +79,6 @@ class FFTree:
                          f"{threshold} then {_CLASS_NAMES[exit_class]}")
         lines.append(f"else {_CLASS_NAMES[self.final_leaf[1]]}")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "structure_id": self.structure_id,
-            "feature_names": list(self.feature_names),
-            "levels": [{"attribute": r.attribute, "name": self.feature_names[r.attribute],
-                        "relation": r.relation, "threshold": r.threshold,
-                        "predicted": r.predicted, "score": r.score, "exit_class": e}
-                       for r, e in self.levels],
-            "final_leaf": list(self.final_leaf),
-        }
-
-
-def tree_from_dict(payload: dict) -> FFTree:
-    levels = tuple(
-        (Range(lv["attribute"], lv["relation"], lv["threshold"], lv["predicted"], lv["score"]),
-         lv["exit_class"])
-        for lv in payload["levels"])
-    return FFTree(levels, tuple(payload["final_leaf"]), payload["structure_id"],
-                  tuple(payload["feature_names"]))
 
 
 def tree_from_text(text: str, feature_names) -> FFTree:
@@ -177,13 +157,6 @@ def _ranked(data: Dataset, goal: GoalSpec) -> list[Range]:
                   key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
 
 
-def score_ranges(data: Dataset, goal: GoalSpec) -> list[Range]:
-    """All median-split ranges over all attributes, best-scoring first."""
-    if len(np.unique(data.labels)) < 2:
-        raise DegenerateDataError("range scoring needs both classes present")
-    return _ranked(data, goal)
-
-
 def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels: tuple,
           trees: dict) -> dict:
     """Add to `trees`, and return it, each tree in `ids`; all share the exits in `levels`.
@@ -212,21 +185,11 @@ def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels:
     return trees
 
 
-def build_tree(data: Dataset, goal: GoalSpec, structure_id: int, depth: int) -> FFTree:
-    """Build the tree whose per-level exit classes follow the bits of structure_id.
-
-    Level i exits to bit i of structure_id; its range is the best-scoring
-    range predicting that class on the data left over from earlier levels.
-    If the leftovers run out (empty or single-class) the tree closes early
-    with a majority leaf, keeping its structure_id for bookkeeping.
-    """
-    if depth < 0 or not 0 <= structure_id < 2 ** depth:
-        raise ValueError(f"structure_id {structure_id} out of range for depth {depth}")
-    return _grow(data, data, goal, depth, [structure_id], (), {})[structure_id]
-
-
 def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
-    """Enumerate all 2^depth trees, score each on the training data, keep the best."""
+    """Enumerate all 2^depth trees, score each on the training data, keep the best.
+
+    Tree i exits level l to bit l of i; `_grow` picks each level's range.
+    """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if len(np.unique(data.labels)) < 2:

@@ -14,7 +14,6 @@ function, which makes whole runs byte-reproducible.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -269,19 +268,6 @@ def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     return _run(spec, body, suffix="+smotuned")
 
 
-def _best_methods(result: ExperimentResult, aggregates) -> dict[str, str]:
-    best = {}
-    for dataset in result.datasets:
-        scored = [(m, aggregates[(dataset, m)]) for m in result.methods
-                  if (dataset, m) in aggregates]
-        pick = scored[0]
-        for entry in scored[1:]:
-            if result.goal.better(entry[1], pick[1]):
-                pick = entry
-        best[dataset] = pick[0]
-    return best
-
-
 def report(result: ExperimentResult, fmt: str = "table",
            include_runtime: bool | None = None) -> str:
     """Render the aggregate grid; scores print x100 at one decimal.
@@ -295,56 +281,49 @@ def report(result: ExperimentResult, fmt: str = "table",
         raise ValueError(f"unknown report format {fmt!r}")
     if include_runtime is None:
         include_runtime = result.tuned
-    aggregates = result.aggregates()
-    best = _best_methods(result, aggregates)
-    runtimes = result.runtimes()
+    aggregates, runtimes = result.aggregates(), result.runtimes()
+    # Every rendering reads these cells: per dataset, one (score x100, is best,
+    # runtime) per method, or None where the result has no row for it.  The
+    # first method with the best score is the best.
+    cells = {}
+    for dataset in result.datasets:
+        present = [m for m in result.methods if (dataset, m) in aggregates]
+        best = present[0]
+        for m in present[1:]:
+            if result.goal.better(aggregates[(dataset, m)], aggregates[(dataset, best)]):
+                best = m
+        cells[dataset] = [None if m not in present else
+                          (f"{aggregates[(dataset, m)] * 100:.1f}", m == best,
+                           f"{runtimes[(dataset, m)]:.3f}")
+                          for m in result.methods]
 
     if fmt == "csv":
-        out = io.StringIO()
-        out.write("dataset,method,score,best"
-                  + (",runtime_seconds\n" if include_runtime else "\n"))
-        for dataset in result.datasets:
-            for method in result.methods:
-                if (dataset, method) not in aggregates:
-                    continue
-                line = (f"{dataset},{method},{aggregates[(dataset, method)] * 100:.1f},"
-                        f"{1 if best[dataset] == method else 0}")
-                if include_runtime:
-                    line += f",{runtimes[(dataset, method)]:.3f}"
-                out.write(line + "\n")
-        return out.getvalue()
+        lines = ["dataset,method,score,best" + (",runtime_seconds" if include_runtime else "")]
+        for dataset, row in cells.items():
+            for method, cell in zip(result.methods, row):
+                if cell is not None:
+                    score, is_best, runtime = cell
+                    lines.append(f"{dataset},{method},{score},{int(is_best)}"
+                                 + (f",{runtime}" if include_runtime else ""))
+        return "\n".join(lines) + "\n"
 
     n_repeats = max(r.repeat for r in result.rows) + 1
     width = max(7, *(len(m) for m in result.methods))
     name_width = max(7, *(len(d) for d in result.datasets))
+
+    def grid(render) -> list[str]:
+        return [" | ".join([dataset.ljust(name_width)]
+                           + [("-" if cell is None else render(*cell)).rjust(width)
+                              for cell in row])
+                for dataset, row in cells.items()]
+
     lines = [f"goal: {result.goal.kind} ({result.goal.direction}); "
              f"{result.aggregate_kind} over {n_repeats} repeats; scores x100, * = best"]
     lines.append(" | ".join(["dataset".ljust(name_width)]
                             + [m.rjust(width) for m in result.methods]))
     lines.append("-+-".join(["-" * name_width] + ["-" * width] * len(result.methods)))
-    for dataset in result.datasets:
-        cells = []
-        for method in result.methods:
-            if (dataset, method) not in aggregates:
-                cells.append("-".rjust(width))
-                continue
-            mark = "*" if best[dataset] == method else ""
-            cells.append(f"{aggregates[(dataset, method)] * 100:.1f}{mark}".rjust(width))
-        lines.append(" | ".join([dataset.ljust(name_width)] + cells))
+    lines += grid(lambda score, is_best, runtime: score + ("*" if is_best else ""))
     if include_runtime:
         lines += ["", "runtime seconds (median per dataset x method)"]
-        for dataset in result.datasets:
-            cells = [f"{runtimes[(dataset, m)]:.3f}".rjust(width)
-                     for m in result.methods if (dataset, m) in runtimes]
-            lines.append(" | ".join([dataset.ljust(name_width)] + cells))
+        lines += grid(lambda score, is_best, runtime: runtime)
     return "\n".join(lines) + "\n"
-
-
-def parse_report_csv(text: str) -> list[tuple[str, str, float, bool]]:
-    """Read back a csv report: (dataset, method, score, best) per line."""
-    rows = []
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append((parts[0], parts[1], float(parts[2]), parts[3] == "1"))
-    return rows

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import Dataset, row_chunks
+from .dataset import Dataset, nearest
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -245,12 +245,13 @@ def _fit_linear_svm(features, labels, c_penalty):
     mean, std, x = _z_stats(features)
     y = np.where(labels == 1, 1.0, -1.0)
     lam = 1.0 / c_penalty
+    yx = y[:, None] * x
     w = np.zeros(x.shape[1])
     b = 0.0
     for _ in range(GD_EPOCHS):
         margins = y * (x @ w + b)
         violators = margins < 1
-        w -= GD_LEARNING_RATE * (lam * w - (y[violators, None] * x[violators]).sum(0) / len(y))
+        w -= GD_LEARNING_RATE * (lam * w - yx[violators].sum(0) / len(y))
         b += GD_LEARNING_RATE * y[violators].sum() / len(y)
     return {"mean": mean, "std": std, "w": w, "b": b}
 
@@ -294,12 +295,7 @@ def _score_linear(state, x):
 
 def _score_knn(state, x):
     z = (x - state["mean"]) / state["std"]
-    points = state["points"]
-    nearest = np.concatenate([
-        np.argsort(np.sqrt(((z[rows, None, :] - points[None, :, :]) ** 2).sum(axis=2)),
-                   axis=1, kind="stable")[:, :state["k"]]
-        for rows in row_chunks(len(z), points.size)])
-    return state["labels"][nearest].mean(axis=1)
+    return state["labels"][nearest(z, state["points"], state["k"], 2.0)].mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -356,23 +352,9 @@ _LEARNERS = {
 KINDS = tuple(_LEARNERS)
 
 
-def _score_matrix(model: Model, x: np.ndarray) -> np.ndarray:
-    return _LEARNERS[model.kind].score(model.state, x)
-
-
-def predict(model: Model, instance) -> tuple[int, float]:
-    """(label, score) for one instance scored as a one-row matrix; label is score >= threshold."""
-    x = np.asarray(getattr(instance, "features", instance), dtype=float)
-    if x.shape != (len(model.feature_names),):
-        raise ValueError(f"instance has {x.shape} features, "
-                         f"model expects {len(model.feature_names)}")
-    score = float(_score_matrix(model, x.reshape(1, -1))[0])
-    return int(score >= model.threshold), score
-
-
 def predict_dataset(model: Model, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for a whole dataset, after a schema fingerprint check."""
     if data.schema.feature_names != model.feature_names:
         raise ValueError("dataset schema does not match the model's training schema")
-    scores = _score_matrix(model, data.features)
+    scores = _LEARNERS[model.kind].score(model.state, data.features)
     return (scores >= model.threshold).astype(int), scores

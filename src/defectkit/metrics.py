@@ -132,11 +132,19 @@ def _lift_area(locs: np.ndarray, labels: np.ndarray, order: np.ndarray) -> float
     return float(np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)[-1])
 
 
-def _areas(locs, labels, predicted) -> tuple[float, float, float]:
-    """inspection_areas on columns: locs, 0/1 labels and predictions, one per instance."""
+def inspection_areas(locs, labels, predicted) -> tuple[float, float, float]:
+    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
+
+    `locs`, 0/1 `labels` and `predicted` hold one entry per module.  The model
+    inspects predicted-defective modules first, each group by ascending loc; the
+    optimal and worst orders sort by defect density (loc clamped at 1) down and
+    up.  All three sorts are stable.
+    """
     locs = np.asarray(locs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
+    if labels.shape != locs.shape:
+        raise ValueError(f"{labels.size} labels for {locs.size} locs")
     if predicted.shape != locs.shape:
         raise ValueError(f"{predicted.size} predictions for {len(locs)} instances")
     if not (np.isfinite(locs) & (locs >= 0)).all():
@@ -153,41 +161,26 @@ def _areas(locs, labels, predicted) -> tuple[float, float, float]:
                  (model, np.argsort(-density, kind="stable"), np.argsort(density, kind="stable")))
 
 
-def inspection_areas(instances, predicted) -> tuple[float, float, float]:
-    """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
-
-    `instances` holds (loc, label) pairs.  The model inspects predicted-defective
-    modules first, each group by ascending loc; the optimal and worst orders sort
-    by defect density (loc clamped at 1) down and up.  All three sorts are stable.
-    """
-    return _areas([loc for loc, _ in instances], [lab for _, lab in instances], predicted)
-
-
-def _p_opt(locs, labels, hard) -> float:
-    """P_opt on columns, for hard (0/1 or boolean) predictions."""
-    s_model, s_optimal, s_worst = _areas(locs, labels, hard)
-    if s_optimal == s_worst:
-        raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
-    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
-
-
-def p_opt(instances, predicted) -> float:
+def p_opt(locs, labels, predicted) -> float:
     """Effort-aware score: 1 - (S(optimal) - S(model)) / (S(optimal) - S(worst)).
 
     `predicted` holds hard labels or scores; scores are thresholded at 0.5
     before the predicted-defective-first, ascending-loc layout is built.
     """
     hard = np.asarray(predicted, dtype=float) >= 0.5
-    return _p_opt([loc for loc, _ in instances], [lab for _, lab in instances], hard)
+    s_model, s_optimal, s_worst = inspection_areas(locs, labels, hard)
+    if s_optimal == s_worst:
+        raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
+    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
 
 
 def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float:
     """Score a prediction vector under the named goal (binary defect labels)."""
-    if g.kind == "p_opt" and (locs is None or len(locs) != len(actual)):
-        raise ValueError("p_opt needs one loc value per label")
-    hard = np.asarray(predicted, dtype=float) >= 0.5
     if g.kind == "p_opt":
-        return _p_opt(locs, actual, hard)
+        if locs is None:
+            raise ValueError("p_opt needs one loc value per label")
+        return p_opt(locs, actual, predicted)
+    hard = np.asarray(predicted, dtype=float) >= 0.5
     m = confusion(actual, hard.astype(int), 2)
     if g.kind == "accuracy":
         return accuracy(m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, row_chunks
+from .dataset import Dataset, nearest
 from .errors import DegenerateDataError
 
 M_CHOICES = (50, 100, 200, 400)
@@ -57,15 +57,7 @@ def minkowski(a, b, r: float) -> float:
 
 def _neighbour_table(points: np.ndarray, k: int, r: float) -> np.ndarray:
     """Indices of each point's k nearest minority neighbours (self excluded)."""
-    tables = []
-    for rows in row_chunks(len(points), points.size):
-        diffs = np.abs(points[rows, None, :] - points[None, :, :]) ** r
-        distances = diffs.sum(axis=2) ** (1.0 / r)
-        own = np.arange(len(points))[rows]
-        distances[np.arange(len(own)), own] = np.inf
-        # argsort is stable, so equal distances break by dataset index.
-        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
-    return np.concatenate(tables)
+    return nearest(points, points, k, r, exclude_self=True)
 
 
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):

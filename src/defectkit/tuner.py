@@ -139,11 +139,6 @@ def _sample_population(space: ParamSpace, n: int, rng: np.random.Generator) -> l
     return [Candidate({s.name: s.sample(rng) for s in space}) for _ in range(n)]
 
 
-def init_population(space: ParamSpace, cfg: DEConfig) -> list[Candidate]:
-    """np candidates drawn uniformly per dimension, deterministically from the seed."""
-    return _sample_population(space, cfg.np, np.random.default_rng(cfg.seed))
-
-
 def extrapolate(target: Candidate, a: Candidate, b: Candidate, c: Candidate,
                 space: ParamSpace, cfg: DEConfig, rng: np.random.Generator) -> Candidate:
     """Mutant of `target`: each dimension mutates with probability cr, else is kept.

@@ -57,6 +57,15 @@ def separated8():
     return make_dataset(np.vstack([clean, defective]), [0, 0, 0, 0, 1, 1, 1, 1])
 
 
+def parse_report_csv(text):
+    """Read back a csv report: (dataset, method, score, best) per line."""
+    rows = []
+    for line in text.strip().splitlines()[1:]:
+        parts = line.split(",")
+        rows.append((parts[0], parts[1], float(parts[2]), parts[3] == "1"))
+    return rows
+
+
 # The point-by-point lift curve that metrics.inspection_areas replaced with one
 # numpy pass, kept as the oracle that the tests compare it against exactly.
 @dataclass(frozen=True)

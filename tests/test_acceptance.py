@@ -18,7 +18,7 @@ import pytest
 
 import defectkit.harness as harness
 from defectkit.dataset import load_csv, merge, random_split
-from defectkit.fft import build_tree, fit as fit_forest
+from defectkit.fft import fit as fit_forest
 from defectkit.harness import ExperimentSpec, report, run_tuned, run_untuned
 from defectkit.learners import LearnerSpec
 from defectkit.metrics import (accuracy, class_metrics, confusion, dist2heaven,
@@ -106,7 +106,7 @@ def test_p_opt_bounds():
             model_order = sorted(range(n), key=lambda i: (1 - bits[i], locs[i]))
             s_model = lift_curve(instances, model_order).area()
             assert s_worst - 1e-9 <= s_model <= s_optimal + 1e-9
-            value = p_opt(instances, list(bits))
+            value = p_opt(locs, labels, list(bits))
             assert -1e-9 <= value <= 1.0 + 1e-9
             assert value == pytest.approx(popt_of(s_model), abs=1e-12)
 
@@ -129,8 +129,7 @@ def test_fft_enumeration_and_rule_list_semantics():
                                  rng.integers(0, 2, 20))
             if len(np.unique(small.labels)) < 2:
                 continue
-            for structure_id in range(2 ** depth):
-                tree = build_tree(small, D2H, structure_id, depth)
+            for tree in fit_forest(small, D2H, depth).trees:
                 text = tree.to_text()
                 names = list(tree.feature_names)
                 for row in small.features:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from defectkit.cli import main
-from defectkit.harness import parse_report_csv
+
+from conftest import parse_report_csv
 
 
 def make_project(tmp_path, n_per_version=60, seed=0):
@@ -179,3 +180,14 @@ class TestErrorPaths:
 
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["untuned", "tune", "kfold-tune", "smotuned"])
+    def test_header_only_version_is_config_error(self, tmp_path, capsys, command):
+        make_project(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"p": ["p-1.0.csv", "p-2.0.csv"]}), encoding="utf-8")
+        (tmp_path / "p-1.0.csv").write_text("wmc,rfc,loc,bug\n", encoding="utf-8")
+        assert main([command, "--manifest", str(manifest), "--learner", "cart"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'p'" in err and "p-1.0.csv" in err

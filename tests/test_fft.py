@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from defectkit.dataset import CLEAN, DEFECTIVE
 from defectkit.errors import DegenerateDataError
-from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, build_tree, fit, median_split,
-                           score_ranges, tree_from_dict, tree_from_text)
+from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, _ranked, fit, median_split,
+                           tree_from_text)
 from defectkit.metrics import GOAL_DIRECTIONS, evaluate, goal
 
 from conftest import make_dataset, planted_dataset
@@ -126,7 +126,7 @@ class TestMedianSplit:
 
 class TestScoreRanges:
     def test_perfect_separator_attains_optimum(self, separator6):
-        best = score_ranges(separator6, D2H)[0]
+        best = _ranked(separator6, D2H)[0]
         assert best.score == 0.0
         assert best.attribute == 0
 
@@ -136,7 +136,7 @@ class TestScoreRanges:
         planted = labels * 10 + rng.random(20)
         noise = rng.random(20)
         data = make_dataset(np.column_stack([planted, noise]), labels)
-        ranked = score_ranges(data, D2H)
+        ranked = _ranked(data, D2H)
         assert ranked[0].attribute == 0
         planted_best = min(r.score for r in ranked if r.attribute == 0)
         noise_best = min(r.score for r in ranked if r.attribute == 1)
@@ -148,15 +148,15 @@ class TestScoreRanges:
         data = make_dataset(
             np.column_stack([separator6.features[:, 0], np.full(6, 3.0)]),
             separator6.labels)
-        assert score_ranges(data, D2H)[0].attribute == 0
+        assert _ranked(data, D2H)[0].attribute == 0
 
     def test_single_class_rejected(self):
         data = make_dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(DegenerateDataError):
-            score_ranges(data, D2H)
+            fit(data, D2H, 1)
 
     def test_sorted_best_first(self, separator6):
-        ranked = score_ranges(separator6, D2H)
+        ranked = _ranked(separator6, D2H)
         scores = [r.score for r in ranked]
         assert scores == sorted(scores)
         assert len(ranked) == 4 * len(separator6.schema.feature_names)
@@ -164,7 +164,7 @@ class TestScoreRanges:
 
 class TestBuildTree:
     def test_depth_one_separator(self, separator6):
-        tree = build_tree(separator6, D2H, structure_id=0b1, depth=1)
+        tree = fit(separator6, D2H, 1).trees[0b1]
         assert tree.depth == 1
         rng0, exit_class = tree.levels[0]
         assert exit_class == 1
@@ -174,25 +174,15 @@ class TestBuildTree:
 
     def test_structure_bits_dictate_exits(self):
         data = planted_dataset(n=80, n_noise=3, seed=5)
-        tree = build_tree(data, D2H, structure_id=0b1110, depth=4)
+        tree = fit(data, D2H, 4).trees[0b1110]
         assert [exit_class for _, exit_class in tree.levels] == [0, 1, 1, 1]
-
-    def test_depth_zero_majority_leaf(self, separator6):
-        tree = build_tree(separator6, D2H, structure_id=0, depth=0)
-        assert tree.depth == 0
-        assert tree.final_leaf[0] == tree.final_leaf[1]
-        assert predict_row(tree, separator6.instances[0].features) == tree.final_leaf[1]
 
     def test_truncates_when_remaining_single_class(self, separator6):
         # the separating first level leaves only clean instances behind
-        tree = build_tree(separator6, D2H, structure_id=0b111, depth=3)
+        tree = fit(separator6, D2H, 3).trees[0b111]
         assert tree.depth < 3
         assert tree.structure_id == 0b111
         assert tree.final_leaf == (0, 0)
-
-    def test_structure_id_out_of_range(self, separator6):
-        with pytest.raises(ValueError):
-            build_tree(separator6, D2H, structure_id=4, depth=2)
 
 
 class TestFit:
@@ -242,8 +232,8 @@ class TestFit:
             if len(np.unique(data.labels)) == 2:
                 cases.append(data)
         for data in cases:
-            assert score_ranges(data, g) == reference_ranges(data.features, data.labels,
-                                                             data.locs, g)
+            assert _ranked(data, g) == reference_ranges(data.features, data.labels,
+                                                        data.locs, g)
             for depth in range(1, 6):
                 try:
                     expected = reference_fit(data, g, depth)
@@ -252,8 +242,6 @@ class TestFit:
                         fit(data, g, depth)
                     continue
                 assert fit(data, g, depth) == expected
-                assert tuple(build_tree(data, g, sid, depth)
-                             for sid in range(2 ** depth)) == expected.trees
 
 
 class TestPredictRouting:
@@ -272,7 +260,7 @@ class TestPredictRouting:
 
     def test_every_instance_gets_exactly_one_exit(self):
         data = planted_dataset(n=30, n_noise=2, seed=8)
-        tree = build_tree(data, D2H, 0b101, 3)
+        tree = fit(data, D2H, 3).trees[0b101]
         for x in data.features:
             exits = [exit_class for rng, exit_class in tree.levels if rng.matches(
                 x.reshape(1, -1))[0]]
@@ -301,17 +289,11 @@ class TestSerialization:
                    (r2.attribute, r2.relation, r2.threshold, e2)
 
     def test_majority_leaf_round_trips_as_bare_else(self):
-        data = make_dataset([[1.0], [2.0]], [1, 1], loc=[5, 5])
-        tree = build_tree(data, D2H, 0, 0)
+        tree = FFTree((), (1, 1), 0, ("a0", "loc"))
         assert tree.to_text() == "else true"
         again = tree_from_text(tree.to_text(), tree.feature_names)
         assert again.final_leaf == tree.final_leaf
         assert again.depth == 0
-
-    def test_dict_round_trip_exact(self):
-        data = planted_dataset(n=40, n_noise=2, seed=4)
-        tree = build_tree(data, D2H, 0b10, 2)
-        assert tree_from_dict(tree.to_dict()) == tree
 
     def test_interpreter_agrees_with_predict(self):
         rng = np.random.default_rng(17)
@@ -321,8 +303,7 @@ class TestSerialization:
                                     rng.integers(0, 2, 20))
                 if len(np.unique(data.labels)) < 2:
                     continue
-                for structure_id in range(2 ** depth):
-                    tree = build_tree(data, D2H, structure_id, depth)
+                for tree in fit(data, D2H, depth).trees:
                     text = tree.to_text()
                     names = list(tree.feature_names)
                     for row in data.features:

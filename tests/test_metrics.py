@@ -192,27 +192,24 @@ class TestLiftCurve:
 class TestPopt:
     def test_frozen_three_instance_value(self):
         # model [loc2, loc1, loc7] area .825; optimal .875; worst .125
-        instances = [(1, 1), (2, 1), (7, 0)]
-        assert p_opt(instances, [0, 1, 0]) == pytest.approx(1 - 0.05 / 0.75, abs=1e-12)
+        assert p_opt([1, 2, 7], [1, 1, 0], [0, 1, 0]) == pytest.approx(1 - 0.05 / 0.75, abs=1e-12)
 
     def test_perfect_predictions_on_easy_layout_score_one(self):
         # defectives strictly smaller than cleans: the predicted-defective-first
         # layout coincides with the optimal density ordering
-        instances = [(1, 1), (2, 1), (50, 0), (60, 0)]
-        assert p_opt(instances, [1, 1, 0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert p_opt([1, 2, 50, 60], [1, 1, 0, 0], [1, 1, 0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_worst_predictions_score_zero(self):
         # single defective with the largest loc, nothing predicted defective
-        instances = [(5, 0), (10, 0), (80, 1)]
-        assert p_opt(instances, [0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert p_opt([5, 10, 80], [0, 0, 1], [0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_scores_are_thresholded(self):
-        instances = [(1, 1), (2, 1), (50, 0), (60, 0)]
-        assert p_opt(instances, [0.9, 0.8, 0.1, 0.2]) == pytest.approx(1.0, abs=1e-12)
+        assert p_opt([1, 2, 50, 60], [1, 1, 0, 0], [0.9, 0.8, 0.1, 0.2]) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_equal_densities(self):
         with pytest.raises(DegenerateDataError):
-            p_opt([(10, 1), (10, 1)], [1, 1])
+            p_opt([10, 10], [1, 1], [1, 1])
 
     def test_bounds_over_all_prediction_vectors(self):
         rng = np.random.default_rng(21)
@@ -222,12 +219,11 @@ class TestPopt:
             labels = rng.integers(0, 2, n)
             if labels.sum() in (0, n):
                 continue
-            instances = list(zip(locs, labels))
             for bits in itertools.product((0, 1), repeat=n):
-                s_model, s_opt, s_worst = inspection_areas(instances, list(bits))
+                s_model, s_opt, s_worst = inspection_areas(locs, labels, list(bits))
                 assert s_worst - 1e-9 <= s_model <= s_opt + 1e-9
                 if s_opt > s_worst:
-                    value = p_opt(instances, list(bits))
+                    value = p_opt(locs, labels, list(bits))
                     assert -1e-9 <= value <= 1 + 1e-9
 
     # Few distinct locs give tied locs and tied densities; loc 0 clamps to 1 in density.
@@ -238,6 +234,7 @@ class TestPopt:
                     min_size=1, max_size=12))
     def test_equals_lift_curve_oracle_exactly(self, rows):
         instances = [(loc, label) for loc, label, _ in rows]
+        locs, labels = [loc for loc, _ in instances], [label for _, label in instances]
         scores = [score for _, _, score in rows]
         hard = [int(score >= 0.5) for score in scores]
         for kernel, oracle, predicted in ((inspection_areas, oracle_areas, hard),
@@ -246,9 +243,9 @@ class TestPopt:
                 expected = oracle(instances, predicted)
             except DegenerateDataError as exc:
                 with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
-                    kernel(instances, predicted)
+                    kernel(locs, labels, predicted)
             else:
-                assert kernel(instances, predicted) == expected
+                assert kernel(locs, labels, predicted) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 7.0, 10.0, 333.0]),
@@ -259,7 +256,7 @@ class TestPopt:
         labels = np.array([label for _, label, _ in rows])
         scores = np.array([score for _, _, score in rows])
         try:
-            expected = p_opt(list(zip(locs, labels)), scores)
+            expected = p_opt(locs, labels, scores)
         except DegenerateDataError as exc:
             with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
                 evaluate(goal("p_opt"), labels, scores, locs)
@@ -267,14 +264,15 @@ class TestPopt:
             assert evaluate(goal("p_opt"), labels, scores, locs) == expected
 
     @pytest.mark.parametrize("call,problem", [
-        (lambda: p_opt([(math.nan, 1), (10, 0)], [1, 0]), "loc"),
-        (lambda: p_opt([(math.inf, 1), (10, 0)], [1, 0]), "loc"),
-        (lambda: p_opt([(-5, 1), (20, 0)], [1, 0]), "loc"),
-        (lambda: p_opt([(10, 2), (20, 0)], [1, 0]), "label"),
-        (lambda: p_opt([(10, 1), (20, 0), (5, 0)], [1, 0]), "predictions"),
+        (lambda: p_opt([math.nan, 10], [1, 0], [1, 0]), "loc"),
+        (lambda: p_opt([math.inf, 10], [1, 0], [1, 0]), "loc"),
+        (lambda: p_opt([-5, 20], [1, 0], [1, 0]), "loc"),
+        (lambda: p_opt([10, 20], [2, 0], [1, 0]), "label"),
+        (lambda: p_opt([10, 20, 5], [1, 0, 0], [1, 0]), "predictions"),
         (lambda: evaluate(goal("p_opt"), [1, 0, 1], [1, 0, 1], locs=[10, 5]), "loc"),
+        (lambda: p_opt([10, 20], [1, 0, 0], [1, 0]), "labels"),
     ], ids=["nan_loc", "inf_loc", "negative_loc", "label_2", "short_predictions",
-            "short_locs"])
+            "short_locs", "long_labels"])
     def test_bad_inputs_rejected(self, call, problem):
         with pytest.raises(ValueError, match=problem):
             call()

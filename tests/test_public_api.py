@@ -1,0 +1,54 @@
+"""Every public name in `src/defectkit` has a caller outside the tests.
+
+A public top-level function or class, or a public method of a public class,
+must appear as a whole word somewhere in `src/`, `demos/`, `README.md` or
+`perfbench/`, outside its own definition and outside `__init__.py` (whose
+re-exports are not callers).  A name only the tests use is API nobody runs;
+delete it, or move what the tests need into `tests/`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "defectkit"
+
+
+def public_definitions():
+    """(module path, name, first line, last line) of every public definition."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            found.append((path, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                found += [(path, item.name, item.lineno, item.end_lineno)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+    return found
+
+
+def caller_files():
+    files = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "demos").glob("*.py")
+    files += (ROOT / "perfbench").glob("*.py")
+    return files + [ROOT / "README.md"]
+
+
+def test_every_public_name_has_a_caller():
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in caller_files()}
+    uncalled = []
+    for module, name, first, last in public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line)
+                   for path, lines in texts.items()
+                   for number, line in enumerate(lines, start=1)
+                   if not (path == module and first <= number <= last)):
+            uncalled.append(f"{module.stem}.{name}")
+    assert not uncalled, f"public names with no caller outside tests: {uncalled}"

@@ -3,8 +3,8 @@ import pytest
 
 from defectkit import tuner
 from defectkit.tuner import (BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
-                             DEConfig, ParamSpace, ParamSpec, extrapolate,
-                             init_population, optimize, run_de)
+                             DEConfig, ParamSpace, ParamSpec, _sample_population, extrapolate,
+                             optimize, run_de)
 
 QUADRATIC_SPACE = ParamSpace((ParamSpec("x", CONTINUOUS, 1.0, 50.0, default=25.0),))
 MIXED_SPACE = ParamSpace((
@@ -61,20 +61,20 @@ class TestParamSpace:
 
 class TestInitPopulation:
     def test_count_and_ranges(self):
-        population = init_population(MIXED_SPACE, DEConfig(np=10, seed=3))
+        population = _sample_population(MIXED_SPACE, 10, np.random.default_rng(3))
         assert len(population) == 10
         for candidate in population:
             for spec in MIXED_SPACE:
                 assert spec.contains(candidate.tunings[spec.name])
 
     def test_boolean_dimension_draws_both_values(self):
-        population = init_population(MIXED_SPACE, DEConfig(np=30, seed=3))
+        population = _sample_population(MIXED_SPACE, 30, np.random.default_rng(3))
         flags = {c.tunings["flag"] for c in population}
         assert flags == {True, False}
 
     def test_deterministic(self):
-        a = init_population(MIXED_SPACE, DEConfig(seed=7))
-        b = init_population(MIXED_SPACE, DEConfig(seed=7))
+        a = _sample_population(MIXED_SPACE, 10, np.random.default_rng(7))
+        b = _sample_population(MIXED_SPACE, 10, np.random.default_rng(7))
         assert [c.tunings for c in a] == [c.tunings for c in b]
 
 
@@ -153,7 +153,7 @@ class TestOptimize:
         run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(seed=4, life=5))
         assert run.generations == 5
         assert run.evaluations == 10 * (5 + 1)
-        initial = init_population(QUADRATIC_SPACE, DEConfig(seed=4))
+        initial = _sample_population(QUADRATIC_SPACE, 10, np.random.default_rng(4))
         assert run.best.tunings in [c.tunings for c in initial]
 
     def test_run_that_spends_its_lives_stops_for_life(self):
