@@ -4,8 +4,9 @@ A run walks (dataset x learner x repeat) cells.  Tuned cells split the
 training data 80/20 into new-training and tuning sets, let differential
 evolution pick parameters by the goal score on the tuning set, and score
 the winner's model, fitted on new-training, once on the held-out test set.
-Candidates that differ only in `threshold` share one fit, and each cell
-caches at most `np` (the DE population size) fitted models.  The
+Candidates that differ only in decision-time tunings (`threshold`, knn's
+`k`) share one fit, each cell caches at most `np` (the DE population size)
+fitted models, and a tuned cell's fits share one learners.CellContext.  The
 learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -153,11 +154,13 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
     if (spec.de is None) == tuned:
         raise ConfigError("tuned workflows need a DE configuration" if tuned
                           else "run_untuned takes a spec without a tuning section")
+    if folds is not None and spec.repeats > 1:
+        raise ConfigError(f"k-fold tuning takes repeats=1 (folds repeat it), got {spec.repeats}")
     result = ExperimentResult(spec.goal, aggregate_kind="median" if folds is None else "mean")
     cell = 0
     for name, (train, test) in spec.datasets.items():
         for lspec in spec.learners:
-            for repeat in range(spec.repeats if folds is None else 1):
+            for repeat in range(spec.repeats):
                 seed = derive_seed(spec.seed, cell)
                 cell += 1
                 try:
@@ -180,9 +183,9 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
 
     DE searches `space` from a population holding `planted`; every candidate
     becomes a model through `fit_from(tunings)` and is scored on `tune_set`.
-    Candidates with equal fit-time tunings (all but learners.DECISION_PARAM)
-    share one model, whose threshold is set before each scoring; the cell
-    keeps the de_cfg.np most recently used models.
+    Candidates with equal fit-time tunings (all but `space.decision`) share
+    one model, whose decision-time tunings are set before each scoring; the
+    cell keeps the de_cfg.np most recently used models.
     """
     calls = 0
     models: dict[tuple, learners.Model] = {}  # least recently used first
@@ -190,14 +193,12 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     def model_for(tunings: dict) -> learners.Model:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
         key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
-                    if name != learners.DECISION_PARAM)
+                    if name not in space.decision)
         model = models.pop(key, None) or fit_from(tunings)
         models[key] = model
         if len(models) > de_cfg.np:
             del models[next(iter(models))]
-        if learners.DECISION_PARAM in tunings:
-            model.threshold = tunings[learners.DECISION_PARAM]
-        return model
+        return learners.decide(model, {name: tunings[name] for name in space.decision})
 
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
@@ -223,9 +224,11 @@ def _rebalanced(spec: ExperimentSpec, data: Dataset, seed: int) -> Dataset:
 def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
     """DE over the learner's own parameter space, its defaults planted."""
     new_train = _rebalanced(spec, new_train, seed)
+    context = learners.CellContext(new_train)
     return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
                     lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
-                                                 new_train, seed, goal=spec.goal),
+                                                 new_train, seed, goal=spec.goal,
+                                                 context=context),
                     tune_set, test, spec.goal, spec.de, seed)
 
 
@@ -259,6 +262,7 @@ def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
 
         def fit_from(tunings):
+            # No shared CellContext: every candidate fits on its own rebalanced data.
             cfg = SmoteConfig(tunings["k"], tunings["m"], tunings["r"], seed)
             return learners.fit(lspec, smote.apply(new_train, cfg), seed, goal=spec.goal)
 

@@ -7,6 +7,9 @@ straight into the differential-evolution tuner.
 
 The SVM here is linear only: a hinge-loss classifier trained by
 deterministic subgradient descent with regularisation 1/C.
+
+No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
+sets them.  Fits on one training set can share a CellContext (a split memo).
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from .tuner import CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 
 GD_EPOCHS = 500
 GD_LEARNING_RATE = 0.1
-# The one decision-time dimension: it sets Model.threshold and no learner's fit
-# reads it, so tuning candidates that differ only here can share one model.
-DECISION_PARAM = "threshold"
+KNN_MAX_K = 20  # top of knn's k range: how many neighbours a knn model ranks
+SPLIT_MEMO_NODES = 4096  # nodes a split memo keeps, at about 16 * F + 400 bytes each
 
 
 def param_space(kind: str) -> ParamSpace:
@@ -64,6 +66,18 @@ class Model:
     state: Any
 
 
+class CellContext:
+    """Work the fits on one training set share: the CART/forest split memo.
+
+    `splits` maps (split path from the root, which fixes a node's rows on
+    `data`, and min_samples_leaf) to each feature's best gain (NaN until
+    searched) and threshold there, least recently used first.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data, self.splits = data, {}
+
+
 def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, std, standardised features); constant columns keep std 1."""
     mean = features.mean(axis=0)
@@ -73,11 +87,11 @@ def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _entropy(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits of n_pos positives among n >= 1 rows."""
+    p = n_pos / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n > 0, n_pos / np.maximum(n, 1), 0.0)
-        h = -(np.where(p > 0, p * np.log2(p), 0.0)
-              + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0))
-    return np.where(n > 0, h, 0.0)
+        return -(np.where(p > 0, p * np.log2(p), 0.0)
+                 + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0))
 
 
 class _TreeNode:
@@ -92,18 +106,18 @@ class _TreeNode:
 
 
 def _best_split(features, labels, candidates, min_samples_leaf):
-    """(gain, feature, threshold) of the best entropy split, or None.
+    """(gains, thresholds) of each candidate feature's best entropy split.
 
-    All candidate features are scanned in one vectorised pass; ties break
-    toward the lowest feature index, then the lowest boundary.
+    All candidates are scanned in one vectorised pass; a feature's result
+    depends on its column alone.  Ties break toward the lowest boundary, and
+    a feature with no legal boundary gains -inf.  Needs two rows.
     """
     n = len(labels)
-    if n < 2:
-        return None
     parent = _entropy(np.array([labels.sum()]), np.array([n]))[0]
     sub = features[:, candidates]
     order = np.argsort(sub, axis=0, kind="stable")
-    v = np.take_along_axis(sub, order, axis=0)
+    cols = np.arange(len(candidates))
+    v = sub[order, cols]
     cum_pos = np.cumsum(labels[order], axis=0)
 
     left_n = np.arange(1, n, dtype=float)[:, None]
@@ -115,22 +129,17 @@ def _best_split(features, labels, candidates, min_samples_leaf):
     valid = ((v[1:] > v[:-1])  # boundary between distinct values
              & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
     gain = np.where(valid, gain, -np.inf)
-
-    flat = int(np.argmax(gain.T))  # feature-major: lowest feature index wins ties
-    col, boundary = divmod(flat, n - 1)
-    best_gain = gain[boundary, col]
-    if best_gain <= 1e-12:
-        return None
-    threshold = float((v[boundary, col] + v[boundary + 1, col]) / 2.0)
-    return (float(best_gain), int(candidates[col]), threshold)
+    boundary = np.argmax(gain, axis=0)
+    return gain[boundary, cols], (v[boundary, cols] + v[boundary + 1, cols]) / 2.0
 
 
 class _Cart:
     """Entropy CART grown best-first up to max_leaf_nodes leaves."""
 
-    def __init__(self, params: dict, seed: int):
+    def __init__(self, params: dict, seed: int, splits: dict):
         self.params = params
         self.seed = seed
+        self.splits = splits
         self.root = None
 
     def _feature_sample(self, n_features: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,6 +147,24 @@ class _Cart:
         if size >= n_features:
             return np.arange(n_features)
         return np.sort(rng.choice(n_features, size=size, replace=False))
+
+    def _split(self, key, feats, labs, candidates):
+        """(gain, feature, threshold) of the best split, or None; ties take the lowest feature."""
+        entry = self.splits.pop(key, None)
+        if entry is None:
+            entry = np.full((2, feats.shape[1]), np.nan)
+        self.splits[key] = entry
+        if len(self.splits) > SPLIT_MEMO_NODES:
+            del self.splits[next(iter(self.splits))]
+        gains, thresholds = entry
+        todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
+        if len(todo):
+            gains[todo], thresholds[todo] = _best_split(feats, labs, todo,
+                                                        self.params["min_samples_leaf"])
+        best = candidates[np.argmax(gains[candidates])]
+        if gains[best] <= 1e-12:
+            return None
+        return float(gains[best]), int(best), float(thresholds[best])
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "_Cart":
         rng = np.random.default_rng(self.seed)
@@ -148,26 +175,27 @@ class _Cart:
         heap = []
         counter = 0
 
-        def consider(node, feats, labs):
+        # `key` is a node's (min_samples_leaf, split path from the root).
+        def consider(node, key, feats, labs):
             nonlocal counter
-            if len(labs) < min_split or len(np.unique(labs)) < 2:
+            if len(labs) < min_split or labs.min() == labs.max():
                 return
-            split = _best_split(feats, labs, self._feature_sample(feats.shape[1], rng), min_leaf)
+            split = self._split(key, feats, labs, self._feature_sample(feats.shape[1], rng))
             if split is not None:
-                heapq.heappush(heap, (-split[0], counter, node, split, feats, labs))
+                heapq.heappush(heap, (-split[0], counter, node, key, split, feats, labs))
                 counter += 1
 
-        consider(self.root, features, labels)
+        consider(self.root, (min_leaf,), features, labels)
         leaves = 1
         while heap and leaves < max_leaves:
-            _, _, node, (gain, f, threshold), feats, labs = heapq.heappop(heap)
+            _, _, node, key, (gain, f, threshold), feats, labs = heapq.heappop(heap)
             mask = feats[:, f] <= threshold
             node.feature, node.threshold = f, threshold
             node.left = _TreeNode(float(labs[mask].mean()))
             node.right = _TreeNode(float(labs[~mask].mean()))
             leaves += 1
-            consider(node.left, feats[mask], labs[mask])
-            consider(node.right, feats[~mask], labs[~mask])
+            consider(node.left, (key, f, threshold, True), feats[mask], labs[mask])
+            consider(node.right, (key, f, threshold, False), feats[~mask], labs[~mask])
         return self
 
     def prob(self, features: np.ndarray) -> np.ndarray:
@@ -193,26 +221,41 @@ class _Cart:
         return walk(self.root)
 
 
-def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = None) -> Model:
-    """Train spec.kind on the data; deterministic given (spec, data, seed)."""
+def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = None,
+        context: CellContext | None = None) -> Model:
+    """Train spec.kind on the data; deterministic given (spec, data, seed).
+
+    Fits on the same data may share a `context`; else the fit makes its own.
+    """
     if not len(data):
         raise ValueError("cannot fit on an empty dataset")
+    context = context or CellContext(data)
+    if context.data is not data:
+        raise ValueError("a CellContext serves fits on its own training set only")
     learner = _LEARNERS[spec.kind]
     if learner.needs_both_classes and len(np.unique(data.labels)) < 2:
         raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
     params = spec.resolved()
-    return Model(spec.kind, data.schema.feature_names, params.get(DECISION_PARAM, 0.5),
-                 learner.fit(params, data, seed, goal))
+    return decide(Model(spec.kind, data.schema.feature_names, 0.5,
+                        learner.fit(params, data, seed, goal, context.splits)), params)
 
 
-def _fit_forest(params, features, labels, seed):
+def decide(model: Model, tunings: dict) -> Model:
+    """Set the decision-time entries of `tunings` on a fitted model, in place."""
+    model.threshold = tunings.get("threshold", model.threshold)
+    if model.kind == "knn" and "k" in tunings:
+        model.state["k"] = min(tunings["k"], len(model.state["labels"]))
+    return model
+
+
+def _fit_forest(params, features, labels, seed, splits):
     # Trees differ through per-split feature sampling with per-tree seeds
     # (seed + index), not bootstrapping, so a one-tree forest at
     # max_feature=1.0 is exactly the CART build.  With every feature
     # sampled the builds are identical, so one tree serves all slots.
     if params["max_feature"] >= 1.0:
-        return [_Cart(params, seed).fit(features, labels)] * params["n_estimators"]
-    return [_Cart(params, seed + i).fit(features, labels)
+        return [_Cart(params, seed, splits).fit(features, labels)] * params["n_estimators"]
+    return [_Cart(params, seed + i, splits).fit(features, labels)
             for i in range(params["n_estimators"])]
 def _fit_naive_bayes(features, labels):
     classes = np.unique(labels)
@@ -256,10 +299,11 @@ def _fit_linear_svm(features, labels, c_penalty):
     return {"mean": mean, "std": std, "w": w, "b": b}
 
 
-def _fit_knn(params, features, labels):
+def _fit_knn(features, labels):
     mean, std, points = _z_stats(features)
+    # "k" is set by decide; "ranked" holds the last query matrix and its ranking.
     return {"mean": mean, "std": std, "points": points, "labels": labels,
-            "k": min(params["k"], len(labels))}
+            "ranked": (None, None)}
 
 
 def _score_forest(trees, x):
@@ -294,8 +338,14 @@ def _score_linear(state, x):
 
 
 def _score_knn(state, x):
-    z = (x - state["mean"]) / state["std"]
-    return state["labels"][nearest(z, state["points"], state["k"], 2.0)].mean(axis=1)
+    # A stable argsort's first k columns are a prefix of its first KNN_MAX_K, so one
+    # ranking serves every k; it is keyed by the (never mutated) query matrix.
+    queries, ranks = state["ranked"]
+    if queries is not x:
+        z = (x - state["mean"]) / state["std"]
+        ranks = nearest(z, state["points"], min(KNN_MAX_K, len(state["labels"])), 2.0)
+        state["ranked"] = (x, ranks)
+    return state["labels"][ranks[:, :state["k"]]].mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -303,12 +353,13 @@ class _Learner:
     """One learner kind: its tuning space, how it fits, how it scores a matrix."""
 
     space: ParamSpace
-    fit: Callable  # (params, data, seed, goal) -> fitted state
+    fit: Callable  # (params, data, seed, goal, split memo) -> fitted state
     score: Callable  # (state, feature matrix) -> one score in [0, 1] per row
     needs_both_classes: bool = True
 
 
-_THRESHOLD = ParamSpec(DECISION_PARAM, CONTINUOUS, 0.01, 1.0, default=0.5)
+_THRESHOLD = ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5)
+_DECIDED = frozenset({"threshold"})
 _RF_DIMS = (
     _THRESHOLD,
     ParamSpec("max_feature", CONTINUOUS, 0.01, 1.0, default=1.0),
@@ -321,32 +372,34 @@ _RF_DIMS = (
 # all) are looked up when a model is fitted, not when this table is built.
 _LEARNERS = {
     "cart": _Learner(
-        ParamSpace(_RF_DIMS),
-        lambda p, data, seed, goal: _Cart(p, seed).fit(data.features, data.labels),
+        ParamSpace(_RF_DIMS, _DECIDED),
+        lambda p, data, seed, _, splits: _Cart(p, seed, splits).fit(data.features, data.labels),
         lambda cart, x: cart.prob(x)),
     "random_forest": _Learner(
-        ParamSpace(_RF_DIMS + (ParamSpec("n_estimators", INTEGER, 50, 150, default=100),)),
-        lambda p, data, seed, goal: _fit_forest(p, data.features, data.labels, seed),
+        ParamSpace(_RF_DIMS + (ParamSpec("n_estimators", INTEGER, 50, 150, default=100),),
+                   _DECIDED),
+        lambda p, data, seed, _, splits: _fit_forest(p, data.features, data.labels, seed, splits),
         _score_forest),
     "naive_bayes": _Learner(
-        ParamSpace((_THRESHOLD,)),
-        lambda p, data, seed, goal: _fit_naive_bayes(data.features, data.labels),
+        ParamSpace((_THRESHOLD,), _DECIDED),
+        lambda p, data, *_: _fit_naive_bayes(data.features, data.labels),
         _score_naive_bayes, needs_both_classes=False),
     "logistic": _Learner(
-        ParamSpace((_THRESHOLD,)),
-        lambda p, data, seed, goal: _fit_logistic(data.features, data.labels),
+        ParamSpace((_THRESHOLD,), _DECIDED),
+        lambda p, data, *_: _fit_logistic(data.features, data.labels),
         _score_linear),
     "knn": _Learner(
-        ParamSpace((ParamSpec("k", INTEGER, 1, 20, default=8), _THRESHOLD)),
-        lambda p, data, seed, goal: _fit_knn(p, data.features, data.labels),
+        ParamSpace((ParamSpec("k", INTEGER, 1, KNN_MAX_K, default=8), _THRESHOLD),
+                   _DECIDED | {"k"}),
+        lambda p, data, *_: _fit_knn(data.features, data.labels),
         _score_knn),
     "linear_svm": _Learner(
         ParamSpace((ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),)),
-        lambda p, data, seed, goal: _fit_linear_svm(data.features, data.labels, p["C"]),
+        lambda p, data, *_: _fit_linear_svm(data.features, data.labels, p["C"]),
         _score_linear),
     "fft": _Learner(
         ParamSpace((ParamSpec("d", INTEGER, 1, 5, default=4),)),
-        lambda p, data, seed, goal: fft_mod.fit(data, goal or make_goal("dist2heaven"), p["d"]),
+        lambda p, data, seed, goal, _: fft_mod.fit(data, goal or make_goal("dist2heaven"), p["d"]),
         lambda ensemble, x: ensemble.best_tree.predict(x).astype(float)),
 }
 KINDS = tuple(_LEARNERS)

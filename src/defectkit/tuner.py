@@ -67,11 +67,12 @@ class ParamSpec:
         return self.values[int(rng.integers(0, len(self.values)))]
 
     def trim(self, raw: float):
+        clamped = min(max(raw, self.lo), self.hi)
         if self.kind == CONTINUOUS:
-            return float(min(max(raw, self.lo), self.hi))
-        # Integers round half away from zero before trimming.
-        rounded = math.floor(raw + 0.5) if raw >= 0 else math.ceil(raw - 0.5)
-        return int(min(max(rounded, self.lo), self.hi))
+            return float(clamped)
+        # Round half away from zero.  With integer bounds, clamping first changes
+        # no finite result, and an infinite raw (a huge f) cannot overflow.
+        return int(math.floor(clamped + 0.5) if clamped >= 0 else math.ceil(clamped - 0.5))
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ class ParamSpace:
     """Ordered, uniquely-named tuning dimensions."""
 
     specs: tuple[ParamSpec, ...]
+    # Names no fit reads: candidates that differ only there can share a model.
+    decision: frozenset = frozenset()
 
     def __post_init__(self):
         names = [s.name for s in self.specs]
@@ -127,8 +130,8 @@ class DEConfig:
     def __post_init__(self):
         if self.np < 4:
             raise ValueError("population needs at least 4 members (target plus three donors)")
-        if self.f <= 0:
-            raise ValueError("extrapolation factor f must be positive")
+        if not 0 < self.f < math.inf:  # NaN fails too
+            raise ValueError(f"extrapolation factor f must be positive and finite, got {self.f!r}")
         if not 0 <= self.cr <= 1:
             raise ValueError("crossover probability cr must be in [0, 1]")
         if self.life < 1:

@@ -62,6 +62,15 @@ class TestTune:
         rendered = capsys.readouterr().out
         assert rendered.startswith("dataset,method,score,best")
 
+    @pytest.mark.parametrize("f,code", [("1e308", 0), ("nan", 2), ("inf", 2)])
+    def test_extreme_f_runs_or_names_f(self, tmp_path, capsys, f, code):
+        manifest = make_project(tmp_path)
+        assert main(["tune", "--manifest", str(manifest), "--learner", "cart",
+                     "--np", "5", "--life", "1", "--seed", "2", "--f", f]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "factor f" in err
+
     def test_goal_popt(self, tmp_path, capsys):
         manifest = make_project(tmp_path)
         code = main(["tune", "--manifest", str(manifest), "--learner", "fft",
@@ -77,6 +86,14 @@ class TestKfoldTune:
                      "--folds", "2", "--np", "5", "--life", "1", "--seed", "4"])
         assert code == 0
         assert "mean" in capsys.readouterr().out
+
+    def test_repeats_above_one_is_config_error(self, tmp_path, capsys):
+        # Folds are k-fold's repeats; more repeats would rerun the same folds.
+        manifest = make_project(tmp_path)
+        assert main(["kfold-tune", "--manifest", str(manifest), "--learner", "cart",
+                     "--folds", "2", "--repeats", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "repeats" in err
 
 
 class TestSmotuned:

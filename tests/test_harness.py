@@ -154,6 +154,28 @@ class TestRunTuned:
                                     "min_sample_split", "min_samples_leaf"}
         assert 0.01 <= row.tunings["threshold"] <= 1.0
 
+    def test_knn_cell_fits_once_and_ranks_each_set_once(self, monkeypatch):
+        fitted = recorded_fits(monkeypatch)
+        ranked, decided_k = [], set()
+        nearest, decide = harness.learners.nearest, harness.learners.decide
+
+        def ranking(queries, *args):
+            ranked.append(len(queries))
+            return nearest(queries, *args)
+
+        def deciding(model, tunings):
+            decided_k.add(tunings.get("k"))
+            return decide(model, tunings)
+
+        monkeypatch.setattr(harness.learners, "nearest", ranking)
+        monkeypatch.setattr(harness.learners, "decide", deciding)
+        train, test = planted_split()
+        spec = spec_for({"planted": (train, test)}, [LearnerSpec("knn")], seed=24, de=FAST_DE)
+        run_tuned(spec)
+        assert len(decided_k) > 2  # DE tried several k
+        assert len(fitted) == 1
+        assert len(ranked) == 2 and ranked[1] == len(test)  # the tuning set, then the test set
+
     def test_test_set_touched_once_per_repeat_and_learner(self, monkeypatch):
         touches = []
         original = harness._score_on_test

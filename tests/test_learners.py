@@ -1,10 +1,13 @@
+import heapq
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defectkit.dataset import row_chunks
+from defectkit.dataset import nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit import learners
 from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict_dataset
@@ -324,6 +327,188 @@ class TestKnnChunks:
             tracemalloc.stop()
         # One 600 x 600 x 11 float array alone is 31.7 MB.
         assert peak < 16 * 2 ** 20
+
+
+def per_k_score_knn(state, x):
+    """knn scores ranked at state["k"] itself (the scorer before one ranking served every k)."""
+    z = (x - state["mean"]) / state["std"]
+    return state["labels"][nearest(z, state["points"], state["k"], 2.0)].mean(axis=1)
+
+
+class TestKnnRanking:
+    @pytest.mark.parametrize("n_train", [12, 90])
+    def test_one_ranking_sliced_at_every_k_equals_per_k_scoring(self, n_train):
+        rng = np.random.default_rng(n_train)
+        # Small integer features make many equal distances, so tie order counts.
+        features = rng.integers(0, 3, size=(n_train + 70, 6)).astype(float)
+        labels = (rng.random(n_train + 70) < 0.4).astype(int)
+        train = make_dataset(features[:n_train], labels[:n_train])
+        test = make_dataset(features[n_train:], labels[n_train:])
+        model = fit(LearnerSpec("knn"), train, seed=0)
+        with mock.patch.object(learners, "nearest", wraps=learners.nearest) as ranking:
+            for k in range(1, 21):
+                _, scores = predict_dataset(learners.decide(model, {"k": k}), test)
+                assert model.state["k"] == min(k, n_train)
+                assert np.array_equal(scores, per_k_score_knn(model.state, test.features))
+        assert ranking.call_count == 1
+
+
+# The split search before its memo, kept verbatim as the oracle for CellContext.
+def oracle_entropy(n_pos, n):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(n > 0, n_pos / np.maximum(n, 1), 0.0)
+        h = -(np.where(p > 0, p * np.log2(p), 0.0)
+              + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0))
+    return np.where(n > 0, h, 0.0)
+
+
+def oracle_best_split(features, labels, candidates, min_samples_leaf):
+    n = len(labels)
+    if n < 2:
+        return None
+    parent = oracle_entropy(np.array([labels.sum()]), np.array([n]))[0]
+    sub = features[:, candidates]
+    order = np.argsort(sub, axis=0, kind="stable")
+    v = np.take_along_axis(sub, order, axis=0)
+    cum_pos = np.cumsum(labels[order], axis=0)
+
+    left_n = np.arange(1, n, dtype=float)[:, None]
+    right_n = n - left_n
+    left_pos = cum_pos[:-1]
+    right_pos = cum_pos[-1] - left_pos
+    gain = parent - (left_n * oracle_entropy(left_pos, left_n)
+                     + right_n * oracle_entropy(right_pos, right_n)) / n
+    valid = ((v[1:] > v[:-1])  # boundary between distinct values
+             & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
+    gain = np.where(valid, gain, -np.inf)
+
+    flat = int(np.argmax(gain.T))  # feature-major: lowest feature index wins ties
+    col, boundary = divmod(flat, n - 1)
+    best_gain = gain[boundary, col]
+    if best_gain <= 1e-12:
+        return None
+    threshold = float((v[boundary, col] + v[boundary + 1, col]) / 2.0)
+    return (float(best_gain), int(candidates[col]), threshold)
+
+
+class OracleCart:
+    def __init__(self, params: dict, seed: int):
+        self.params = params
+        self.seed = seed
+        self.root = None
+
+    def _feature_sample(self, n_features: int, rng: np.random.Generator) -> np.ndarray:
+        size = max(1, int(round(self.params["max_feature"] * n_features)))
+        if size >= n_features:
+            return np.arange(n_features)
+        return np.sort(rng.choice(n_features, size=size, replace=False))
+
+    def fit(self, features: np.ndarray, labels: np.ndarray) -> "OracleCart":
+        rng = np.random.default_rng(self.seed)
+        min_split = self.params["min_sample_split"]
+        min_leaf = self.params["min_samples_leaf"]
+        max_leaves = self.params["max_leaf_nodes"]
+        self.root = learners._TreeNode(float(labels.mean()))
+        heap = []
+        counter = 0
+
+        def consider(node, feats, labs):
+            nonlocal counter
+            if len(labs) < min_split or len(np.unique(labs)) < 2:
+                return
+            split = oracle_best_split(feats, labs, self._feature_sample(feats.shape[1], rng),
+                                      min_leaf)
+            if split is not None:
+                heapq.heappush(heap, (-split[0], counter, node, split, feats, labs))
+                counter += 1
+
+        consider(self.root, features, labels)
+        leaves = 1
+        while heap and leaves < max_leaves:
+            _, _, node, (gain, f, threshold), feats, labs = heapq.heappop(heap)
+            mask = feats[:, f] <= threshold
+            node.feature, node.threshold = f, threshold
+            node.left = learners._TreeNode(float(labs[mask].mean()))
+            node.right = learners._TreeNode(float(labs[~mask].mean()))
+            leaves += 1
+            consider(node.left, feats[mask], labs[mask])
+            consider(node.right, feats[~mask], labs[~mask])
+        return self
+
+    def structure(self):
+        def walk(node):
+            if node.feature is None:
+                return ("leaf", round(node.prob, 12))
+            return (node.feature, node.threshold, walk(node.left), walk(node.right))
+        return walk(self.root)
+
+
+def oracle_fit_forest(params, features, labels, seed):
+    if params["max_feature"] >= 1.0:
+        return [OracleCart(params, seed).fit(features, labels)] * params["n_estimators"]
+    return [OracleCart(params, seed + i).fit(features, labels)
+            for i in range(params["n_estimators"])]
+
+
+def small_or_any(lo, hi):
+    """Integers in [lo, hi], half the time from its low end (deep trees need small minima)."""
+    return st.one_of(st.integers(lo, lo + 2), st.integers(lo, hi))
+
+
+def tree_fits(kinds):
+    """Fits on one tie-heavy integer dataset: (data seed, n, F, [(kind, params, seed)])."""
+    return st.tuples(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(1, 5),
+        st.lists(st.tuples(
+            st.sampled_from(kinds),
+            st.fixed_dictionaries({"max_feature": st.floats(0.01, 1.0),
+                                   "max_leaf_nodes": st.integers(1, 50),
+                                   "min_sample_split": small_or_any(2, 20),
+                                   "min_samples_leaf": small_or_any(1, 20),
+                                   "n_estimators": st.integers(50, 150)}),
+            st.integers(0, 2 ** 16)), min_size=1, max_size=3))
+
+
+def check_fits_against_oracle(data_seed, n, n_features, fits, bound):
+    rng = np.random.default_rng(data_seed)
+    data = make_dataset(rng.integers(0, 4, size=(n, n_features)), [0, 1] + [
+        int(v) for v in rng.random(n - 2) < rng.random()])
+    context = learners.CellContext(data)
+    for kind, params, seed in fits:
+        if kind == "cart":
+            params = {k: v for k, v in params.items() if k != "n_estimators"}
+        model = fit(LearnerSpec(kind, params), data, seed, context=context)
+        assert len(context.splits) <= bound
+        resolved = LearnerSpec(kind, params).resolved()
+        if kind == "cart":
+            got, expected = [model.state], [OracleCart(resolved, seed).fit(data.features,
+                                                                           data.labels)]
+        else:
+            got, expected = model.state, oracle_fit_forest(resolved, data.features,
+                                                           data.labels, seed)
+        assert [t.structure() for t in got] == [t.structure() for t in expected]
+
+
+class TestSplitMemo:
+    """Fits that share a CellContext grow exactly the trees of the memo-free build."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(tree_fits(["cart", "random_forest"]))
+    def test_shared_context_fits_equal_oracle(self, case):
+        check_fits_against_oracle(*case, bound=learners.SPLIT_MEMO_NODES)
+
+    # Cart only: without the memo's hits a forest's hundred trees take too long.
+    @settings(max_examples=20, deadline=None)
+    @given(tree_fits(["cart"]), st.integers(1, 4))
+    def test_tiny_memo_bound_still_exact_and_held(self, case, bound):
+        with mock.patch.object(learners, "SPLIT_MEMO_NODES", bound):
+            check_fits_against_oracle(*case, bound=bound)
+
+    def test_context_serves_its_own_data_only(self, separated8):
+        context = learners.CellContext(separated8)
+        other = make_dataset(separated8.features[:, :-1], separated8.labels)
+        with pytest.raises(ValueError, match="CellContext"):
+            fit(LearnerSpec("cart"), other, 0, context=context)
 
 
 class TestSchemaFingerprint:

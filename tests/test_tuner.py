@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectkit import tuner
 from defectkit.tuner import (BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
@@ -17,6 +20,12 @@ MIXED_SPACE = ParamSpace((
 
 def quadratic(c: Candidate) -> float:
     return -(c.tunings["x"] - 25.0) ** 2
+
+
+def round_then_clamp(spec: ParamSpec, raw: float) -> int:
+    """Integer trim that rounds before it clamps (the oracle for finite raw values)."""
+    rounded = math.floor(raw + 0.5) if raw >= 0 else math.ceil(raw - 0.5)
+    return int(min(max(rounded, spec.lo), spec.hi))
 
 
 class TestParamSpec:
@@ -44,6 +53,20 @@ class TestParamSpec:
         assert spec.trim(81.75) == 50.0
         assert spec.trim(-3.0) == 1.0
         assert spec.trim(12.5) == 12.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-30, 30),
+           st.integers(1, 40))
+    def test_integer_trim_clamps_like_rounding_first(self, raw, lo, width):
+        spec = ParamSpec("n", INTEGER, lo, lo + width, default=lo)
+        assert spec.trim(raw) == round_then_clamp(spec, raw)
+
+    @pytest.mark.parametrize("kind", [INTEGER, CONTINUOUS])
+    def test_infinite_raw_clamps_to_the_bounds(self, kind):
+        # a + f * (b - c) overflows to +-inf when f is near the float maximum.
+        spec = ParamSpec("n", kind, 1, 20, default=1)
+        assert spec.trim(math.inf) == 20 and spec.trim(-math.inf) == 1
+        assert spec.trim(1.0 + 1e308 * 19) == 20
 
 
 class TestParamSpace:
@@ -142,6 +165,7 @@ class TestExtrapolate:
 class TestDEConfig:
     @pytest.mark.parametrize("kwargs", [
         {"np": 3}, {"f": 0.0}, {"cr": -0.1}, {"cr": 1.5}, {"life": 0},
+        {"f": math.nan}, {"f": math.inf}, {"f": -math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
