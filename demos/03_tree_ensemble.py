@@ -21,8 +21,8 @@ labels = (rng.random(n) < 0.45).astype(int)
 wmc = labels * 10 + rng.random(n)
 noise = rng.normal(size=(n, 3))
 loc = rng.integers(5, 500, n).astype(float)
-names = ("wmc", "n0", "n1", "n2", "loc", "bug")
-schema = AttributeSchema(names, loc_index=4, label_index=5)
+names = ("wmc", "n0", "n1", "n2", "loc")
+schema = AttributeSchema(names, loc_index=4)
 data = Dataset(schema, np.column_stack([wmc, noise, loc]), labels)
 
 train = data.subset(range(0, 240))

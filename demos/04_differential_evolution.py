@@ -7,7 +7,7 @@ stops at zero.  The same machinery tunes learner parameters, SMOTE
 parameters, or any objective you hand it.
 """
 
-from defectkit import DEConfig, ParamSpace, ParamSpec, optimize
+from defectkit import DEConfig, ParamSpace, ParamSpec
 from defectkit.tuner import BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, run_de
 
 # --- a one-dimensional sanity problem --------------------------------------
@@ -46,7 +46,7 @@ def preference(candidate):
             + {"linear": 0.5, "poly": 0.0, "rbf": 0.25}[t["kernel"]])
 
 
-best = optimize(mixed, preference, "maximize", DEConfig(seed=3))
+best = run_de(mixed, preference, "maximize", DEConfig(seed=3)).best
 print("\nmixed-space optimum found by DE:")
 for name, value in best.tunings.items():
     print(f"  {name} = {value}")

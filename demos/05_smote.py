@@ -19,7 +19,7 @@ n_minority, n_majority = 6, 44
 features = np.vstack([rng.normal(8, 0.5, (n_minority, 2)),
                       rng.normal(2, 1.0, (n_majority, 2))])
 loc = rng.integers(10, 200, n_minority + n_majority).astype(float)
-schema = AttributeSchema(("complexity", "coupling", "loc", "bug"), 2, 3)
+schema = AttributeSchema(("complexity", "coupling", "loc"), loc_index=2)
 data = Dataset(schema, np.column_stack([features, loc]),
                np.array([1] * n_minority + [0] * n_majority))
 

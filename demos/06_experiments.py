@@ -28,7 +28,7 @@ labels = (rng.random(n) < 0.2).astype(int)
 wmc = labels * 6 + rng.random(n) * 2
 noise = rng.normal(size=(n, 4))
 loc = rng.integers(5, 400, n).astype(float)
-schema = AttributeSchema(("wmc", "n0", "n1", "n2", "n3", "loc", "bug"), 5, 6)
+schema = AttributeSchema(("wmc", "n0", "n1", "n2", "n3", "loc"), loc_index=5)
 full = Dataset(schema, np.column_stack([wmc, noise, loc]), labels)
 train, test = random_split(full, 0.8, seed=11)
 

@@ -13,7 +13,7 @@ from .learners import LearnerSpec, Model, param_space, predict_dataset
 from .metrics import (ConfusionMatrix, GoalSpec, accuracy, class_metrics, confusion,
                       dist2heaven, evaluate, goal, inspection_areas, p_opt)
 from .smote import SmoteConfig, minkowski
-from .tuner import Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate, optimize
+from .tuner import Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate
 
 __all__ = [
     "AttributeSchema", "Dataset", "Manifest", "kfold", "load_csv", "merge", "random_split",
@@ -24,5 +24,5 @@ __all__ = [
     "ConfusionMatrix", "GoalSpec", "accuracy", "class_metrics", "confusion", "dist2heaven",
     "evaluate", "goal", "inspection_areas", "p_opt",
     "SmoteConfig", "minkowski",
-    "Candidate", "DEConfig", "ParamSpace", "ParamSpec", "extrapolate", "optimize",
+    "Candidate", "DEConfig", "ParamSpace", "ParamSpec", "extrapolate",
 ]

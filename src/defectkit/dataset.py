@@ -35,31 +35,18 @@ CHUNK_TERMS = 1 << 18
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """Column layout: all column names, plus which are lines-of-code and label."""
+    """Names of the feature columns, and which one is lines-of-code."""
 
-    names: tuple[str, ...]
+    feature_names: tuple[str, ...]
     loc_index: int
-    label_index: int
 
     def __post_init__(self):
-        if not self.names or any(not n for n in self.names):
+        if not self.feature_names or any(not n for n in self.feature_names):
             raise SchemaError("attribute names must be non-empty")
-        if len(set(self.names)) != len(self.names):
-            raise SchemaError(f"attribute names must be unique: {self.names}")
-        for idx in (self.loc_index, self.label_index):
-            if not 0 <= idx < len(self.names):
-                raise SchemaError(f"index {idx} out of range for {len(self.names)} columns")
-        if self.loc_index == self.label_index:
-            raise SchemaError("loc and label must be distinct columns")
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(n for i, n in enumerate(self.names) if i != self.label_index)
-
-    @property
-    def loc_feature_index(self) -> int:
-        """Position of the loc column inside a feature vector (label removed)."""
-        return self.loc_index if self.loc_index < self.label_index else self.loc_index - 1
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise SchemaError(f"attribute names must be unique: {self.feature_names}")
+        if not 0 <= self.loc_index < len(self.feature_names):
+            raise SchemaError(f"loc index {self.loc_index} out of range")
 
 
 class Dataset:
@@ -71,20 +58,17 @@ class Dataset:
     def __init__(self, schema: AttributeSchema, features: np.ndarray, labels: np.ndarray,
                  provenance: tuple[tuple[str, str], ...] = ()):
         features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            if features.size == 0:
-                features = features.reshape(0, len(schema.feature_names))
-            else:
-                features = features.reshape(len(labels), -1)
         labels = np.asarray(labels, dtype=int)
+        if features.ndim != 2:
+            raise SchemaError(f"features must be a 2-D matrix, got {features.ndim} dimensions")
         if features.shape[0] != labels.shape[0]:
             raise SchemaError("features and labels disagree on instance count")
-        if features.size and features.shape[1] != len(schema.feature_names):
+        if features.shape[1] != len(schema.feature_names):
             raise SchemaError(
                 f"expected {len(schema.feature_names)} features, got {features.shape[1]}")
-        if features.size and (features[:, schema.loc_feature_index] < 0).any():
+        if (features[:, schema.loc_index] < 0).any():
             raise SchemaError("loc values must be non-negative")
-        if labels.size and not np.isin(labels, (CLEAN, DEFECTIVE)).all():
+        if not np.isin(labels, (CLEAN, DEFECTIVE)).all():
             raise SchemaError("labels must be binary")
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -98,9 +82,7 @@ class Dataset:
 
     @property
     def locs(self) -> np.ndarray:
-        if not len(self):
-            return np.zeros(0)
-        return self.features[:, self.schema.loc_feature_index]
+        return self.features[:, self.schema.loc_index]
 
     @property
     def n_defective(self) -> int:
@@ -112,15 +94,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
-        return Dataset(self.schema, self.features[indices].copy(), self.labels[indices].copy(),
-                       self.provenance)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Dataset)
-                and self.schema == other.schema
-                and self.provenance == other.provenance
-                and np.array_equal(self.features, other.features)
-                and np.array_equal(self.labels, other.labels))
+        return Dataset(self.schema, self.features[indices], self.labels[indices], self.provenance)
 
 
 def _guess_provenance(path: Path) -> tuple[tuple[str, str], ...]:
@@ -131,27 +105,22 @@ def _guess_provenance(path: Path) -> tuple[tuple[str, str], ...]:
     return ((stem, ""),)
 
 
-def _locate(header_lower: list[str], aliases, hint: str | None, role: str) -> int:
-    if hint is not None:
-        if hint.lower() not in header_lower:
-            raise SchemaError(f"{role} column {hint!r} not present in header")
-        return header_lower.index(hint.lower())
+def _locate(header_lower: list[str], aliases, role: str) -> int:
     for alias in aliases:
         if alias in header_lower:
             return header_lower.index(alias)
     raise SchemaError(f"no {role} column found (accepted names: {', '.join(aliases)})")
 
 
-def load_csv(path, schema_hints: dict | None = None,
-             provenance: tuple[tuple[str, str], ...] | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read one metrics CSV into a Dataset.
 
-    `schema_hints` may override column detection: keys "loc" and "label" name
-    the columns to use, "ignore" lists extra columns to drop.  Column matching
-    is case-insensitive.  Missing, non-numeric and non-finite cells are rejected.
+    The loc and label columns are found by name (LOC_ALIASES, LABEL_ALIASES),
+    case-insensitively; identifier columns are dropped and provenance comes
+    from the file name.  Missing, non-numeric and non-finite cells, and
+    negative loc values, are rejected with their row and column.
     """
     path = Path(path)
-    hints = schema_hints or {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -160,20 +129,19 @@ def load_csv(path, schema_hints: dict | None = None,
             raise SchemaError(f"{path}: no header row") from None
         rows = list(reader)
 
-    ignored = {c.lower() for c in hints.get("ignore", ())} | set(IDENTIFIER_COLUMNS)
-    keep = [i for i, name in enumerate(header) if name.lower() not in ignored]
+    keep = [i for i, name in enumerate(header) if name.lower() not in IDENTIFIER_COLUMNS]
     names = tuple(header[i] for i in keep)
     header_lower = [n.lower() for n in names]
     if len(set(header_lower)) != len(header_lower):
         raise SchemaError(f"{path}: duplicate column names in header")
 
-    loc_index = _locate(header_lower, LOC_ALIASES, hints.get("loc"), "loc")
-    label_index = _locate(header_lower, LABEL_ALIASES, hints.get("label"), "label")
-    schema = AttributeSchema(names, loc_index, label_index)
+    loc_col = _locate(header_lower, LOC_ALIASES, "loc")
+    label_col = _locate(header_lower, LABEL_ALIASES, "label")
+    feature_cols = [i for i in range(len(names)) if i != label_col]
+    schema = AttributeSchema(tuple(names[i] for i in feature_cols), feature_cols.index(loc_col))
 
-    features = np.zeros((len(rows), len(names) - 1))
+    features = np.zeros((len(rows), len(feature_cols)))
     labels = np.zeros(len(rows), dtype=int)
-    feature_cols = [i for i in range(len(names)) if i != label_index]
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise CsvParseError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
@@ -189,12 +157,13 @@ def load_csv(path, schema_hints: dict | None = None,
             if not math.isfinite(values[-1]):
                 raise CsvParseError(
                     f"{path}: non-finite value {cell!r} at row {r + 2}, column {names[c]!r}")
+        if values[loc_col] < 0:
+            raise SchemaError(f"{path}: negative loc value {cells[loc_col]!r} at row {r + 2}, "
+                              f"column {names[loc_col]!r}")
         features[r] = [values[i] for i in feature_cols]
-        labels[r] = DEFECTIVE if values[label_index] > 0 else CLEAN
+        labels[r] = DEFECTIVE if values[label_col] > 0 else CLEAN
 
-    if provenance is None:
-        provenance = _guess_provenance(path)
-    return Dataset(schema, features, labels, provenance)
+    return Dataset(schema, features, labels, _guess_provenance(path))
 
 
 def merge(parts: list[Dataset]) -> Dataset:
@@ -204,10 +173,10 @@ def merge(parts: list[Dataset]) -> Dataset:
     first = parts[0]
     for other in parts[1:]:
         if other.schema != first.schema:
-            for a, b in zip(first.schema.names, other.schema.names):
+            for a, b in zip(first.schema.feature_names, other.schema.feature_names):
                 if a != b:
                     raise SchemaError(f"schema mismatch: column {a!r} vs {b!r}")
-            raise SchemaError("schema mismatch: differing loc/label positions or column count")
+            raise SchemaError("schema mismatch: differing loc position or column count")
     features = np.concatenate([p.features for p in parts])
     labels = np.concatenate([p.labels for p in parts])
     provenance = tuple(tag for p in parts for tag in p.provenance)
@@ -300,16 +269,20 @@ class Manifest:
             projects[project] = [path.parent / f for f in files]
         return cls(projects)
 
-    def assemble(self, schema_hints: dict | None = None) -> dict[str, tuple[Dataset, Dataset]]:
+    def assemble(self) -> dict[str, tuple[Dataset, Dataset]]:
         """Per project: merge all older versions as training, newest as testing."""
         out = {}
         for project, files in self.projects.items():
             if len(files) < 2:
                 raise ConfigError(
                     f"project {project!r} needs at least two versions (training + testing)")
-            versions = [load_csv(f, schema_hints) for f in files]
+            versions = [load_csv(f) for f in files]
             for f, version in zip(files, versions):
                 if not len(version):
                     raise ConfigError(f"project {project!r}: version file {f} has no data rows")
-            out[project] = (merge(versions[:-1]), versions[-1])
+            train, test = merge(versions[:-1]), versions[-1]
+            if test.schema != train.schema:
+                raise SchemaError(f"project {project!r}: test version {files[-1]} has columns "
+                                  f"{test.schema.feature_names}, not {train.schema.feature_names}")
+            out[project] = (train, test)
         return out

@@ -52,10 +52,6 @@ class FFTree:
     structure_id: int
     feature_names: tuple[str, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
         if features.shape[1] != len(self.feature_names):
@@ -116,7 +112,6 @@ class FFTEnsemble:
     trees: tuple[FFTree, ...]
     scores: tuple[float, ...]
     best: int
-    goal: GoalSpec
 
     @property
     def best_tree(self) -> FFTree:
@@ -199,4 +194,4 @@ def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
     scores = tuple(evaluate(goal, data.labels, tree.predict(data.features), data.locs)
                    for tree in trees)
     best = (min if goal.direction == MINIMIZE else max)(range(len(scores)), key=scores.__getitem__)
-    return FFTEnsemble(trees, scores, best, goal)
+    return FFTEnsemble(trees, scores, best)

@@ -156,6 +156,10 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
                           else "run_untuned takes a spec without a tuning section")
     if folds is not None and spec.repeats > 1:
         raise ConfigError(f"k-fold tuning takes repeats=1 (folds repeat it), got {spec.repeats}")
+    for name, (train, _) in spec.datasets.items():
+        if folds is not None and len(train) < folds:
+            raise ConfigError(f"dataset {name!r} has {len(train)} training rows, "
+                              f"fewer than folds={folds}")
     result = ExperimentResult(spec.goal, aggregate_kind="median" if folds is None else "mean")
     cell = 0
     for name, (train, test) in spec.datasets.items():

@@ -252,11 +252,13 @@ def _fit_forest(params, features, labels, seed, splits):
     # Trees differ through per-split feature sampling with per-tree seeds
     # (seed + index), not bootstrapping, so a one-tree forest at
     # max_feature=1.0 is exactly the CART build.  With every feature
-    # sampled the builds are identical, so one tree serves all slots.
+    # sampled the builds are identical, and one tree's vote is the forest's.
     if params["max_feature"] >= 1.0:
-        return [_Cart(params, seed, splits).fit(features, labels)] * params["n_estimators"]
+        return [_Cart(params, seed, splits).fit(features, labels)]
     return [_Cart(params, seed + i, splits).fit(features, labels)
             for i in range(params["n_estimators"])]
+
+
 def _fit_naive_bayes(features, labels):
     classes = np.unique(labels)
     priors, means, variances = {}, {}, {}
@@ -307,13 +309,7 @@ def _fit_knn(features, labels):
 
 
 def _score_forest(trees, x):
-    vote_cache = {}  # shared trees (max_feature=1.0) vote once
-    votes = np.zeros(len(x))
-    for tree in trees:
-        if id(tree) not in vote_cache:
-            vote_cache[id(tree)] = tree.prob(x) >= 0.5
-        votes += vote_cache[id(tree)]
-    return votes / len(trees)
+    return sum(tree.prob(x) >= 0.5 for tree in trees) / len(trees)
 
 
 def _score_naive_bayes(state, x):

@@ -34,16 +34,14 @@ class GoalSpec:
     """A named optimisation target plus the direction that makes it better."""
 
     kind: str
-    direction: str = ""
 
     def __post_init__(self):
         if self.kind not in GOAL_DIRECTIONS:
             raise ValueError(f"unknown goal {self.kind!r}; choose from {sorted(GOAL_DIRECTIONS)}")
-        required = GOAL_DIRECTIONS[self.kind]
-        if self.direction == "":
-            object.__setattr__(self, "direction", required)
-        elif self.direction != required:
-            raise ValueError(f"goal {self.kind} must be {required}d, not {self.direction}d")
+
+    @property
+    def direction(self) -> str:
+        return GOAL_DIRECTIONS[self.kind]
 
     def better(self, a: float, b: float) -> bool:
         """True when score `a` beats score `b` under this goal."""

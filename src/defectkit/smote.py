@@ -55,11 +55,6 @@ def minkowski(a, b, r: float) -> float:
     return float((np.abs(a - b) ** r).sum() ** (1.0 / r))
 
 
-def _neighbour_table(points: np.ndarray, k: int, r: float) -> np.ndarray:
-    """Indices of each point's k nearest minority neighbours (self excluded)."""
-    return nearest(points, points, k, r, exclude_self=True)
-
-
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
     """`count` rounds of rng.integers(0, n_points), rng.integers(0, k), rng.uniform(), as arrays.
 
@@ -114,7 +109,7 @@ def apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
 
     rng = np.random.default_rng(cfg.seed)
     minority_points = data.features[minority_idx]
-    neighbours = _neighbour_table(minority_points, k, cfg.r)
+    neighbours = nearest(minority_points, minority_points, k, cfg.r, exclude_self=True)
 
     seed_pos, nn_rank, u = _segment_draws(rng, len(minority_idx), k, n_synthetic)
     base = minority_points[seed_pos]

@@ -251,9 +251,3 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
     run.final_population = population
     run.stop_reason = "max_generations" if life > 0 else "life"
     return run
-
-
-def optimize(space: ParamSpace, objective: Callable[[Candidate], float], direction: str,
-             cfg: DEConfig, seed_candidates: list[dict] | None = None) -> Candidate:
-    """The best candidate found; see run_de for the full accounting."""
-    return run_de(space, objective, direction, cfg, seed_candidates).best

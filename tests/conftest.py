@@ -20,10 +20,14 @@ def make_dataset(features, labels, loc=None, names=None, provenance=()):
     full = np.column_stack([features, np.asarray(loc, dtype=float)])
     if names is None:
         names = [f"a{i}" for i in range(features.shape[1])]
-    all_names = tuple(names) + ("loc", "bug")
-    schema = AttributeSchema(all_names, loc_index=len(all_names) - 2,
-                             label_index=len(all_names) - 1)
+    schema = AttributeSchema(tuple(names) + ("loc",), loc_index=len(names))
     return Dataset(schema, full, labels, provenance)
+
+
+def same_data(a, b):
+    """True when two datasets hold the same schema, provenance and arrays."""
+    return (a.schema == b.schema and a.provenance == b.provenance
+            and np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels))
 
 
 def planted_dataset(n=300, n_noise=9, defect_ratio=0.45, seed=7, gap=10.0):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from defectkit import learners
 from defectkit.cli import main
 
 from conftest import parse_report_csv
@@ -24,6 +25,10 @@ def make_project(tmp_path, n_per_version=60, seed=0):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"p": names}), encoding="utf-8")
     return manifest
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("a configuration error must stop the run before any fit")
 
 
 class TestUntuned:
@@ -194,6 +199,28 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
+
+    @pytest.mark.parametrize("header", ["wmc,rfc,cbo,loc,bug", "rfc,wmc,loc,bug"],
+                             ids=["added-column", "reordered-columns"])
+    def test_test_version_columns_must_match_training(self, tmp_path, capsys, monkeypatch,
+                                                      header):
+        manifest = make_project(tmp_path)
+        rows = "".join(f"{i}," * header.count(",") + f"{i % 2}\n" for i in range(12))
+        (tmp_path / "p-3.0.csv").write_text(header + "\n" + rows, encoding="utf-8")
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["untuned", "--manifest", str(manifest), "--learner", "fft"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'p'" in err and "p-3.0.csv" in err
+
+    def test_fewer_training_rows_than_folds_is_config_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        manifest = make_project(tmp_path, n_per_version=3)
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["kfold-tune", "--manifest", str(manifest), "--learner", "cart"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'p'" in err and "6 training rows" in err and "folds=10" in err
 
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defectkit.dataset import (AttributeSchema, Manifest, kfold, load_csv, merge, nearest,
+from defectkit.dataset import (AttributeSchema, Dataset, Manifest, kfold, load_csv, merge, nearest,
                                random_split, row_chunks)
 from defectkit.errors import ConfigError, CsvParseError, SchemaError
 
-from conftest import make_dataset
+from conftest import make_dataset, same_data
 
 HEADER = "wmc,dit,cbo,rfc,loc,bug\n"
 
@@ -19,24 +19,22 @@ def write_rows(tmp_path, rows, header=HEADER, name="proj-1.0.csv"):
 
 class TestSchema:
     def test_valid(self):
-        s = AttributeSchema(("wmc", "loc", "bug"), 1, 2)
+        s = AttributeSchema(("wmc", "loc"), 1)
         assert s.feature_names == ("wmc", "loc")
-        assert s.loc_feature_index == 1
+        assert s.loc_index == 1
 
-    def test_loc_after_label(self):
-        s = AttributeSchema(("bug", "wmc", "loc"), 2, 0)
-        assert s.feature_names == ("wmc", "loc")
-        assert s.loc_feature_index == 1
-
-    @pytest.mark.parametrize("names,loc,label", [
-        (("a", "a", "b"), 0, 2),        # duplicate name
-        (("a", "", "b"), 0, 2),         # empty name
-        (("a", "b"), 0, 0),             # loc == label
-        (("a", "b"), 0, 5),             # label out of range
+    @pytest.mark.parametrize("names,loc", [
+        (("a", "a", "b"), 0),        # duplicate name
+        (("a", "", "b"), 0),         # empty name
+        (("a", "b"), 2),             # loc out of range
     ])
-    def test_invalid(self, names, loc, label):
+    def test_invalid(self, names, loc):
         with pytest.raises(SchemaError):
-            AttributeSchema(names, loc, label)
+            AttributeSchema(names, loc)
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(SchemaError, match="2-D"):
+            Dataset(AttributeSchema(("loc",), 0), np.array([1.0, 2.0]), [0, 1])
 
 
 class TestLoadCsv:
@@ -60,15 +58,17 @@ class TestLoadCsv:
         assert data.labels.tolist() == [1]
         assert data.locs.tolist() == [10.0]
 
-    def test_schema_hints_override(self, tmp_path):
-        path = write_rows(tmp_path, ["1,10,3\n"], header="wmc,size,target\n")
-        data = load_csv(path, {"loc": "size", "label": "target"})
+    def test_label_before_loc(self, tmp_path):
+        path = write_rows(tmp_path, ["1,7,10\n"], header="bug,wmc,loc\n")
+        data = load_csv(path)
+        assert data.schema.feature_names == ("wmc", "loc")
         assert data.locs.tolist() == [10.0]
+        assert data.labels.tolist() == [1]
 
     def test_identifier_columns_dropped(self, tmp_path):
         path = write_rows(tmp_path, ["poi,1.5,4,100,1\n"], header="name,version,wmc,loc,bug\n")
         data = load_csv(path)
-        assert data.schema.names == ("wmc", "loc", "bug")
+        assert data.schema.feature_names == ("wmc", "loc")
 
     def test_missing_label_column(self, tmp_path):
         with pytest.raises(SchemaError, match="label"):
@@ -89,6 +89,11 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r"non-finite.*row 3.*'dit'"):
             load_csv(path)
 
+    def test_negative_loc_names_file_row_and_column(self, tmp_path):
+        path = write_rows(tmp_path, ["1,2,3,4,100,0\n", "1,2,3,4,-5,0\n"])
+        with pytest.raises(SchemaError, match=r"proj-1\.0\.csv: negative loc.*row 3.*'loc'"):
+            load_csv(path)
+
     def test_missing_value_rejected(self, tmp_path):
         path = write_rows(tmp_path, ["1,2,3,4,,0\n"])
         with pytest.raises(CsvParseError):
@@ -106,8 +111,8 @@ class TestMerge:
         assert merged.features[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_identity(self):
-        a = make_dataset([[1.0], [2.0]], [0, 1])
-        assert merge([a]) == a
+        a = make_dataset([[1.0], [2.0]], [0, 1], provenance=(("p", "1"),))
+        assert same_data(merge([a]), a)
 
     def test_defect_ratio_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -139,7 +144,7 @@ class TestRandomSplit:
         data = make_dataset(np.arange(31.0), np.zeros(31, dtype=int))
         a1, b1 = random_split(data, 0.6, seed=9)
         a2, b2 = random_split(data, 0.6, seed=9)
-        assert a1 == a2 and b1 == b2
+        assert same_data(a1, a2) and same_data(b1, b2)
         combined = sorted(a1.features[:, 0].tolist() + b1.features[:, 0].tolist())
         assert combined == data.features[:, 0].tolist()
 

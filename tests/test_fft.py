@@ -80,7 +80,7 @@ def reference_fit(data, g, depth):
     for i, score in enumerate(scores):
         if g.better(score, scores[best]):
             best = i
-    return FFTEnsemble(trees, scores, best, g)
+    return FFTEnsemble(trees, scores, best)
 
 
 def predict_row(tree, row):
@@ -165,7 +165,7 @@ class TestScoreRanges:
 class TestBuildTree:
     def test_depth_one_separator(self, separator6):
         tree = fit(separator6, D2H, 1).trees[0b1]
-        assert tree.depth == 1
+        assert len(tree.levels) == 1
         rng0, exit_class = tree.levels[0]
         assert exit_class == 1
         assert (rng0.attribute, rng0.relation, rng0.threshold) == (0, ">", 3.0)
@@ -180,7 +180,7 @@ class TestBuildTree:
     def test_truncates_when_remaining_single_class(self, separator6):
         # the separating first level leaves only clean instances behind
         tree = fit(separator6, D2H, 3).trees[0b111]
-        assert tree.depth < 3
+        assert len(tree.levels) < 3
         assert tree.structure_id == 0b111
         assert tree.final_leaf == (0, 0)
 
@@ -293,7 +293,7 @@ class TestSerialization:
         assert tree.to_text() == "else true"
         again = tree_from_text(tree.to_text(), tree.feature_names)
         assert again.final_leaf == tree.final_leaf
-        assert again.depth == 0
+        assert again.levels == ()
 
     def test_interpreter_agrees_with_predict(self):
         rng = np.random.default_rng(17)

@@ -127,10 +127,6 @@ class TestSpecValidation:
 
 
 class TestFitBasics:
-    def test_rf_defaults_build_100_trees(self, separated8):
-        model = fit(LearnerSpec("random_forest"), separated8, seed=0)
-        assert len(model.state) == 100
-
     def test_deterministic_given_seed(self, separated8):
         probe = planted_dataset(n=30, n_noise=1, seed=2)
         for kind in KINDS:
@@ -170,7 +166,39 @@ class TestCapacity:
         assert probe_accuracy("cart", separator6) == 1.0
 
 
+def repeated_tree_forest(params, features, labels, seed):
+    """The forest fit that fills all n slots with its one tree when every feature is sampled."""
+    splits = {}
+    if params["max_feature"] >= 1.0:
+        return [learners._Cart(params, seed, splits).fit(features, labels)] * params["n_estimators"]
+    return [learners._Cart(params, seed + i, splits).fit(features, labels)
+            for i in range(params["n_estimators"])]
+
+
+def id_cached_votes(trees, x):
+    """Share of slots voting defective; a tree that fills several slots votes once per slot."""
+    vote_cache = {}
+    votes = np.zeros(len(x))
+    for tree in trees:
+        if id(tree) not in vote_cache:
+            vote_cache[id(tree)] = tree.prob(x) >= 0.5
+        votes += vote_cache[id(tree)]
+    return votes / len(trees)
+
+
 class TestRandomForest:
+    @pytest.mark.parametrize("params", [
+        {"n_estimators": 50}, {}, {"n_estimators": 150},
+        {"max_feature": 0.3, "n_estimators": 50}, {"max_feature": 0.7},
+    ], ids=["shared-50", "shared-100", "shared-150", "sampled-0.3", "sampled-0.7"])
+    def test_scores_equal_repeated_tree_oracle(self, params):
+        train = planted_dataset(n=60, n_noise=5, gap=0.3, seed=8)
+        test = planted_dataset(n=40, n_noise=5, gap=0.3, seed=9)
+        spec = LearnerSpec("random_forest", params)
+        oracle = repeated_tree_forest(spec.resolved(), train.features, train.labels, 4)
+        _, scores = predict_dataset(fit(spec, train, seed=4), test)
+        assert scores.tolist() == id_cached_votes(oracle, test.features).tolist()
+
     def test_one_tree_full_features_reduces_to_cart(self, separated8):
         data = planted_dataset(n=40, n_noise=3, seed=6)
         rf = fit(LearnerSpec("random_forest", {"n_estimators": 50}), data, seed=3)
@@ -484,8 +512,9 @@ def check_fits_against_oracle(data_seed, n, n_features, fits, bound):
             got, expected = [model.state], [OracleCart(resolved, seed).fit(data.features,
                                                                            data.labels)]
         else:
-            got, expected = model.state, oracle_fit_forest(resolved, data.features,
-                                                           data.labels, seed)
+            # A shared forest holds its one tree once; the oracle repeats it per slot.
+            got, expected = model.state, list(dict.fromkeys(
+                oracle_fit_forest(resolved, data.features, data.labels, seed)))
         assert [t.structure() for t in got] == [t.structure() for t in expected]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectkit.errors import DegenerateDataError
-from defectkit.metrics import (ConfusionMatrix, GoalSpec, accuracy, class_metrics, confusion,
+from defectkit.metrics import (ConfusionMatrix, accuracy, class_metrics, confusion,
                                dist2heaven, evaluate, false_alarm, goal, inspection_areas, p_opt)
 
 from conftest import LiftCurve, lift_curve
@@ -42,10 +42,6 @@ class TestGoalSpec:
         assert goal("dist2heaven").direction == "minimize"
         for kind in ("p_opt", "f1", "accuracy", "precision", "recall"):
             assert goal(kind).direction == "maximize"
-
-    def test_wrong_direction_rejected(self):
-        with pytest.raises(ValueError):
-            GoalSpec("dist2heaven", "maximize")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

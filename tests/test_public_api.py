@@ -52,3 +52,9 @@ def test_every_public_name_has_a_caller():
                    if not (path == module and first <= number <= last)):
             uncalled.append(f"{module.stem}.{name}")
     assert not uncalled, f"public names with no caller outside tests: {uncalled}"
+
+
+def test_every_export_resolves():
+    import defectkit
+    missing = [name for name in defectkit.__all__ if not hasattr(defectkit, name)]
+    assert not missing, f"names in defectkit.__all__ that the package does not define: {missing}"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from defectkit import tuner
 from defectkit.tuner import (BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
                              DEConfig, ParamSpace, ParamSpec, _sample_population, extrapolate,
-                             optimize, run_de)
+                             run_de)
 
 QUADRATIC_SPACE = ParamSpace((ParamSpec("x", CONTINUOUS, 1.0, 50.0, default=25.0),))
 MIXED_SPACE = ParamSpace((
@@ -200,7 +200,7 @@ class TestOptimize:
 
     def test_quadratic_converges(self):
         for seed in (0, 1, 2):
-            best = optimize(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=seed))
+            best = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=seed)).best
             assert abs(best.tunings["x"] - 25.0) < 1.0
 
     def test_minimize_maximize_duality(self):
@@ -246,7 +246,7 @@ class TestOptimize:
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
-            optimize(QUADRATIC_SPACE, quadratic, "upward", DEConfig())
+            run_de(QUADRATIC_SPACE, quadratic, "upward", DEConfig())
 
     def test_mixed_space_run_stays_in_range(self):
         def objective(c: Candidate) -> float:
