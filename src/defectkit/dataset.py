@@ -68,7 +68,7 @@ class Dataset:
                 f"expected {len(schema.feature_names)} features, got {features.shape[1]}")
         if (features[:, schema.loc_index] < 0).any():
             raise SchemaError("loc values must be non-negative")
-        if not np.isin(labels, (CLEAN, DEFECTIVE)).all():
+        if not ((labels == CLEAN) | (labels == DEFECTIVE)).all():
             raise SchemaError("labels must be binary")
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -170,17 +170,12 @@ def merge(parts: list[Dataset]) -> Dataset:
     """Concatenate datasets that share one schema, keeping input order."""
     if not parts:
         raise ValueError("merge needs at least one dataset")
-    first = parts[0]
-    for other in parts[1:]:
-        if other.schema != first.schema:
-            for a, b in zip(first.schema.feature_names, other.schema.feature_names):
-                if a != b:
-                    raise SchemaError(f"schema mismatch: column {a!r} vs {b!r}")
-            raise SchemaError("schema mismatch: differing loc position or column count")
+    if any(p.schema != parts[0].schema for p in parts):
+        raise SchemaError(f"schema mismatch: {[p.schema for p in parts]}")
     features = np.concatenate([p.features for p in parts])
     labels = np.concatenate([p.labels for p in parts])
     provenance = tuple(tag for p in parts for tag in p.provenance)
-    return Dataset(first.schema, features, labels, provenance)
+    return Dataset(parts[0].schema, features, labels, provenance)
 
 
 def random_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -223,6 +218,14 @@ def row_chunks(n_rows: int, row_terms: int) -> list[slice]:
     """
     step = max(1, CHUNK_TERMS // max(row_terms, 1))
     return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
+
+
+def memo_get(memo: dict, key, size: int, make):
+    """memo[key], stored by make() on a miss; `memo` keeps its `size` most recently used."""
+    memo[key] = memo.pop(key) if key in memo else make()
+    if len(memo) > size:
+        del memo[next(iter(memo))]
+    return memo[key]
 
 
 def nearest(queries: np.ndarray, points: np.ndarray, k: int, r: float,
@@ -280,9 +283,9 @@ class Manifest:
             for f, version in zip(files, versions):
                 if not len(version):
                     raise ConfigError(f"project {project!r}: version file {f} has no data rows")
-            train, test = merge(versions[:-1]), versions[-1]
-            if test.schema != train.schema:
-                raise SchemaError(f"project {project!r}: test version {files[-1]} has columns "
-                                  f"{test.schema.feature_names}, not {train.schema.feature_names}")
-            out[project] = (train, test)
+                if version.schema != versions[0].schema:
+                    raise SchemaError(f"project {project!r}: version {f} has columns "
+                                      f"{version.schema.feature_names}, but {files[0]} has "
+                                      f"{versions[0].schema.feature_names}")
+            out[project] = (merge(versions[:-1]), versions[-1])
         return out

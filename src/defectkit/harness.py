@@ -6,8 +6,9 @@ evolution pick parameters by the goal score on the tuning set, and score
 the winner's model, fitted on new-training, once on the held-out test set.
 Candidates that differ only in decision-time tunings (`threshold`, knn's
 `k`) share one fit, each cell caches at most `np` (the DE population size)
-fitted models, and a tuned cell's fits share one learners.CellContext.  The
-learner's defaults are planted in DE's initial population, so the tuned
+fitted models, and a tuned cell's fits share one learners.CellContext; a
+smotuned cell's SMOTE calls share its neighbour tables (smote.NeighbourMemo).
+The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
 function, which makes whole runs byte-reproducible.
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import learners, smote, tuner
-from .dataset import Dataset, kfold, random_split
+from .dataset import Dataset, kfold, memo_get, random_split
 from .errors import ConfigError, DegenerateDataError
 from .metrics import GoalSpec, evaluate, goal as make_goal
 from .smote import SmoteConfig
 
 SMOTE_SPACE = tuner.ParamSpace((
-    tuner.ParamSpec("k", tuner.INTEGER, 1, 20, default=5),
+    tuner.ParamSpec("k", tuner.INTEGER, 1, smote.K_MAX, default=5),
     tuner.ParamSpec("m", tuner.CATEGORICAL, values=smote.M_CHOICES, default=50),
     tuner.ParamSpec("r", tuner.CONTINUOUS, 0.1, 5.0, default=2.0),
 ))
@@ -198,10 +199,7 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
         key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
                     if name not in space.decision)
-        model = models.pop(key, None) or fit_from(tunings)
-        models[key] = model
-        if len(models) > de_cfg.np:
-            del models[next(iter(models))]
+        model = memo_get(models, key, de_cfg.np, lambda: fit_from(tunings))
         return learners.decide(model, {name: tunings[name] for name in space.decision})
 
     def objective(candidate: tuner.Candidate) -> float:
@@ -264,11 +262,13 @@ def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
 
     def body(lspec, train, test, seed):
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
+        # Rejected DE trials push the population's r out of an np-sized memo.
+        memo = smote.NeighbourMemo(new_train, 2 * spec.de.np)
 
         def fit_from(tunings):
             # No shared CellContext: every candidate fits on its own rebalanced data.
             cfg = SmoteConfig(tunings["k"], tunings["m"], tunings["r"], seed)
-            return learners.fit(lspec, smote.apply(new_train, cfg), seed, goal=spec.goal)
+            return learners.fit(lspec, smote.apply(new_train, cfg, memo), seed, goal=spec.goal)
 
         return _de_cell(SMOTE_SPACE, SMOTE_SPACE.defaults(), fit_from, tune_set, test,
                         spec.goal, spec.de, seed)

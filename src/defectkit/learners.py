@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import Dataset, nearest
+from .dataset import Dataset, memo_get, nearest
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -150,13 +150,8 @@ class _Cart:
 
     def _split(self, key, feats, labs, candidates):
         """(gain, feature, threshold) of the best split, or None; ties take the lowest feature."""
-        entry = self.splits.pop(key, None)
-        if entry is None:
-            entry = np.full((2, feats.shape[1]), np.nan)
-        self.splits[key] = entry
-        if len(self.splits) > SPLIT_MEMO_NODES:
-            del self.splits[next(iter(self.splits))]
-        gains, thresholds = entry
+        gains, thresholds = memo_get(self.splits, key, SPLIT_MEMO_NODES,
+                                     lambda: np.full((2, feats.shape[1]), np.nan))
         todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
         if len(todo):
             gains[todo], thresholds[todo] = _best_split(feats, labs, todo,

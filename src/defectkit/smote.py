@@ -8,7 +8,8 @@ a percent of the original training size: m=50 balances the classes exactly
 Tuning k, m, r with differential evolution is what the harness calls a
 "smotuned" run.  Each synthetic row draws a minority index, a neighbour rank
 and u, in that order, from default_rng(cfg.seed); the majority undersample
-comes last.  `apply` reproduces that stream in one vectorised pass.
+comes last.  `apply` reproduces that stream in one vectorised pass at any k;
+calls that share a NeighbourMemo rank the minority rows once per power r.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, nearest
+from .dataset import Dataset, memo_get, nearest
 from .errors import DegenerateDataError
 
 M_CHOICES = (50, 100, 200, 400)
+K_MAX = 20  # SMOTE's k ceiling: the most neighbours a config may ask for
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,8 @@ class SmoteConfig:
 
     def __post_init__(self):
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) \
-                or not 1 <= self.k <= 20:
-            raise ValueError(f"k must be an integer in [1, 20], got {self.k!r}")
+                or not 1 <= self.k <= K_MAX:
+            raise ValueError(f"k must be an integer in [1, {K_MAX}], got {self.k!r}")
         if self.m not in M_CHOICES:
             raise ValueError(f"m must be one of {M_CHOICES}, got {self.m}")
         if not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
@@ -58,30 +60,48 @@ def minkowski(a, b, r: float) -> float:
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
     """`count` rounds of rng.integers(0, n_points), rng.integers(0, k), rng.uniform(), as arrays.
 
-    A round reads two 64-bit words: numpy's Lemire draws map the low, then high, 32 bits x of
-    the first to (x * n) >> 32; uniform() is (w >> 11) * 2**-53 of the second.  A draw numpy
-    would reject, k == 1 (it reads nothing) or a buffered half word rewinds to scalar draws.
+    numpy's Lemire draws map a 32-bit x to (x * n) >> 32, taking the low, then the high half of
+    a 64-bit word; uniform() is (w >> 11) * 2**-53 of a word of its own.  At k == 1 the rank
+    draw reads nothing, so two rounds share one index word (words S, U, U) and an odd count
+    leaves the last high half buffered.  A rejected draw or a buffered start draws by scalars.
     """
     saved = rng.bit_generator.state
-    if k > 1 and not saved["has_uint32"]:
-        words = rng.bit_generator.random_raw(2 * count).reshape(count, 2).T
-        bounds = np.array([[n_points], [k]], dtype=np.uint64)
-        scaled = np.stack([words[0] & 0xFFFF_FFFF, words[0] >> 32]) * bounds
+    if not saved["has_uint32"]:
+        d = 1 + (k > 1)  # index draws per round
+        is_u = np.tile([False, True, True][:4 - d], count)[:count + (d * count + 1) // 2]
+        words = rng.bit_generator.random_raw(len(is_u))
+        halves = np.stack([words[~is_u] & 0xFFFF_FFFF, words[~is_u] >> 32], axis=1).ravel()
+        bounds = np.array([n_points, k][:d], dtype=np.uint64)
+        scaled = halves[:d * count].reshape(count, d) * bounds
         if ((scaled & 0xFFFF_FFFF) >= (2**32 - bounds) % bounds).all():
-            seed_pos, nn_rank = (scaled >> 32).astype(np.int64)
-            return seed_pos, nn_rank, (words[1] >> 11) * 2.0**-53
+            if len(halves) > d * count:
+                rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
+                                           "uinteger": int(halves[-1])}
+            draws = (scaled >> 32).astype(np.int64)
+            return draws[:, 0], draws[:, -1] * (k > 1), (words[is_u] >> 11) * 2.0**-53
         rng.bit_generator.state = saved
     draws = np.array([(rng.integers(0, n_points), rng.integers(0, k), rng.uniform())
                       for _ in range(count)]).reshape(count, 3).T
     return draws[0].astype(np.int64), draws[1].astype(np.int64), draws[2]
 
 
-def apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
+class NeighbourMemo:
+    """At most `size` min(K_MAX, minority - 1)-nearest tables of `data`, one per typed r, least
+    recently used first.  A stable argsort makes each k-nearest table a prefix of one."""
+
+    def __init__(self, data: Dataset, size: int):
+        self.data, self.size, self.tables = data, size, {}
+
+
+def apply(data: Dataset, cfg: SmoteConfig, memo: NeighbourMemo | None = None) -> Dataset:
     """Rebalanced copy of the data; the input dataset is never touched.
 
-    Output keeps the surviving original instances in their original order
-    and appends the synthetic minority instances after them.
+    Output keeps the surviving original instances in their original order and
+    appends the synthetic minority instances after them.  Calls on `data` may share a `memo`.
     """
+    memo = memo or NeighbourMemo(data, 1)
+    if memo.data is not data:
+        raise ValueError("a NeighbourMemo serves its own dataset only")
     labels = data.labels
     counts = np.bincount(labels, minlength=2)
     if counts.min() == 0:
@@ -109,7 +129,9 @@ def apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
 
     rng = np.random.default_rng(cfg.seed)
     minority_points = data.features[minority_idx]
-    neighbours = nearest(minority_points, minority_points, k, cfg.r, exclude_self=True)
+    neighbours = memo_get(memo.tables, (type(cfg.r), cfg.r), memo.size, lambda: nearest(
+        minority_points, minority_points, min(K_MAX, len(minority_idx) - 1), cfg.r,
+        exclude_self=True))[:, :k]
 
     seed_pos, nn_rank, u = _segment_draws(rng, len(minority_idx), k, n_synthetic)
     base = minority_points[seed_pos]

@@ -213,6 +213,19 @@ class TestErrorPaths:
         assert err.startswith("configuration error:")
         assert "'p'" in err and "p-3.0.csv" in err
 
+    @pytest.mark.parametrize("header", ["dit,rfc,loc,bug", "wmc,rfc,cbo,loc,bug"],
+                             ids=["renamed-column", "added-column"])
+    def test_training_versions_must_share_columns(self, tmp_path, capsys, monkeypatch,
+                                                  header):
+        manifest = make_project(tmp_path)
+        rows = "".join(f"{i}," * header.count(",") + f"{i % 2}\n" for i in range(12))
+        (tmp_path / "p-2.0.csv").write_text(header + "\n" + rows, encoding="utf-8")
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["untuned", "--manifest", str(manifest), "--learner", "fft"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'p'" in err and "p-1.0.csv" in err and "p-2.0.csv" in err
+
     def test_fewer_training_rows_than_folds_is_config_error(self, tmp_path, capsys,
                                                            monkeypatch):
         manifest = make_project(tmp_path, n_per_version=3)

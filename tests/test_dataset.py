@@ -32,6 +32,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             AttributeSchema(names, loc)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_binary_label_rejected(self, bad):
+        with pytest.raises(SchemaError, match="^labels must be binary$"):
+            Dataset(AttributeSchema(("loc",), 0), np.ones((3, 1)), [0, bad, 1])
+
     def test_features_must_be_a_matrix(self):
         with pytest.raises(SchemaError, match="2-D"):
             Dataset(AttributeSchema(("loc",), 0), np.array([1.0, 2.0]), [0, 1])

@@ -347,6 +347,50 @@ class TestRunSmotuned:
         run_smotuned(spec)
         assert seen_sizes == [len(test)]
 
+    @staticmethod
+    def spy_on_smote(monkeypatch):
+        """Record each smotuned apply's (r, tables held after it, memo bound) and each ranking."""
+        applies, rankings = [], []
+        apply, nearest = harness.smote.apply, harness.smote.nearest
+
+        def spying_apply(data, cfg, memo=None):
+            out = apply(data, cfg, memo)
+            applies.append((cfg.r, len(memo.tables), memo.size))
+            return out
+
+        def spying_nearest(queries, points, k, r, **kwargs):
+            rankings.append(r)
+            return nearest(queries, points, k, r, **kwargs)
+
+        monkeypatch.setattr(harness.smote, "apply", spying_apply)
+        monkeypatch.setattr(harness.smote, "nearest", spying_nearest)
+        return applies, rankings
+
+    def test_cell_ranks_each_r_once(self, monkeypatch):
+        few_r = tuner.ParamSpace(tuple(
+            tuner.ParamSpec("r", tuner.CATEGORICAL, values=(0.5, 1.0, 2.0), default=2.0)
+            if spec.name == "r" else spec for spec in harness.SMOTE_SPACE))
+        monkeypatch.setattr(harness, "SMOTE_SPACE", few_r)
+        applies, rankings = self.spy_on_smote(monkeypatch)
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec("naive_bayes")],
+                        seed=18, de=FAST_DE)
+        run_smotuned(spec)
+        assert len(applies) > len(set(rankings)) > 1
+        assert sorted(rankings) == sorted({r for r, _, _ in applies})
+        assert all(held <= bound == 2 * FAST_DE.np for _, held, bound in applies)
+
+    def test_memo_bound_keeps_rows(self, monkeypatch):
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec("naive_bayes")],
+                        repeats=2, seed=19, de=FAST_DE)
+        apply = harness.smote.apply
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.smote, "apply", lambda data, cfg, memo=None: apply(data, cfg))
+            fresh_tables = row_fields(run_smotuned(spec))
+        applies, _ = self.spy_on_smote(monkeypatch)
+        assert row_fields(run_smotuned(spec)) == fresh_tables
+        assert len({r for r, _, _ in applies}) > 2 * FAST_DE.np  # so the memo evicted
+        assert max(held for _, held, _ in applies) == 2 * FAST_DE.np
+
     def test_fixed_smote_rejected(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
                         seed=17, de=FAST_DE, smote=SmoteConfig(k=3, m=50))

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from defectkit.dataset import Dataset, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit.harness import SMOTE_SPACE
-from defectkit.smote import M_CHOICES, SmoteConfig, _segment_draws, apply, minkowski
+from defectkit.smote import (K_MAX, M_CHOICES, NeighbourMemo, SmoteConfig, _segment_draws,
+                             apply, minkowski)
 
 from conftest import make_dataset, same_data
 
@@ -288,13 +289,21 @@ def comparable_state(rng):
     return state
 
 
+class ScalarDrawsForbidden:
+    """A generator whose raw words can be read but whose scalar draws raise."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+
 class TestSegmentDraws:
     # n = 2**31 + 1 rejects about half of all 32-bit words, so those cases take
-    # the rewind-and-redraw path; the small ranges almost never reject, and
-    # k == 1 or a half-used 32-bit buffer always redraws one round at a time.
+    # the rewind-and-redraw path; the small ranges almost never reject, and a
+    # half-used 32-bit buffer always redraws one round at a time.  At k == 1 an
+    # odd count leaves the last index word's high half buffered for `choice`.
     @pytest.mark.parametrize("n_points", [2, 64, 1000, 2 ** 31 + 1])
     @pytest.mark.parametrize("k", [1, 2, 20])
-    @pytest.mark.parametrize("count", [0, 1, 300])
+    @pytest.mark.parametrize("count", [0, 1, 300, 301])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_matches_scalar_draws(self, n_points, k, count, buffered):
         fast, scalar = np.random.default_rng(count + k), np.random.default_rng(count + k)
@@ -309,3 +318,44 @@ class TestSegmentDraws:
         assert comparable_state(fast) == comparable_state(scalar)
         assert np.array_equal(fast.choice(np.arange(500), size=120, replace=False),
                               scalar.choice(np.arange(500), size=120, replace=False))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2, 301])
+    def test_fresh_generator_needs_no_scalar_draw(self, k, count):
+        # With power-of-two ranges no 32-bit word is ever rejected, so every
+        # round must come from the raw words; a scalar draw would raise here.
+        _segment_draws(ScalarDrawsForbidden(np.random.default_rng(count)), 64, k, count)
+
+
+class TestNeighbourMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_minority=st.integers(2, 30),
+           levels=st.sampled_from([2, None]), size=st.integers(1, 3),
+           configs=st.lists(st.tuples(st.integers(1, K_MAX), st.sampled_from(M_CHOICES),
+                                      st.sampled_from([0.5, 1, 1.0, 2.0, 3.7])),
+                            min_size=1, max_size=8))
+    def test_shared_memo_equals_fresh_tables(self, seed, n_minority, levels, size, configs):
+        rng = np.random.default_rng(seed)
+        n = 3 * n_minority
+        # Few coordinate levels give tied distances, so the prefix must keep tie order.
+        features = (rng.uniform(0, 10, (n, 3)) if levels is None
+                    else rng.integers(0, levels, (n, 3)).astype(float))
+        labels = rng.permutation([1] * n_minority + [0] * (n - n_minority))
+        data = make_dataset(features, labels)
+        memo = NeighbourMemo(data, size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for i, (k, m, r) in enumerate(configs):
+                cfg = SmoteConfig(k=k, m=m, r=r, seed=seed + i)
+                expected = reference_apply(data, cfg)
+                assert same_data(apply(data, cfg, memo), expected)
+                assert same_data(apply(data, cfg), expected)
+                assert len(memo.tables) <= size
+                assert next(reversed(memo.tables)) == (type(r), r)
+
+    def test_refuses_another_dataset(self):
+        data, other = imbalanced(5, 20, seed=1), imbalanced(5, 20, seed=1)
+        memo = NeighbourMemo(data, 2)
+        apply(data, SmoteConfig(k=2, seed=1), memo)
+        with pytest.raises(ValueError, match="NeighbourMemo"):
+            apply(other, SmoteConfig(k=2, seed=1), memo)
