@@ -154,7 +154,10 @@ def main(argv=None) -> int:
             results_file = args.out / "results.json"
             if not results_file.exists():
                 raise ConfigError(f"no results.json under {args.out}")
-            result = ExperimentResult.from_json(results_file.read_text(encoding="utf-8"))
+            try:
+                result = ExperimentResult.from_json(results_file.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{results_file}: {exc}") from None
             sys.stdout.write(report(result, args.format,
                                     include_runtime=True if args.runtime else None))
             return 0

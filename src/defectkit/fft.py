@@ -136,19 +136,18 @@ def _ranked(data: Dataset, goal: GoalSpec) -> list[Range]:
     """All four median-split ranges of every attribute, best-scoring first.
 
     A range alone is a one-rule model: matches get its class, the rest the
-    opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and two
-    scores per attribute cover all four ranges.
+    opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and the
+    node's 2F distinct vectors are scored in one matrix call to `evaluate`.
     """
-    candidates = []
-    for attribute in range(data.features.shape[1]):
-        threshold = median_split(data, attribute)
-        below = data.features[:, attribute] <= threshold
-        for c in (CLEAN, DEFECTIVE):
-            score = evaluate(goal, data.labels, np.where(below, c, 1 - c), data.locs)
-            candidates += [Range(attribute, LE, threshold, c, score),
-                           Range(attribute, GT, threshold, 1 - c, score)]
+    thresholds = [median_split(data, a) for a in range(data.features.shape[1])]
+    below = (data.features <= thresholds).T
+    # Row 2a + c predicts class c where attribute a is at most its median.
+    scores = evaluate(goal, data.labels, np.stack((~below, below), axis=1).reshape(-1, len(data)),
+                      data.locs)
     sign = 1.0 if goal.direction == MINIMIZE else -1.0
-    return sorted(candidates,
+    return sorted((Range(a, relation, t, c if relation == LE else 1 - c, scores[2 * a + c])
+                   for a, t in enumerate(thresholds) for c in (CLEAN, DEFECTIVE)
+                   for relation in (LE, GT)),
                   key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
 
 
@@ -191,7 +190,7 @@ def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
         raise DegenerateDataError("fitting needs both classes present")
     grown = _grow(data, data, goal, depth, range(2 ** depth), (), {})
     trees = tuple(grown[sid] for sid in range(2 ** depth))
-    scores = tuple(evaluate(goal, data.labels, tree.predict(data.features), data.locs)
-                   for tree in trees)
+    predicted = np.array([tree.predict(data.features) for tree in trees])
+    scores = tuple(evaluate(goal, data.labels, predicted, data.locs))
     best = (min if goal.direction == MINIMIZE else max)(range(len(scores)), key=scores.__getitem__)
     return FFTEnsemble(trees, scores, best)

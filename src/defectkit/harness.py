@@ -126,9 +126,19 @@ class ExperimentResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":
+        """Parse `to_json` output; a malformed payload raises ValueError naming the field."""
         payload = json.loads(text)
-        rows = [ResultRow(**r) for r in payload["rows"]]
-        return cls(make_goal(payload["goal"]), rows, payload["aggregate_kind"])
+        if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
+            raise ValueError("results must be a JSON object with a 'rows' list")
+        if payload.get("aggregate_kind") not in ("median", "mean"):
+            raise ValueError(f"aggregate_kind {payload.get('aggregate_kind')!r} is not median/mean")
+        try:
+            rows = [ResultRow(**r) for r in payload["rows"]]
+        except TypeError as exc:  # a row that is no object, or whose keys miss or add a field
+            raise ValueError(f"bad row in 'rows': {exc}") from None
+        if any(type(v) not in (int, float) for r in rows for v in (r.score, r.duration)):
+            raise ValueError("every row's score and duration must be a number")
+        return cls(make_goal(payload.get("goal")), rows, payload["aggregate_kind"])
 
 
 def _score_on_test(model, test: Dataset, g: GoalSpec) -> float:

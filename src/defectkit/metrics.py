@@ -4,7 +4,8 @@ Threshold metrics (precision, recall, F1, accuracy) come out of an n-class
 confusion matrix.  dist2heaven is the normalised distance of a (recall,
 false alarm) pair from the ideal corner (1, 0) -- smaller is better.  P_opt
 compares the code-inspection lift curve of a model against the best and
-worst possible inspection orderings -- larger is better.
+worst possible inspection orderings -- larger is better.  An (m, n) matrix of
+predictions, one model per row, gets one score per row from `evaluate`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class GoalSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in GOAL_DIRECTIONS:
+        if not isinstance(self.kind, str) or self.kind not in GOAL_DIRECTIONS:
             raise ValueError(f"unknown goal {self.kind!r}; choose from {sorted(GOAL_DIRECTIONS)}")
 
     @property
@@ -121,30 +122,31 @@ def dist2heaven(recall: float, fa: float) -> float:
     return math.sqrt((1 - recall) ** 2 + fa ** 2) / math.sqrt(2)
 
 
-def _lift_area(locs: np.ndarray, labels: np.ndarray, order: np.ndarray) -> float:
-    """Trapezoid area under the (effort, recall) curve of inspecting rows in `order`."""
-    x = np.concatenate(([0.0], np.cumsum(locs[order]) / locs.sum()))
-    y = np.concatenate(([0.0], np.cumsum(labels[order]) / labels.sum()))
-    x[-1] = y[-1] = 1.0
-    # A running sum, not np.sum: pairwise summation would change the last bits.
-    return float(np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)[-1])
+def _lift_areas(locs: np.ndarray, labels: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Trapezoid area under the (effort, recall) curve of each row's inspection order."""
+    # Running sums along each row, not np.sum: pairwise summation changes the last bits.
+    start = np.zeros((len(orders), 1))
+    x = np.hstack((start, np.cumsum(locs[orders], axis=1) / locs.sum()))
+    y = np.hstack((start, np.cumsum(labels[orders], axis=1) / labels.sum()))
+    x[:, -1] = y[:, -1] = 1.0
+    return np.cumsum((x[:, 1:] - x[:, :-1]) * (y[:, :-1] + y[:, 1:]) / 2.0, axis=1)[:, -1]
 
 
-def inspection_areas(locs, labels, predicted) -> tuple[float, float, float]:
+def inspection_areas(locs, labels, predicted) -> tuple:
     """(S(model), S(optimal), S(worst)) lift-curve areas for a prediction vector.
 
     `locs`, 0/1 `labels` and `predicted` hold one entry per module.  The model
     inspects predicted-defective modules first, each group by ascending loc; the
     optimal and worst orders sort by defect density (loc clamped at 1) down and
-    up.  All three sorts are stable.
+    up.  All three sorts are stable.  An (m, n) `predicted` gives S(model) per row.
     """
     locs = np.asarray(locs, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
+    rows = np.atleast_2d(np.asarray(predicted, dtype=float))
     if labels.shape != locs.shape:
         raise ValueError(f"{labels.size} labels for {locs.size} locs")
-    if predicted.shape != locs.shape:
-        raise ValueError(f"{predicted.size} predictions for {len(locs)} instances")
+    if np.ndim(predicted) not in (1, 2) or rows.shape[1:] != locs.shape:
+        raise ValueError(f"{rows.shape[-1]} predictions for {len(locs)} instances")
     if not (np.isfinite(locs) & (locs >= 0)).all():
         raise ValueError("every loc must be finite and non-negative")
     if not np.isin(labels, (0, 1)).all():
@@ -154,31 +156,37 @@ def inspection_areas(locs, labels, predicted) -> tuple[float, float, float]:
     if labels.sum() == 0:
         raise DegenerateDataError("no defective instances; recall axis undefined")
     density = labels / np.maximum(locs, 1.0)
-    model = np.lexsort((locs, predicted == 0))
-    return tuple(_lift_area(locs, labels, order) for order in
-                 (model, np.argsort(-density, kind="stable"), np.argsort(density, kind="stable")))
+    ascending = np.argsort(locs, kind="stable")
+    # Stably moving flagged modules to the front gives np.lexsort((locs, row == 0)).
+    model = ascending[np.argsort(rows[:, ascending] == 0, axis=1, kind="stable")]
+    areas = _lift_areas(locs, labels, np.vstack((model, np.argsort(-density, kind="stable"),
+                                                 np.argsort(density, kind="stable"))))
+    return (areas[:-2] if np.ndim(predicted) == 2 else float(areas[0]), *areas[-2:].tolist())
 
 
-def p_opt(locs, labels, predicted) -> float:
+def p_opt(locs, labels, predicted) -> float | list[float]:
     """Effort-aware score: 1 - (S(optimal) - S(model)) / (S(optimal) - S(worst)).
 
     `predicted` holds hard labels or scores; scores are thresholded at 0.5
-    before the predicted-defective-first, ascending-loc layout is built.
+    before the predicted-defective-first, ascending-loc layout is built.  An
+    (m, n) `predicted` gives a list of m scores from one pass over all rows.
     """
     hard = np.asarray(predicted, dtype=float) >= 0.5
     s_model, s_optimal, s_worst = inspection_areas(locs, labels, hard)
     if s_optimal == s_worst:
         raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
-    return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
+    return (1.0 - (s_optimal - np.asarray(s_model)) / (s_optimal - s_worst)).tolist()
 
 
-def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float:
-    """Score a prediction vector under the named goal (binary defect labels)."""
+def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float | list[float]:
+    """Score predictions of binary labels under the goal; an (m, n) matrix gets m row scores."""
     if g.kind == "p_opt":
         if locs is None:
             raise ValueError("p_opt needs one loc value per label")
         return p_opt(locs, actual, predicted)
     hard = np.asarray(predicted, dtype=float) >= 0.5
+    if hard.ndim == 2:
+        return [evaluate(g, actual, row, locs) for row in hard]
     m = confusion(actual, hard.astype(int), 2)
     if g.kind == "accuracy":
         return accuracy(m)

@@ -27,6 +27,9 @@ def make_project(tmp_path, n_per_version=60, seed=0):
     return manifest
 
 
+ROW = {"dataset": "p", "method": "cart", "repeat": 0, "score": 0.5, "duration": 0.1}
+
+
 def no_fit(*args, **kwargs):
     raise AssertionError("a configuration error must stop the run before any fit")
 
@@ -237,6 +240,25 @@ class TestErrorPaths:
 
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"goal": "p_opt", "aggregate_kind": "median"}, "rows"),
+        ([], "rows"),
+        ({"aggregate_kind": "median", "rows": []}, "goal"),
+        ({"goal": ["p_opt"], "aggregate_kind": "median", "rows": []}, "goal"),
+        ({"goal": "p_opt", "aggregate_kind": "mode", "rows": []}, "aggregate_kind"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, colour=1)]}, "colour"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [{"dataset": "p"}]}, "method"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, score="0.5")]},
+         "score"),
+    ], ids=["no_rows", "list", "no_goal", "list_goal", "mode_aggregate", "unknown_row_key",
+            "missing_row_key", "string_score"])
+    def test_malformed_results_are_runtime_errors(self, tmp_path, capsys, payload, field):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}: ") and field in err
 
     @pytest.mark.parametrize("command", ["untuned", "tune", "kfold-tune", "smotuned"])
     def test_header_only_version_is_config_error(self, tmp_path, capsys, command):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from defectkit import fft
 from defectkit.dataset import CLEAN, DEFECTIVE
 from defectkit.errors import DegenerateDataError
 from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, _ranked, fit, median_split,
@@ -219,6 +220,26 @@ class TestFit:
         ensemble = fit(data, goal("p_opt"), 2)
         assert 0.0 <= ensemble.scores[ensemble.best] <= 1.0
 
+
+    @pytest.mark.parametrize("kind", ["p_opt", "dist2heaven"])
+    def test_one_evaluate_call_per_ranked_node_plus_tree_scores(self, kind, monkeypatch):
+        data = planted_dataset(n=80, n_noise=3, seed=4)
+        calls, nodes = [], []
+        evaluate_, ranked = fft.evaluate, fft._ranked
+
+        def counting_evaluate(g, actual, predicted, locs=None):
+            calls.append(np.shape(predicted))
+            return evaluate_(g, actual, predicted, locs)
+
+        def counting_ranked(node, g):
+            nodes.append((2 * node.features.shape[1], len(node)))
+            return ranked(node, g)
+
+        monkeypatch.setattr(fft, "evaluate", counting_evaluate)
+        monkeypatch.setattr(fft, "_ranked", counting_ranked)
+        fit(data, goal(kind), 4)
+        assert len(nodes) > 1
+        assert calls == nodes + [(16, len(data))]
 
     @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
     def test_equals_per_tree_reference(self, kind):

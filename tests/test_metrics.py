@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectkit.errors import DegenerateDataError
-from defectkit.metrics import (ConfusionMatrix, accuracy, class_metrics, confusion,
-                               dist2heaven, evaluate, false_alarm, goal, inspection_areas, p_opt)
+from defectkit.metrics import (GOAL_DIRECTIONS, ConfusionMatrix, accuracy, class_metrics,
+                               confusion, dist2heaven, evaluate, false_alarm, goal,
+                               inspection_areas, p_opt)
 
 from conftest import LiftCurve, lift_curve
 
@@ -28,6 +29,26 @@ def oracle_p_opt(instances, predicted):
     if s_optimal == s_worst:
         raise DegenerateDataError("optimal and worst orderings coincide; P_opt undefined")
     return 1.0 - (s_optimal - s_model) / (s_optimal - s_worst)
+
+
+def outcome(call):
+    """What a call gives: its value, or the (type, message) of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_rows_agree(g, labels, matrix, locs):
+    """evaluate on a matrix returns, or raises, exactly what the 1-D call on each row does."""
+    rows = [outcome(lambda row=row: evaluate(g, labels, row, locs)) for row in matrix]
+    if not all(isinstance(r, float) for r in rows):
+        assert all(r == rows[0] for r in rows)  # no failure depends on a row's values
+        rows = rows[0]
+    got = outcome(lambda: evaluate(g, labels, matrix, locs))
+    assert got == rows
+    if isinstance(got, list):
+        assert all(type(score) is float for score in got)
 
 
 def brute_confusion(actual, predicted, n_classes):
@@ -300,3 +321,37 @@ class TestEvaluate:
     def test_p_opt_dispatch(self):
         value = evaluate(goal("p_opt"), [1, 1, 0], [0, 1, 0], locs=[1, 2, 7])
         assert value == pytest.approx(1 - 0.05 / 0.75, abs=1e-12)
+
+
+class TestMatrixEvaluate:
+    # Few distinct locs give tied locs and tied densities; loc 0 clamps to 1 in density.
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(GOAL_DIRECTIONS)), st.booleans(), st.data())
+    def test_rows_equal_one_dimensional_calls(self, kind, raw, data):
+        n = data.draw(st.integers(1, 12))
+        locs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 7.0, 10.0]),
+                                            st.floats(0, 1e6)), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        cell = st.floats(0, 1) if raw else st.integers(0, 1)
+        matrix = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                             min_size=1, max_size=6)), dtype=float)
+        assert_rows_agree(goal(kind), labels, matrix, locs)
+        assert_rows_agree(goal(kind), labels, matrix[:1], locs)
+
+    @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
+    @pytest.mark.parametrize("locs,labels,width", [
+        ([math.nan, 10, 5], [1, 0, 1], 3),
+        ([-5, 20, 3], [1, 0, 1], 3),
+        ([10, 20, 5], [2, 0, 1], 3),
+        ([10, 20, 5], [1, 0, 1], 4),
+        ([10, 20, 5], [0, 0, 0], 3),
+        ([0, 0, 0], [1, 0, 1], 3),
+        ([10, 10], [1, 1], 2),
+    ], ids=["nan_loc", "negative_loc", "label_2", "wrong_width", "no_defective",
+            "zero_total_loc", "optimal_equals_worst"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_faulty_inputs_fail_as_each_row_does(self, kind, locs, labels, width, m):
+        matrix = np.random.default_rng(m).random((m, width))
+        assert_rows_agree(goal(kind), labels, matrix, locs)
+        if kind == "p_opt":
+            assert isinstance(outcome(lambda: evaluate(goal(kind), labels, matrix, locs)), tuple)
