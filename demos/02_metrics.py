@@ -1,4 +1,4 @@
-"""Scoring predictions: confusion metrics, dist2heaven, and effort-aware P_opt.
+"""Scoring predictions: threshold metrics, dist2heaven, and effort-aware P_opt.
 
 dist2heaven measures how far a (recall, false alarm) pair sits from the
 ideal corner recall=1, false alarm=0 -- smaller is better.  P_opt asks a
@@ -8,17 +8,14 @@ they encounter the defects, relative to the best and worst possible
 inspection orders?  Larger is better and 0.5 is the random baseline.
 """
 
-from defectkit import (accuracy, class_metrics, confusion, dist2heaven, evaluate,
-                       goal, inspection_areas, p_opt)
+from defectkit import dist2heaven, evaluate, goal, inspection_areas, p_opt
 
-# --- threshold metrics from a confusion matrix -----------------------------
+# --- threshold metrics of the defective class ------------------------------
 actual = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
 predicted = [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]
-m = confusion(actual, predicted, n_classes=2)
-print("confusion counts:", m.counts)
-precision, recall, f1 = class_metrics(m, j=1)
-print(f"defective class: precision={precision:.3f} recall={recall:.3f} f1={f1:.3f}")
-print(f"accuracy={accuracy(m):.3f}")
+print("4 true positives, 1 false alarm, 2 missed defects, 3 true negatives:")
+print("  " + " ".join(f"{kind}={evaluate(goal(kind), actual, predicted):.3f}"
+                      for kind in ("precision", "recall", "f1", "accuracy")))
 
 # --- distance to heaven -----------------------------------------------------
 print("\ndist2heaven landscape:")

@@ -8,7 +8,7 @@ exactly; larger m values only add synthetic minority mass.
 
 import numpy as np
 
-from defectkit import SmoteConfig, minkowski
+from defectkit import SmoteConfig
 from defectkit.dataset import AttributeSchema, Dataset
 from defectkit.smote import apply
 
@@ -42,7 +42,7 @@ parents = data.features[data.labels == 1]
 print(f"\n{len(synthetic)} synthetic instances; distances to the nearest real "
       f"minority instance:")
 for s in synthetic[:5]:
-    nearest = min(minkowski(s, p, 2.0) for p in parents)
+    nearest = min(np.linalg.norm(s - p, ord=2) for p in parents)
     print(f"  {np.round(s[:2], 2)} loc={s[2]:6.1f} -> {nearest:.3f}")
 print("(all sit inside the minority cloud; none near the clean cluster at ~2)")
 
@@ -50,4 +50,4 @@ print("(all sit inside the minority cloud; none near the clean cluster at ~2)")
 a, b = parents[0][:2], parents[1][:2]
 print(f"\ndistance between two minority instances under different powers:")
 for r in (1.0, 2.0, 5.0):
-    print(f"  r={r}: {minkowski(a, b, r):.4f}")
+    print(f"  r={r}: {np.linalg.norm(a - b, ord=r):.4f}")

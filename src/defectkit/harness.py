@@ -17,8 +17,9 @@ function, which makes whole runs byte-reproducible.
 from __future__ import annotations
 
 import json
+import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,6 +87,11 @@ class ResultRow:
     best_tune_score: float | None = None
 
 
+# The JSON values each ResultRow annotation admits: an int is a float, a bool is neither.
+# A float must also be finite: not NaN, not infinite, and no integer too large to convert.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
+
+
 @dataclass
 class ExperimentResult:
     goal: GoalSpec
@@ -136,18 +142,21 @@ class ExperimentResult:
             rows = [ResultRow(**r) for r in payload["rows"]]
         except TypeError as exc:  # a row that is no object, or whose keys miss or add a field
             raise ValueError(f"bad row in 'rows': {exc}") from None
-        if any(type(v) not in (int, float) for r in rows for v in (r.score, r.duration)):
-            raise ValueError("every row's score and duration must be a number")
+        for r in rows:
+            for f in fields(ResultRow):
+                value = getattr(r, f.name)
+                if value is None and f.default is None:
+                    continue
+                kind = f.type.removesuffix(" | None")
+                if type(value) not in _JSON_TYPES[kind] \
+                        or kind == "float" and not abs(value) <= sys.float_info.max:
+                    finite = " and finite" if kind == "float" else ""
+                    raise ValueError(f"a row's {f.name} must be {kind}{finite}, got {value!r}")
         return cls(make_goal(payload.get("goal")), rows, payload["aggregate_kind"])
 
 
-def _score_on_test(model, test: Dataset, g: GoalSpec) -> float:
-    """The single point where a model touches held-out test data."""
-    predicted, _ = learners.predict_dataset(model, test)
-    return evaluate(g, test.labels, predicted, test.locs)
-
-
-def _score_on(model, data: Dataset, g: GoalSpec) -> float:
+def _score(model, data: Dataset, g: GoalSpec) -> float:
+    """The goal score of a model's predictions on `data` (a tuning or held-out test set)."""
     predicted, _ = learners.predict_dataset(model, data)
     return evaluate(g, data.labels, predicted, data.locs)
 
@@ -215,13 +224,13 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
-        return _score_on(model_for(candidate.tunings), tune_set, g)
+        return _score(model_for(candidate.tunings), tune_set, g)
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
                        seed_candidates=[planted])
     assert calls == run.evaluations
     return {
-        "score": _score_on_test(model_for(run.best.tunings), test, g),
+        "score": _score(model_for(run.best.tunings), test, g),
         "tunings": dict(run.best.tunings),
         "evaluations": run.evaluations,
         "default_tune_score": run.initial_scores[0],
@@ -248,7 +257,7 @@ def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
     """Fit each learner with its given parameters; no tuning stage."""
     def body(lspec, train, test, seed):
         model = learners.fit(lspec, _rebalanced(spec, train, seed), seed, goal=spec.goal)
-        return {"score": _score_on_test(model, test, spec.goal)}
+        return {"score": _score(model, test, spec.goal)}
 
     return _run(spec, body, tuned=False)
 

@@ -1,11 +1,12 @@
 """Classification and effort-aware evaluation metrics.
 
-Threshold metrics (precision, recall, F1, accuracy) come out of an n-class
-confusion matrix.  dist2heaven is the normalised distance of a (recall,
-false alarm) pair from the ideal corner (1, 0) -- smaller is better.  P_opt
-compares the code-inspection lift curve of a model against the best and
-worst possible inspection orderings -- larger is better.  An (m, n) matrix of
-predictions, one model per row, gets one score per row from `evaluate`.
+Every label and prediction is binary (1 = defective).  Threshold goals
+(precision, recall, F1, accuracy, dist2heaven) are ratios of a few counts.
+dist2heaven is the normalised distance of a (recall, false alarm) pair from
+the ideal corner (1, 0) -- smaller is better.  P_opt compares the
+code-inspection lift curve of a model against the best and worst possible
+inspection orderings -- larger is better.  An (m, n) matrix of predictions,
+one model per row, gets one score per row from `evaluate`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from .errors import DegenerateDataError
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
-GOAL_DIRECTIONS = {
-    "dist2heaven": MINIMIZE,
-    "p_opt": MAXIMIZE,
-    "f1": MAXIMIZE,
-    "accuracy": MAXIMIZE,
-    "precision": MAXIMIZE,
-    "recall": MAXIMIZE,
-}
+GOAL_DIRECTIONS = {"dist2heaven": MINIMIZE, "p_opt": MAXIMIZE, "f1": MAXIMIZE,
+                   "accuracy": MAXIMIZE, "precision": MAXIMIZE, "recall": MAXIMIZE}
 
 
 @dataclass(frozen=True)
@@ -51,68 +46,6 @@ class GoalSpec:
 
 def goal(kind: str) -> GoalSpec:
     return GoalSpec(kind)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[i][j] = number of instances of actual class i classified as j."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.counts)
-        if any(len(row) != n for row in self.counts):
-            raise ValueError("confusion matrix must be square")
-        if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("confusion matrix entries must be non-negative")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-
-def confusion(actual, predicted, n_classes: int) -> ConfusionMatrix:
-    """Tally (actual, predicted) label pairs into an n_classes x n_classes grid."""
-    actual = np.asarray(actual, dtype=int)
-    predicted = np.asarray(predicted, dtype=int)
-    if actual.shape != predicted.shape:
-        raise ValueError(f"length mismatch: {len(actual)} actual vs {len(predicted)} predicted")
-    if actual.size and not ((0 <= actual).all() and (actual < n_classes).all()
-                            and (0 <= predicted).all() and (predicted < n_classes).all()):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-    flat = np.bincount(actual * n_classes + predicted, minlength=n_classes * n_classes)
-    grid = flat.reshape(n_classes, n_classes)
-    return ConfusionMatrix(tuple(tuple(int(c) for c in row) for row in grid))
-
-
-def class_metrics(m: ConfusionMatrix, j: int) -> tuple[float, float, float]:
-    """(precision, recall, f1) for class j; any 0/0 ratio is defined as 0."""
-    if m.total == 0:
-        raise ValueError("cannot compute ratios on an empty confusion matrix")
-    tp = m.counts[j][j]
-    predicted_j = sum(m.counts[i][j] for i in range(m.n_classes))
-    actual_j = sum(m.counts[j][i] for i in range(m.n_classes))
-    precision = tp / predicted_j if predicted_j else 0.0
-    recall = tp / actual_j if actual_j else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-def accuracy(m: ConfusionMatrix) -> float:
-    if m.total == 0:
-        raise ValueError("cannot compute accuracy on an empty confusion matrix")
-    return sum(m.counts[i][i] for i in range(m.n_classes)) / m.total
-
-
-def false_alarm(m: ConfusionMatrix) -> float:
-    """Binary false-positive rate fp / (fp + tn); 0/0 is 0."""
-    fp = m.counts[0][1]
-    tn = m.counts[0][0]
-    return fp / (fp + tn) if fp + tn else 0.0
 
 
 def dist2heaven(recall: float, fa: float) -> float:
@@ -178,19 +111,42 @@ def p_opt(locs, labels, predicted) -> float | list[float]:
     return (1.0 - (s_optimal - np.asarray(s_model)) / (s_optimal - s_worst)).tolist()
 
 
+def _threshold_score(kind: str, tp: int, flagged: int, defective: int, n: int) -> float:
+    """A threshold goal from one prediction's counts against the labels'; any 0/0 ratio is 0."""
+    if kind == "accuracy":
+        return (n - defective - flagged + 2 * tp) / n  # (true negatives + tp) / n
+    precision = tp / flagged if flagged else 0.0
+    recall = tp / defective if defective else 0.0
+    if kind == "dist2heaven":
+        clean = n - defective
+        return dist2heaven(recall, (flagged - tp) / clean if clean else 0.0)
+    if kind == "f1":
+        return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision if kind == "precision" else recall
+
+
 def evaluate(g: GoalSpec, actual, predicted, locs=None) -> float | list[float]:
-    """Score predictions of binary labels under the goal; an (m, n) matrix gets m row scores."""
+    """Score predictions of binary labels under the goal; an (m, n) matrix gets m row scores.
+
+    A score >= 0.5 flags a module defective.  Threshold goals count every row's true
+    positives and flags in one pass, then take its ratios in Python floats, as a 1-D call does.
+    """
     if g.kind == "p_opt":
         if locs is None:
             raise ValueError("p_opt needs one loc value per label")
         return p_opt(locs, actual, predicted)
+    labels = np.asarray(actual)
     hard = np.asarray(predicted, dtype=float) >= 0.5
-    if hard.ndim == 2:
-        return [evaluate(g, actual, row, locs) for row in hard]
-    m = confusion(actual, hard.astype(int), 2)
-    if g.kind == "accuracy":
-        return accuracy(m)
-    precision, recall, f1 = class_metrics(m, 1)
-    if g.kind == "dist2heaven":
-        return dist2heaven(recall, false_alarm(m))
-    return {"f1": f1, "precision": precision, "recall": recall}[g.kind]
+    rows = np.atleast_2d(hard)
+    if hard.ndim not in (1, 2) or rows.shape[1:] != labels.shape:
+        raise ValueError(f"length mismatch: {labels.size} actual vs {rows.shape[-1]} predicted")
+    defective = labels == 1
+    if not (defective | (labels == 0)).all():
+        raise ValueError("every label must be 0 or 1")
+    if not labels.size:
+        raise ValueError(f"cannot compute {g.kind} on empty labels")
+    n_defective = int(np.count_nonzero(defective))
+    scores = [_threshold_score(g.kind, tp, flagged, n_defective, labels.size)
+              for tp, flagged in zip((rows & defective).sum(axis=1).tolist(),
+                                     rows.sum(axis=1).tolist())]
+    return scores if hard.ndim == 2 else scores[0]

@@ -46,17 +46,6 @@ class SmoteConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def minkowski(a, b, r: float) -> float:
-    """(sum |a_i - b_i|^r)^(1/r); r=2 is Euclidean, r=1 Manhattan."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    if r <= 0:
-        raise ValueError(f"Minkowski power must be positive, got {r}")
-    return float((np.abs(a - b) ** r).sum() ** (1.0 / r))
-
-
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
     """`count` rounds of rng.integers(0, n_points), rng.integers(0, k), rng.uniform(), as arrays.
 

@@ -178,7 +178,6 @@ class DERun:
     generations: int
     initial_scores: list[float]
     best_history: list[float] = field(default_factory=list)
-    final_population: list[Candidate] = field(default_factory=list)
     # (generation, slot, incumbent score, challenger score, replaced)
     log: list[tuple[int, int, float, float, bool]] = field(default_factory=list)
     stop_reason: str = ""  # "life", or "max_generations" when the cap ended a live search
@@ -248,6 +247,5 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
 
     run.evaluations = evaluations
     run.generations = generation
-    run.final_population = population
     run.stop_reason = "max_generations" if life > 0 else "life"
     return run

@@ -1,5 +1,6 @@
-"""Shared builders for synthetic defect datasets, and the lift-curve oracle."""
+"""Shared builders for synthetic defect datasets, and the metric oracles."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,3 +122,26 @@ def lift_curve(instances, order) -> LiftCurve:
         points.append((cum_loc / total_loc, cum_defects / total_defects))
     points[-1] = (1.0, 1.0)
     return LiftCurve(tuple(points))
+
+
+# The scalar confusion-matrix path that metrics.evaluate replaced with one count
+# pass over a whole prediction matrix, kept as the oracle its threshold goals
+# are compared against exactly.
+def confusion_score(kind, actual, predicted):
+    """A threshold goal of one prediction vector, from its 2x2 confusion tally.
+
+    counts[a][p] counts the modules of actual class a predicted as p, a score
+    >= 0.5 predicting defective (1); every 0/0 ratio is 0.
+    """
+    counts = [[0, 0], [0, 0]]
+    for a, p in zip(actual, predicted, strict=True):
+        counts[int(a)][int(p >= 0.5)] += 1
+    (tn, fp), (fn, tp) = counts
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    false_alarm = fp / (fp + tn) if fp + tn else 0.0
+    return {"accuracy": (tn + tp) / (tn + fp + fn + tp),
+            "precision": precision,
+            "recall": recall,
+            "f1": 2 * precision * recall / (precision + recall) if precision + recall else 0.0,
+            "dist2heaven": math.sqrt((1 - recall) ** 2 + false_alarm ** 2) / math.sqrt(2)}[kind]

@@ -21,8 +21,7 @@ from defectkit.dataset import load_csv, merge, random_split
 from defectkit.fft import fit as fit_forest
 from defectkit.harness import ExperimentSpec, report, run_tuned, run_untuned
 from defectkit.learners import LearnerSpec
-from defectkit.metrics import (accuracy, class_metrics, confusion, dist2heaven,
-                               goal, p_opt)
+from defectkit.metrics import evaluate, goal, p_opt
 from defectkit.smote import SmoteConfig, apply as smote_apply
 from defectkit.tuner import (CONTINUOUS, Candidate, DEConfig, ParamSpace, ParamSpec,
                              extrapolate, run_de)
@@ -39,37 +38,30 @@ def passed(name):
 
 
 def test_metric_oracle_suite():
-    """Confusion metrics match exhaustive counting on 1,000 random vectors."""
+    """Every threshold goal matches exhaustive counting on 1,000 random binary vectors."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     for _ in range(1000):
-        n_classes = int(rng.integers(2, 5))
         n = int(rng.integers(1, 13))
-        actual = rng.integers(0, n_classes, n).tolist()
-        predicted = rng.integers(0, n_classes, n).tolist()
+        actual = rng.integers(0, 2, n).tolist()
+        predicted = rng.integers(0, 2, n).tolist()
 
-        tally = [[0] * n_classes for _ in range(n_classes)]
+        tally = [[0, 0], [0, 0]]
         for a, p in zip(actual, predicted):
             tally[a][p] += 1
-        m = confusion(actual, predicted, n_classes)
-        assert [list(row) for row in m.counts] == tally
-
-        assert accuracy(m) == sum(tally[i][i] for i in range(n_classes)) / n
-        for j in range(n_classes):
-            tp = tally[j][j]
-            predicted_j = sum(tally[i][j] for i in range(n_classes))
-            actual_j = sum(tally[j])
-            precision = tp / predicted_j if predicted_j else 0.0
-            recall = tp / actual_j if actual_j else 0.0
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-            assert class_metrics(m, j) == (precision, recall, f1)
-
-        if n_classes == 2:
-            recall1 = class_metrics(m, 1)[1]
-            fp, tn = tally[0][1], tally[0][0]
-            fa = fp / (fp + tn) if fp + tn else 0.0
-            direct = math.sqrt((1 - recall1) ** 2 + fa ** 2) / math.sqrt(2)
-            assert abs(dist2heaven(recall1, fa) - direct) <= 1e-12
+        (tn, fp), (fn, tp) = tally
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        fa = fp / (fp + tn) if fp + tn else 0.0
+        expected = {
+            "accuracy": (tn + tp) / n,
+            "precision": precision,
+            "recall": recall,
+            "f1": 2 * precision * recall / (precision + recall) if precision + recall else 0.0,
+            "dist2heaven": math.sqrt((1 - recall) ** 2 + fa ** 2) / math.sqrt(2),
+        }
+        for kind, value in expected.items():
+            assert evaluate(goal(kind), actual, predicted) == value
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"metric oracle suite took {elapsed:.2f}s"

@@ -251,8 +251,14 @@ class TestErrorPaths:
         ({"goal": "p_opt", "aggregate_kind": "median", "rows": [{"dataset": "p"}]}, "method"),
         ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, score="0.5")]},
          "score"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, dataset=["p"])]},
+         "dataset"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, score=float("nan"))]},
+         "score"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, score=10 ** 400)]},
+         "score"),
     ], ids=["no_rows", "list", "no_goal", "list_goal", "mode_aggregate", "unknown_row_key",
-            "missing_row_key", "string_score"])
+            "missing_row_key", "string_score", "list_dataset", "nan_score", "huge_int_score"])
     def test_malformed_results_are_runtime_errors(self, tmp_path, capsys, payload, field):
         results = tmp_path / "results.json"
         results.write_text(json.dumps(payload), encoding="utf-8")

@@ -134,14 +134,15 @@ class TestRunTuned:
 
     def test_objective_budget_matches_scoring_calls(self, monkeypatch):
         calls = {"tune": 0}
-        original = harness._score_on
+        original = harness._score
+        train, test = planted_split()
 
         def counting(model, data, g):
-            calls["tune"] += 1
+            calls["tune"] += data is not test
             return original(model, data, g)
 
-        monkeypatch.setattr(harness, "_score_on", counting)
-        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
+        monkeypatch.setattr(harness, "_score", counting)
+        spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
                         repeats=1, seed=7, de=FAST_DE)
         result = run_tuned(spec)
         assert calls["tune"] == result.rows[0].evaluations
@@ -178,14 +179,16 @@ class TestRunTuned:
 
     def test_test_set_touched_once_per_repeat_and_learner(self, monkeypatch):
         touches = []
-        original = harness._score_on_test
+        original = harness._score
+        train, test = planted_split()
 
         def counting(model, data, g):
-            touches.append(1)
+            if data is test:
+                touches.append(1)
             return original(model, data, g)
 
-        monkeypatch.setattr(harness, "_score_on_test", counting)
-        spec = spec_for({"planted": planted_split()},
+        monkeypatch.setattr(harness, "_score", counting)
+        spec = spec_for({"planted": (train, test)},
                         [LearnerSpec("cart"), LearnerSpec("knn")],
                         repeats=3, seed=9, de=FAST_DE)
         run_tuned(spec)
@@ -240,13 +243,13 @@ def reference_de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed)
     def objective(candidate):
         nonlocal calls
         calls += 1
-        return harness._score_on(fit_from(candidate.tunings), tune_set, g)
+        return harness._score(fit_from(candidate.tunings), tune_set, g)
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
                        seed_candidates=[planted])
     assert calls == run.evaluations
     return {
-        "score": harness._score_on_test(fit_from(run.best.tunings), test, g),
+        "score": harness._score(fit_from(run.best.tunings), test, g),
         "tunings": dict(run.best.tunings),
         "evaluations": run.evaluations,
         "default_tune_score": run.initial_scores[0],
@@ -296,14 +299,14 @@ class TestModelCache:
     def test_cell_holds_at_most_np_models(self, monkeypatch):
         fitted = recorded_fits(monkeypatch)
         alive = []
-        original = harness._score_on
+        original = harness._score
 
         def watching(model, data, g):
             gc.collect()
             alive.append(sum(ref() is not None for ref in fitted))
             return original(model, data, g)
 
-        monkeypatch.setattr(harness, "_score_on", watching)
+        monkeypatch.setattr(harness, "_score", watching)
         spec = spec_for({"planted": planted_split()},
                         [LearnerSpec("cart"), LearnerSpec("knn")], seed=23, de=FAST_DE)
         run_tuned(spec)
@@ -333,19 +336,20 @@ class TestRunSmotuned:
             run_smotuned(spec)
 
     def test_test_set_never_rebalanced(self, monkeypatch):
-        seen_sizes = []
-        original = harness._score_on_test
+        seen = []
+        original = harness._score
 
         def watching(model, data, g):
-            seen_sizes.append(len(data))
+            seen.append(data)
             return original(model, data, g)
 
-        monkeypatch.setattr(harness, "_score_on_test", watching)
+        monkeypatch.setattr(harness, "_score", watching)
         train, test = planted_split()
         spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
                         seed=16, de=FAST_DE)
         run_smotuned(spec)
-        assert seen_sizes == [len(test)]
+        assert [len(data) for data in seen if data is test] == [len(test)]
+        assert len({id(data) for data in seen if data is not test}) == 1  # the tuning set
 
     @staticmethod
     def spy_on_smote(monkeypatch):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectkit.errors import DegenerateDataError
-from defectkit.metrics import (GOAL_DIRECTIONS, ConfusionMatrix, accuracy, class_metrics,
-                               confusion, dist2heaven, evaluate, false_alarm, goal,
-                               inspection_areas, p_opt)
+from defectkit.metrics import GOAL_DIRECTIONS, dist2heaven, evaluate, goal, inspection_areas, p_opt
 
-from conftest import LiftCurve, lift_curve
+from conftest import LiftCurve, confusion_score, lift_curve
+
+THRESHOLD_GOALS = sorted(set(GOAL_DIRECTIONS) - {"p_opt"})
+# Scores at and either side of the 0.5 cut, so flags tie with and flip against it.
+TIED_SCORES = [0.0, 0.25, 0.4999999999999999, 0.5, 0.5000000000000001, 1.0]
 
 
 def oracle_areas(instances, predicted):
@@ -39,6 +41,13 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def oracle_evaluate(kind, labels, predicted, locs):
+    """One prediction vector's score under the goal, from the oracles."""
+    if kind == "p_opt":
+        return oracle_p_opt(list(zip(locs, labels)), predicted)
+    return confusion_score(kind, labels, predicted)
+
+
 def assert_rows_agree(g, labels, matrix, locs):
     """evaluate on a matrix returns, or raises, exactly what the 1-D call on each row does."""
     rows = [outcome(lambda row=row: evaluate(g, labels, row, locs)) for row in matrix]
@@ -49,13 +58,6 @@ def assert_rows_agree(g, labels, matrix, locs):
     assert got == rows
     if isinstance(got, list):
         assert all(type(score) is float for score in got)
-
-
-def brute_confusion(actual, predicted, n_classes):
-    grid = [[0] * n_classes for _ in range(n_classes)]
-    for a, p in zip(actual, predicted):
-        grid[a][p] += 1
-    return grid
 
 
 class TestGoalSpec:
@@ -71,68 +73,6 @@ class TestGoalSpec:
     def test_better(self):
         assert goal("dist2heaven").better(0.1, 0.2)
         assert goal("f1").better(0.9, 0.2)
-
-
-class TestConfusion:
-    def test_perfect_classifier_is_diagonal(self):
-        actual = [0, 1, 2, 3, 2, 1]
-        m = confusion(actual, actual, 4)
-        assert all(m.counts[i][j] == 0 for i in range(4) for j in range(4) if i != j)
-        assert accuracy(m) == 1.0
-
-    def test_hand_tally(self):
-        m = confusion([0, 0, 1, 1], [0, 1, 1, 1], 2)
-        assert m.counts == ((1, 1), (0, 2))
-
-    def test_empty_lists(self):
-        m = confusion([], [], 2)
-        assert m.total == 0
-        with pytest.raises(ValueError):
-            accuracy(m)
-        with pytest.raises(ValueError):
-            class_metrics(m, 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion([0, 1], [0], 2)
-
-    def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            confusion([0, 2], [0, 1], 2)
-
-    def test_matches_counting_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            n_classes = int(rng.integers(2, 5))
-            n = int(rng.integers(1, 13))
-            actual = rng.integers(0, n_classes, n).tolist()
-            predicted = rng.integers(0, n_classes, n).tolist()
-            m = confusion(actual, predicted, n_classes)
-            assert [list(row) for row in m.counts] == brute_confusion(actual, predicted,
-                                                                      n_classes)
-
-
-class TestClassMetrics:
-    def test_binary_hand_computation(self):
-        # tp=50, fn=20, fp=10, tn=20 for the defective class (1)
-        m = ConfusionMatrix(((20, 10), (20, 50)))
-        precision, recall, f1 = class_metrics(m, 1)
-        assert precision == pytest.approx(0.8333, abs=1e-4)
-        assert recall == pytest.approx(0.7143, abs=1e-4)
-        assert f1 == pytest.approx(0.7692, abs=1e-4)
-
-    def test_perfect_diagonal(self):
-        m = ConfusionMatrix(((3, 0, 0), (0, 2, 0), (0, 0, 4)))
-        for j in range(3):
-            assert class_metrics(m, j) == (1.0, 1.0, 1.0)
-
-    def test_absent_class_is_all_zero(self):
-        m = ConfusionMatrix(((2, 0, 0), (0, 3, 0), (0, 0, 0)))
-        assert class_metrics(m, 2) == (0.0, 0.0, 0.0)
-
-    def test_accuracy_hand_cases(self):
-        assert accuracy(ConfusionMatrix(((1, 1), (0, 2)))) == 0.75
-        assert accuracy(ConfusionMatrix(((1, 1), (1, 1)))) == 0.5
 
 
 class TestDist2Heaven:
@@ -307,12 +247,54 @@ class TestEvaluate:
         predicted = [0] * 20 + [1] * 10 + [1] * 50 + [0] * 20
         assert evaluate(goal("f1"), actual, predicted) == pytest.approx(0.7692, abs=1e-4)
 
+    def test_binary_hand_computation(self):
+        # tp=50, fn=20, fp=10, tn=20 for the defective class (1)
+        actual = [0] * 30 + [1] * 70
+        predicted = [0] * 20 + [1] * 10 + [1] * 50 + [0] * 20
+        assert evaluate(goal("precision"), actual, predicted) == pytest.approx(0.8333, abs=1e-4)
+        assert evaluate(goal("recall"), actual, predicted) == pytest.approx(0.7143, abs=1e-4)
+        assert evaluate(goal("f1"), actual, predicted) == pytest.approx(0.7692, abs=1e-4)
+        assert evaluate(goal("accuracy"), actual, predicted) == 0.7
+        assert evaluate(goal("dist2heaven"), actual, predicted) == dist2heaven(50 / 70, 10 / 30)
+
+    def test_hand_tally(self):
+        # tn=1, fp=1, fn=0, tp=2
+        scores = {kind: evaluate(goal(kind), [0, 0, 1, 1], [0, 1, 1, 1])
+                  for kind in THRESHOLD_GOALS}
+        assert scores == {"accuracy": 0.75, "precision": 2 / 3, "recall": 1.0, "f1": 0.8,
+                          "dist2heaven": dist2heaven(1.0, 0.5)}
+
+    def test_absent_class_is_all_zero(self):
+        # no defective module, and none flagged
+        for kind in ("precision", "recall", "f1"):
+            assert evaluate(goal(kind), [0, 0, 0], [0.1, 0.2, 0.4]) == 0.0
+        assert evaluate(goal("dist2heaven"), [0, 0, 0], [0, 0, 0]) == dist2heaven(0.0, 0.0)
+
+    def test_accuracy_hand_cases(self):
+        assert evaluate(goal("accuracy"), [0, 0, 1, 1], [0, 1, 1, 1]) == 0.75
+        assert evaluate(goal("accuracy"), [0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
+
     def test_dist2heaven_uses_false_alarm(self):
-        actual = [0, 0, 1, 1]
-        predicted = [1, 0, 1, 1]
-        m = confusion(actual, predicted, 2)
-        expected = dist2heaven(1.0, false_alarm(m))
-        assert evaluate(goal("dist2heaven"), actual, predicted) == pytest.approx(expected)
+        # one false alarm among two clean modules, every defect found
+        assert evaluate(goal("dist2heaven"), [0, 0, 1, 1], [1, 0, 1, 1]) == dist2heaven(1.0, 0.5)
+
+    def test_empty_lists(self):
+        for kind in THRESHOLD_GOALS:
+            with pytest.raises(ValueError, match="empty"):
+                evaluate(goal(kind), [], [])
+
+    def test_length_mismatch(self):
+        for kind in THRESHOLD_GOALS:
+            with pytest.raises(ValueError, match="length mismatch: 2 actual vs 1 predicted"):
+                evaluate(goal(kind), [0, 1], [0])
+            with pytest.raises(ValueError, match="length mismatch: 2 actual vs 3 predicted"):
+                evaluate(goal(kind), [0, 1], [[0, 1, 1]] * 2)
+
+    def test_out_of_range_label(self):
+        for kind in THRESHOLD_GOALS:
+            for labels in ([0, 2], [0.5, 1], [-1, 1]):
+                with pytest.raises(ValueError, match="label"):
+                    evaluate(goal(kind), labels, [0, 1])
 
     def test_p_opt_needs_locs(self):
         with pytest.raises(ValueError):
@@ -325,18 +307,34 @@ class TestEvaluate:
 
 class TestMatrixEvaluate:
     # Few distinct locs give tied locs and tied densities; loc 0 clamps to 1 in density.
+    # Raw scores at and beside 0.5 tie with the cut; labels may hold one class only.
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from(sorted(GOAL_DIRECTIONS)), st.booleans(), st.data())
-    def test_rows_equal_one_dimensional_calls(self, kind, raw, data):
+    @given(st.sampled_from(sorted(GOAL_DIRECTIONS)), st.sampled_from(["mixed", 0, 1]),
+           st.booleans(), st.data())
+    def test_rows_equal_one_dimensional_calls(self, kind, labelling, raw, data):
+        """Each matrix row and each 1-D call equals the oracle, as a Python float."""
         n = data.draw(st.integers(1, 12))
         locs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 7.0, 10.0]),
                                             st.floats(0, 1e6)), min_size=n, max_size=n))
-        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        cell = st.floats(0, 1) if raw else st.integers(0, 1)
+        labels = (data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                  if labelling == "mixed" else [labelling] * n)
+        cell = st.one_of(st.sampled_from(TIED_SCORES), st.floats(0, 1)) if raw \
+            else st.integers(0, 1)
         matrix = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                                              min_size=1, max_size=6)), dtype=float)
-        assert_rows_agree(goal(kind), labels, matrix, locs)
-        assert_rows_agree(goal(kind), labels, matrix[:1], locs)
+        g = goal(kind)
+        try:
+            expected = [oracle_evaluate(kind, labels, row, locs) for row in matrix]
+        except DegenerateDataError as exc:
+            for predicted in (matrix, *matrix):
+                with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
+                    evaluate(g, labels, predicted, locs)
+            return
+        scores = evaluate(g, labels, matrix, locs)
+        assert scores == expected and all(type(score) is float for score in scores)
+        for row, want in zip(matrix, expected):
+            score = evaluate(g, labels, row, locs)
+            assert score == want and type(score) is float
 
     @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
     @pytest.mark.parametrize("locs,labels,width", [

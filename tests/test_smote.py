@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from defectkit.dataset import Dataset, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit.harness import SMOTE_SPACE
-from defectkit.smote import (K_MAX, M_CHOICES, NeighbourMemo, SmoteConfig, _segment_draws,
-                             apply, minkowski)
+from defectkit.smote import K_MAX, M_CHOICES, NeighbourMemo, SmoteConfig, _segment_draws, apply
 
 from conftest import make_dataset, same_data
 
@@ -40,26 +39,6 @@ def imbalanced(n_minority=6, n_majority=24, seed=0, n_features=3):
     labels = np.array([1] * n_minority + [0] * n_majority)
     locs = rng.integers(1, 100, n_minority + n_majority).astype(float)
     return make_dataset(features, labels, loc=locs)
-
-
-class TestMinkowski:
-    def test_euclidean_3_4_5(self):
-        assert minkowski((0, 0), (3, 4), 2) == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert minkowski((0, 0), (3, 4), 1) == pytest.approx(7.0)
-
-    def test_identical_vectors(self):
-        for r in (0.5, 1, 2, 5):
-            assert minkowski((1.5, 2.5, 3.5), (1.5, 2.5, 3.5), r) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            minkowski((0, 0), (1, 2, 3), 2)
-
-    def test_non_positive_power(self):
-        with pytest.raises(ValueError):
-            minkowski((0, 0), (1, 1), 0)
 
 
 class TestConfig:

@@ -224,8 +224,15 @@ class TestOptimize:
 
     def test_best_ever_equals_best_of_final_population(self):
         for seed in (1, 5, 13):
-            run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=seed))
-            assert run.best.score == max(c.score for c in run.final_population)
+            returned = []
+
+            def recording(c: Candidate) -> float:
+                returned.append(quadratic(c))
+                return returned[-1]
+
+            run = run_de(QUADRATIC_SPACE, recording, "maximize", DEConfig(seed=seed))
+            assert len(returned) == run.evaluations
+            assert run.best.score == max(returned)
 
     def test_reproducible(self):
         a = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=21))
@@ -249,12 +256,16 @@ class TestOptimize:
             run_de(QUADRATIC_SPACE, quadratic, "upward", DEConfig())
 
     def test_mixed_space_run_stays_in_range(self):
+        seen = []
+
         def objective(c: Candidate) -> float:
+            seen.append(dict(c.tunings))
             return (c.tunings["x"] + c.tunings["n"] + c.tunings["flag"]
                     + ("abc".index(c.tunings["mode"])))
         run = run_de(MIXED_SPACE, objective, "maximize", DEConfig(seed=3))
-        for candidate in run.final_population:
+        assert len(seen) == run.evaluations
+        for tunings in seen:
             for spec in MIXED_SPACE:
-                assert spec.contains(candidate.tunings[spec.name])
+                assert spec.contains(tunings[spec.name])
         assert run.best.tunings["mode"] == "c"
         assert run.best.tunings["flag"] is True
