@@ -118,12 +118,11 @@ class FFTEnsemble:
         return self.trees[self.best]
 
 
-def median_split(data: Dataset, attribute: int) -> float:
-    """Attribute threshold: the lower median (value at index (n-1)//2 after sort)."""
+def median_split(data: Dataset) -> np.ndarray:
+    """Each attribute's threshold: its lower median (row (n-1)//2 of the column-sorted data)."""
     if not len(data):
         raise ValueError("cannot take a median of no data")
-    values = np.sort(data.features[:, attribute])
-    return float(values[(len(values) - 1) // 2])
+    return np.sort(data.features, axis=0)[(len(data) - 1) // 2]
 
 
 def _majority(labels: np.ndarray, fallback: int = CLEAN) -> int:
@@ -132,44 +131,47 @@ def _majority(labels: np.ndarray, fallback: int = CLEAN) -> int:
     return int(np.bincount(labels, minlength=2).argmax())
 
 
-def _ranked(data: Dataset, goal: GoalSpec) -> list[Range]:
-    """All four median-split ranges of every attribute, best-scoring first.
+def _best_ranges(data: Dataset, goal: GoalSpec) -> tuple[Range, Range]:
+    """The best median-split range exiting to each class: (clean exit, defective exit).
 
     A range alone is a one-rule model: matches get its class, the rest the
     opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and the
     node's 2F distinct vectors are scored in one matrix call to `evaluate`.
+    Ties go to the lowest attribute, then to <= over >.
     """
-    thresholds = [median_split(data, a) for a in range(data.features.shape[1])]
+    thresholds = median_split(data)
     below = (data.features <= thresholds).T
     # Row 2a + c predicts class c where attribute a is at most its median.
     scores = evaluate(goal, data.labels, np.stack((~below, below), axis=1).reshape(-1, len(data)),
                       data.locs)
-    sign = 1.0 if goal.direction == MINIMIZE else -1.0
-    return sorted((Range(a, relation, t, c if relation == LE else 1 - c, scores[2 * a + c])
-                   for a, t in enumerate(thresholds) for c in (CLEAN, DEFECTIVE)
-                   for relation in (LE, GT)),
-                  key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
+    signed = np.reshape(scores, (-1, 2)) * (1.0 if goal.direction == MINIMIZE else -1.0)
+    best = []
+    for c in (CLEAN, DEFECTIVE):
+        # Flat index 2a + g: attribute a's (<=, c) range for g = 0, its (>, c) range for g = 1.
+        a, g = divmod(int(np.argmin(signed[:, (c, 1 - c)])), 2)
+        best.append(Range(a, (LE, GT)[g], float(thresholds[a]), c, scores[2 * a + (c ^ g)]))
+    return tuple(best)
 
 
 def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels: tuple,
           trees: dict) -> dict:
     """Add to `trees`, and return it, each tree in `ids`; all share the exits in `levels`.
 
-    `node` is the data those levels leave undecided.  It is scored and ranked
-    once, then each exit class some id takes next gets its best range.  When
-    the node runs out (empty or single-class) every id under it closes early.
+    `node` is the data those levels leave undecided.  It is scored once, then
+    each exit class some id takes next gets its best range.  When the node
+    runs out (empty or single-class) every id under it closes early.
     """
     level, names = len(levels), data.schema.feature_names
-    if level == depth or len(np.unique(node.labels)) < 2:
+    if level == depth or not 0 < node.labels.sum() < len(node):
         leaf = _majority(node.labels, _majority(data.labels))
         trees.update((sid, FFTree(levels, (leaf, leaf), sid, names)) for sid in ids)
         return trees
-    ranked = _ranked(node, goal)
+    ranges = _best_ranges(node, goal)
     for exit_class in (CLEAN, DEFECTIVE):
         branch = [sid for sid in ids if (sid >> level) & 1 == exit_class]
         if not branch:
             continue
-        best = next(r for r in ranked if r.predicted == exit_class)
+        best = ranges[exit_class]
         path = levels + ((best, exit_class),)
         if level == depth - 1:
             trees[branch[0]] = FFTree(path, (exit_class, 1 - exit_class), branch[0], names)
@@ -186,7 +188,7 @@ def fit(data: Dataset, goal: GoalSpec, depth: int = 4) -> FFTEnsemble:
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if len(np.unique(data.labels)) < 2:
+    if not 0 < data.labels.sum() < len(data):
         raise DegenerateDataError("fitting needs both classes present")
     grown = _grow(data, data, goal, depth, range(2 ** depth), (), {})
     trees = tuple(grown[sid] for sid in range(2 ** depth))

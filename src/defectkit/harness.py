@@ -72,6 +72,10 @@ class ExperimentSpec:
             raise ConfigError("no datasets configured")
         if not self.learners:
             raise ConfigError("no learners configured")
+        kinds = [lspec.kind for lspec in self.learners]
+        for kind in kinds:
+            if kinds.count(kind) > 1:  # its rows would merge into one report cell
+                raise ConfigError(f"learner {kind!r} is listed more than once")
 
 
 @dataclass
@@ -90,6 +94,13 @@ class ResultRow:
 # The JSON values each ResultRow annotation admits: an int is a float, a bool is neither.
 # A float must also be finite: not NaN, not infinite, and no integer too large to convert.
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
+
+
+def _median(values: list) -> float:
+    """np.median of the values, exactly: the middle one, or the mean of the middle two."""
+    ordered = sorted(map(float, values))
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 @dataclass
@@ -113,10 +124,10 @@ class ExperimentResult:
         return {key: float(reducer(values)) for key, values in cells.items()}
 
     def aggregates(self) -> dict[tuple[str, str], float]:
-        return self._per_cell("score", np.median if self.aggregate_kind == "median" else np.mean)
+        return self._per_cell("score", _median if self.aggregate_kind == "median" else np.mean)
 
     def runtimes(self) -> dict[tuple[str, str], float]:
-        return self._per_cell("duration", np.median)
+        return self._per_cell("duration", _median)
 
     @property
     def tuned(self) -> bool:

@@ -166,31 +166,31 @@ class _Cart:
         min_split = self.params["min_sample_split"]
         min_leaf = self.params["min_samples_leaf"]
         max_leaves = self.params["max_leaf_nodes"]
-        self.root = _TreeNode(float(labels.mean()))
         heap = []
         counter = 0
 
-        # `key` is a node's (min_samples_leaf, split path from the root).
-        def consider(node, key, feats, labs):
+        # `key` is a node's (min_samples_leaf, split path from the root); its
+        # probability is its positive count over its size, as labs.mean() is.
+        def consider(key, feats, labs):
             nonlocal counter
-            if len(labs) < min_split or labs.min() == labs.max():
-                return
-            split = self._split(key, feats, labs, self._feature_sample(feats.shape[1], rng))
-            if split is not None:
-                heapq.heappush(heap, (-split[0], counter, node, key, split, feats, labs))
-                counter += 1
+            pos = int(np.count_nonzero(labs))
+            node = _TreeNode(pos / len(labs))
+            if len(labs) >= min_split and 0 < pos < len(labs):
+                split = self._split(key, feats, labs, self._feature_sample(feats.shape[1], rng))
+                if split is not None:
+                    heapq.heappush(heap, (-split[0], counter, node, key, split, feats, labs))
+                    counter += 1
+            return node
 
-        consider(self.root, (min_leaf,), features, labels)
+        self.root = consider((min_leaf,), features, labels)
         leaves = 1
         while heap and leaves < max_leaves:
             _, _, node, key, (gain, f, threshold), feats, labs = heapq.heappop(heap)
             mask = feats[:, f] <= threshold
             node.feature, node.threshold = f, threshold
-            node.left = _TreeNode(float(labs[mask].mean()))
-            node.right = _TreeNode(float(labs[~mask].mean()))
             leaves += 1
-            consider(node.left, (key, f, threshold, True), feats[mask], labs[mask])
-            consider(node.right, (key, f, threshold, False), feats[~mask], labs[~mask])
+            node.left = consider((key, f, threshold, True), feats[mask], labs[mask])
+            node.right = consider((key, f, threshold, False), feats[~mask], labs[~mask])
         return self
 
     def prob(self, features: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = Non
     if context.data is not data:
         raise ValueError("a CellContext serves fits on its own training set only")
     learner = _LEARNERS[spec.kind]
-    if learner.needs_both_classes and len(np.unique(data.labels)) < 2:
+    if learner.needs_both_classes and not 0 < data.labels.sum() < len(data):
         raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
     params = spec.resolved()
     return decide(Model(spec.kind, data.schema.feature_names, 0.5,
@@ -255,17 +255,16 @@ def _fit_forest(params, features, labels, seed, splits):
 
 
 def _fit_naive_bayes(features, labels):
-    classes = np.unique(labels)
+    classes = np.flatnonzero(np.bincount(labels, minlength=2)).tolist()
     priors, means, variances = {}, {}, {}
     overall_var = features.var(axis=0).max() if features.size else 1.0
     smoothing = 1e-9 * max(overall_var, 1.0)
     for c in classes:
         rows = features[labels == c]
-        priors[int(c)] = len(rows) / len(labels)
-        means[int(c)] = rows.mean(axis=0)
-        variances[int(c)] = rows.var(axis=0) + smoothing
-    return {"classes": [int(c) for c in classes], "priors": priors,
-            "means": means, "vars": variances}
+        priors[c] = len(rows) / len(labels)
+        means[c] = rows.mean(axis=0)
+        variances[c] = rows.var(axis=0) + smoothing
+    return {"classes": classes, "priors": priors, "means": means, "vars": variances}
 
 
 def _fit_logistic(features, labels):
@@ -273,11 +272,17 @@ def _fit_logistic(features, labels):
     y = labels.astype(float)
     w = np.zeros(x.shape[1])
     b = 0.0
+    # Each epoch is p = 1 / (1 + exp(-(x @ w + b))), err = p - y, then
+    # w -= rate * (x.T @ err) / n and b -= rate * err.mean(), in place.
+    err, step = np.empty(len(y)), np.empty(x.shape[1])
     for _ in range(GD_EPOCHS):
-        p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
-        err = p - y
-        w -= GD_LEARNING_RATE * (x.T @ err) / len(y)
-        b -= GD_LEARNING_RATE * err.mean()
+        np.add(np.matmul(x, w, out=err), b, out=err)
+        np.exp(np.negative(err, out=err), out=err)
+        np.divide(1.0, np.add(err, 1.0, out=err), out=err)
+        err -= y
+        np.multiply(np.matmul(x.T, err, out=step), GD_LEARNING_RATE, out=step)
+        w -= np.divide(step, len(y), out=step)
+        b -= GD_LEARNING_RATE * (np.add.reduce(err) / len(y))
     return {"mean": mean, "std": std, "w": w, "b": b}
 
 

@@ -82,7 +82,7 @@ def inspection_areas(locs, labels, predicted) -> tuple:
         raise ValueError(f"{rows.shape[-1]} predictions for {len(locs)} instances")
     if not (np.isfinite(locs) & (locs >= 0)).all():
         raise ValueError("every loc must be finite and non-negative")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("every label must be 0 or 1")
     if locs.sum() <= 0:
         raise DegenerateDataError("total loc is zero; effort axis undefined")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,18 @@ class TestErrorPaths:
         assert main(["untuned", "--manifest", str(manifest),
                      "--learner", "perceptron"]) == 2
 
+    @pytest.mark.parametrize("kinds", ["cart,random_forest,cart", "fft,fft"])
+    def test_repeated_learner_is_config_error(self, tmp_path, capsys, monkeypatch, kinds):
+        # Two cells with one (dataset, method, repeat) would merge into one report cell.
+        manifest = make_project(tmp_path)
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["untuned", "--manifest", str(manifest), "--learner", kinds,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        repeated = kinds.split(",")[-1]
+        assert err.startswith("configuration error:") and f"'{repeated}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_single_version_project(self, tmp_path):
         (tmp_path / "p-1.0.csv").write_text("wmc,loc,bug\n1,2,0\n", encoding="utf-8")
         manifest = tmp_path / "manifest.json"
@@ -276,3 +292,33 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "'p'" in err and "p-1.0.csv" in err
+
+
+# Runs every command through cli.main in a fresh interpreter, then reports
+# whether numpy.ma was ever imported (np.unique and np.median import it lazily).
+RUN_EVERY_COMMAND = """
+import json, sys
+from defectkit.cli import main
+manifest, out = sys.argv[1:]
+tuned = ["--np", "4", "--life", "1", "--manifest", manifest]
+codes = [main(["untuned", "--goal", "popt", "--manifest", manifest,
+               "--learner", "cart,random_forest,naive_bayes,logistic,knn,linear_svm,fft"]),
+         main(["tune", "--learner", "cart,naive_bayes,fft", "--repeats", "2"] + tuned),
+         main(["kfold-tune", "--goal", "popt", "--learner", "fft", "--folds", "2"] + tuned),
+         main(["smotuned", "--learner", "naive_bayes", "--out", out] + tuned),
+         main(["report", "--out", out, "--runtime"])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+class TestImportCost:
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # A subprocess: other tests import numpy.ma into this interpreter.
+        root = Path(__file__).resolve().parent.parent
+        manifest = make_project(tmp_path, n_per_version=30)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", RUN_EVERY_COMMAND, str(manifest),
+                               str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 5, "numpy.ma": False}

@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from defectkit import fft
 from defectkit.dataset import CLEAN, DEFECTIVE
 from defectkit.errors import DegenerateDataError
-from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, _ranked, fit, median_split,
+from defectkit.fft import (GT, LE, FFTEnsemble, FFTree, Range, _best_ranges, fit, median_split,
                            tree_from_text)
-from defectkit.metrics import GOAL_DIRECTIONS, evaluate, goal
+from defectkit.metrics import GOAL_DIRECTIONS, MINIMIZE, GoalSpec, evaluate, goal
 
 from conftest import make_dataset, planted_dataset
 
@@ -33,6 +33,56 @@ def interpret_rules(text, names, row):
         if hit:
             return classes[klass]
     raise AssertionError("rule list had no final else")
+
+
+def lower_median(data, attribute):
+    """One attribute's threshold from its own sort: the value at index (n-1)//2."""
+    if not len(data):
+        raise ValueError("cannot take a median of no data")
+    values = np.sort(data.features[:, attribute])
+    return float(values[(len(values) - 1) // 2])
+
+
+def _ranked(data, goal: GoalSpec) -> list[Range]:
+    """All four median-split ranges of every attribute, best-scoring first (the node oracle).
+
+    A range alone is a one-rule model: matches get its class, the rest the
+    opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and the
+    node's 2F distinct vectors are scored in one matrix call to `evaluate`.
+    """
+    thresholds = [lower_median(data, a) for a in range(data.features.shape[1])]
+    below = (data.features <= thresholds).T
+    # Row 2a + c predicts class c where attribute a is at most its median.
+    scores = evaluate(goal, data.labels, np.stack((~below, below), axis=1).reshape(-1, len(data)),
+                      data.locs)
+    sign = 1.0 if goal.direction == MINIMIZE else -1.0
+    return sorted((Range(a, relation, t, c if relation == LE else 1 - c, scores[2 * a + c])
+                   for a, t in enumerate(thresholds) for c in (CLEAN, DEFECTIVE)
+                   for relation in (LE, GT)),
+                  key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
+
+
+def first_per_exit_class(ranked):
+    """The first range of a ranking that exits to each class: (clean, defective)."""
+    return tuple(next(r for r in ranked if r.predicted == c) for c in (CLEAN, DEFECTIVE))
+
+
+def outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tie_heavy_nodes(draw):
+    """A node of 0-12 rows over 1-4 attributes valued 0..3, any labels, locs 0..5."""
+    n, n_features = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * n_features, max_size=n * n_features))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    locs = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return make_dataset(np.array(cells, dtype=float).reshape(n, n_features), labels, loc=locs)
 
 
 def reference_ranges(features, labels, locs, g):
@@ -103,26 +153,29 @@ def fig_tree():
 
 class TestMedianSplit:
     def test_odd_count(self):
-        assert median_split(make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1]), 0) == 2.0
+        assert median_split(make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1]))[0] == 2.0
 
     def test_even_count_lower_median(self):
         data = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-        assert median_split(data, 0) == 2.0
+        assert median_split(data)[0] == 2.0
 
     def test_constant_column(self):
-        assert median_split(make_dataset([[7.0], [7.0], [7.0]], [0, 1, 0]), 0) == 7.0
+        assert median_split(make_dataset([[7.0], [7.0], [7.0]], [0, 1, 0]))[0] == 7.0
 
     def test_empty(self):
         data = make_dataset([[1.0]], [0]).subset([])
         with pytest.raises(ValueError):
-            median_split(data, 0)
+            median_split(data)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            values = rng.integers(0, 50, int(rng.integers(1, 15))).astype(float)
-            data = make_dataset(values.reshape(-1, 1), np.zeros(len(values), dtype=int))
-            assert median_split(data, 0) == sorted(values)[(len(values) - 1) // 2]
+            n, n_features = int(rng.integers(1, 15)), int(rng.integers(1, 5))
+            values = rng.integers(0, 50, (n, n_features)).astype(float)
+            data = make_dataset(values, np.zeros(n, dtype=int))
+            # Every column (loc too) gets the median its own sort gives.
+            assert median_split(data).tolist() == [lower_median(data, a)
+                                                   for a in range(data.features.shape[1])]
 
 
 class TestScoreRanges:
@@ -130,6 +183,7 @@ class TestScoreRanges:
         best = _ranked(separator6, D2H)[0]
         assert best.score == 0.0
         assert best.attribute == 0
+        assert [(r.attribute, r.score) for r in _best_ranges(separator6, D2H)] == [(0, 0.0)] * 2
 
     def test_random_attribute_scores_worse_than_planted(self):
         rng = np.random.default_rng(2)
@@ -139,6 +193,7 @@ class TestScoreRanges:
         data = make_dataset(np.column_stack([planted, noise]), labels)
         ranked = _ranked(data, D2H)
         assert ranked[0].attribute == 0
+        assert [r.attribute for r in _best_ranges(data, D2H)] == [0, 0]
         planted_best = min(r.score for r in ranked if r.attribute == 0)
         noise_best = min(r.score for r in ranked if r.attribute == 1)
         assert planted_best < noise_best
@@ -150,6 +205,7 @@ class TestScoreRanges:
             np.column_stack([separator6.features[:, 0], np.full(6, 3.0)]),
             separator6.labels)
         assert _ranked(data, D2H)[0].attribute == 0
+        assert [r.attribute for r in _best_ranges(data, D2H)] == [0, 0]
 
     def test_single_class_rejected(self):
         data = make_dataset([[1.0], [2.0]], [1, 1])
@@ -161,6 +217,16 @@ class TestScoreRanges:
         scores = [r.score for r in ranked]
         assert scores == sorted(scores)
         assert len(ranked) == 4 * len(separator6.schema.feature_names)
+
+    @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(node=tie_heavy_nodes())
+    def test_best_ranges_equal_first_ranked_per_exit_class(self, kind, node):
+        # Empty and single-class nodes never reach _best_ranges in a fit; here both
+        # sides must then raise alike, or agree.
+        g = goal(kind)
+        assert outcome(lambda: _best_ranges(node, g)) \
+            == outcome(lambda: first_per_exit_class(_ranked(node, g)))
 
 
 class TestBuildTree:
@@ -225,18 +291,18 @@ class TestFit:
     def test_one_evaluate_call_per_ranked_node_plus_tree_scores(self, kind, monkeypatch):
         data = planted_dataset(n=80, n_noise=3, seed=4)
         calls, nodes = [], []
-        evaluate_, ranked = fft.evaluate, fft._ranked
+        evaluate_, best_ranges = fft.evaluate, fft._best_ranges
 
         def counting_evaluate(g, actual, predicted, locs=None):
             calls.append(np.shape(predicted))
             return evaluate_(g, actual, predicted, locs)
 
-        def counting_ranked(node, g):
+        def counting_best_ranges(node, g):
             nodes.append((2 * node.features.shape[1], len(node)))
-            return ranked(node, g)
+            return best_ranges(node, g)
 
         monkeypatch.setattr(fft, "evaluate", counting_evaluate)
-        monkeypatch.setattr(fft, "_ranked", counting_ranked)
+        monkeypatch.setattr(fft, "_best_ranges", counting_best_ranges)
         fit(data, goal(kind), 4)
         assert len(nodes) > 1
         assert calls == nodes + [(16, len(data))]
@@ -255,6 +321,7 @@ class TestFit:
         for data in cases:
             assert _ranked(data, g) == reference_ranges(data.features, data.labels,
                                                         data.locs, g)
+            assert _best_ranges(data, g) == first_per_exit_class(_ranked(data, g))
             for depth in range(1, 6):
                 try:
                     expected = reference_fit(data, g, depth)

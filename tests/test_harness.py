@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import defectkit.harness as harness
 from defectkit import tuner
@@ -52,6 +53,13 @@ class TestSpecValidation:
     def test_repeats_must_be_positive(self):
         with pytest.raises(ConfigError):
             spec_for({"d": planted_split()}, [LearnerSpec("cart")], repeats=0)
+
+    @pytest.mark.parametrize("params", [{}, {"max_leaf_nodes": 5}])
+    def test_repeated_learner_kind_rejected(self, params):
+        # Both cart cells would write rows ("d", "cart", 0) that merge in the report.
+        with pytest.raises(ConfigError, match="'cart' is listed more than once"):
+            spec_for({"d": planted_split()}, [LearnerSpec("cart"), LearnerSpec("fft"),
+                                              LearnerSpec("cart", params)])
 
     def test_datasets_required(self):
         with pytest.raises(ConfigError):
@@ -459,6 +467,16 @@ class TestReport:
         again = ExperimentResult.from_json(result.to_json())
         assert [vars(r) for r in again.rows] == [vars(r) for r in result.rows]
         assert again.goal == result.goal
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 3.0]), st.integers(-9, 9),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=9))
+    def test_median_helper_equals_np_median(self, values):
+        # Tied values and odd and even lengths; a pair's mean may overflow to inf in both.
+        with np.errstate(over="ignore"):
+            expected = float(np.median(values))
+        assert harness._median(values) == expected
 
     def test_median_matches_sort_oracle(self):
         rows = [harness.ResultRow("d", "m", i, s, 0.0)

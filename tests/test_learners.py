@@ -320,6 +320,31 @@ class TestLinearSvm:
         assert model.state["b"] == b
 
 
+def per_epoch_logistic(features, labels):
+    """The logistic fit that allocates fresh arrays on every epoch (the oracle)."""
+    _, _, x = learners._z_stats(features)
+    y = labels.astype(float)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(learners.GD_EPOCHS):
+        p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
+        err = p - y
+        w -= learners.GD_LEARNING_RATE * (x.T @ err) / len(y)
+        b -= learners.GD_LEARNING_RATE * err.mean()
+    return w, b
+
+
+class TestLogistic:
+    @pytest.mark.parametrize("n,n_noise,seed,gap", [(300, 8, 21, 0.3), (37, 1, 3, 2.0),
+                                                    (160, 20, 1, 1.0)])
+    def test_weights_equal_per_epoch_fit(self, n, n_noise, seed, gap):
+        data = planted_dataset(n=n, n_noise=n_noise, seed=seed, gap=gap)
+        model = fit(LearnerSpec("logistic"), data, seed=0)
+        w, b = per_epoch_logistic(data.features, data.labels)
+        assert (model.state["w"] == w).all()
+        assert model.state["b"] == b
+
+
 def one_shot_knn(state, x):
     """knn scores from one n_test x n_train x F distance array (the chunking oracle)."""
     z = (x - state["mean"]) / state["std"]
