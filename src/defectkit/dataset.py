@@ -121,7 +121,7 @@ def load_csv(path) -> Dataset:
     negative loc values, are rejected with their row and column.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -220,12 +220,23 @@ def row_chunks(n_rows: int, row_terms: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
-def memo_get(memo: dict, key, size: int, make):
-    """memo[key], stored by make() on a miss; `memo` keeps its `size` most recently used."""
-    memo[key] = memo.pop(key) if key in memo else make()
-    if len(memo) > size:
-        del memo[next(iter(memo))]
-    return memo[key]
+class Memo:
+    """Work that calls on one dataset share (fitted models, CART split searches, SMOTE neighbour
+    tables): `get` keeps at most `size` `entries`, made on a miss, least recently used first."""
+
+    def __init__(self, data, size: int):
+        self.data, self.size, self.entries = data, size, {}
+
+    def get(self, key, make):
+        self.entries[key] = self.entries.pop(key) if key in self.entries else make()
+        if len(self.entries) > self.size:
+            del self.entries[next(iter(self.entries))]
+        return self.entries[key]
+
+    def serving(self, data) -> "Memo":
+        if data is not self.data:
+            raise ValueError("a Memo serves its own dataset only")
+        return self
 
 
 def nearest(queries: np.ndarray, points: np.ndarray, k: int, r: float,

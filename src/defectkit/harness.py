@@ -5,9 +5,9 @@ training data 80/20 into new-training and tuning sets, let differential
 evolution pick parameters by the goal score on the tuning set, and score
 the winner's model, fitted on new-training, once on the held-out test set.
 Candidates that differ only in decision-time tunings (`threshold`, knn's
-`k`) share one fit, each cell caches at most `np` (the DE population size)
-fitted models, and a tuned cell's fits share one learners.CellContext; a
-smotuned cell's SMOTE calls share its neighbour tables (smote.NeighbourMemo).
+`k`) share one fit.  Each cell keeps its shared work in a dataset.Memo: at
+most `np` (the DE population size) fitted models, a tuned cell's CART split
+searches, and a smotuned cell's SMOTE neighbour tables.
 The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import learners, smote, tuner
-from .dataset import Dataset, kfold, memo_get, random_split
+from .dataset import Dataset, Memo, kfold, random_split
 from .errors import ConfigError, DegenerateDataError
 from .metrics import GoalSpec, evaluate, goal as make_goal
 from .smote import SmoteConfig
@@ -129,10 +129,6 @@ class ExperimentResult:
     def runtimes(self) -> dict[tuple[str, str], float]:
         return self._per_cell("duration", _median)
 
-    @property
-    def tuned(self) -> bool:
-        return any(r.tunings is not None for r in self.rows)
-
     def to_json(self) -> str:
         payload = {
             "goal": self.goal.kind,
@@ -163,7 +159,13 @@ class ExperimentResult:
                         or kind == "float" and not abs(value) <= sys.float_info.max:
                     finite = " and finite" if kind == "float" else ""
                     raise ValueError(f"a row's {f.name} must be {kind}{finite}, got {value!r}")
-        return cls(make_goal(payload.get("goal")), rows, payload["aggregate_kind"])
+            for name in ("repeat", "duration"):  # a repeat index and a time in seconds
+                if (value := getattr(r, name)) < 0:
+                    raise ValueError(f"a row's {name} must be non-negative, got {value!r}")
+        g = make_goal(payload.get("goal"))
+        if not rows:
+            raise ValueError("'rows' must hold at least one row")
+        return cls(g, rows, payload["aggregate_kind"])
 
 
 def _score(model, data: Dataset, g: GoalSpec) -> float:
@@ -223,13 +225,13 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     cell keeps the de_cfg.np most recently used models.
     """
     calls = 0
-    models: dict[tuple, learners.Model] = {}  # least recently used first
+    models = Memo(None, de_cfg.np)  # its models come from no one dataset: nothing calls serving
 
     def model_for(tunings: dict) -> learners.Model:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
         key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
                     if name not in space.decision)
-        model = memo_get(models, key, de_cfg.np, lambda: fit_from(tunings))
+        model = models.get(key, lambda: fit_from(tunings))
         return learners.decide(model, {name: tunings[name] for name in space.decision})
 
     def objective(candidate: tuner.Candidate) -> float:
@@ -256,11 +258,10 @@ def _rebalanced(spec: ExperimentSpec, data: Dataset, seed: int) -> Dataset:
 def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
     """DE over the learner's own parameter space, its defaults planted."""
     new_train = _rebalanced(spec, new_train, seed)
-    context = learners.CellContext(new_train)
+    memo = Memo(new_train, learners.SPLIT_MEMO_NODES)
     return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
                     lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
-                                                 new_train, seed, goal=spec.goal,
-                                                 context=context),
+                                                 new_train, seed, goal=spec.goal, memo=memo),
                     tune_set, test, spec.goal, spec.de, seed)
 
 
@@ -293,10 +294,10 @@ def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     def body(lspec, train, test, seed):
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
         # Rejected DE trials push the population's r out of an np-sized memo.
-        memo = smote.NeighbourMemo(new_train, 2 * spec.de.np)
+        memo = Memo(new_train, 2 * spec.de.np)
 
         def fit_from(tunings):
-            # No shared CellContext: every candidate fits on its own rebalanced data.
+            # No shared split memo: every candidate fits on its own rebalanced data.
             cfg = SmoteConfig(tunings["k"], tunings["m"], tunings["r"], seed)
             return learners.fit(lspec, smote.apply(new_train, cfg, memo), seed, goal=spec.goal)
 
@@ -318,7 +319,7 @@ def report(result: ExperimentResult, fmt: str = "table",
     if fmt not in ("table", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     if include_runtime is None:
-        include_runtime = result.tuned
+        include_runtime = any(r.tunings is not None for r in result.rows)  # a tuned run
     aggregates, runtimes = result.aggregates(), result.runtimes()
     # Every rendering reads these cells: per dataset, one (score x100, is best,
     # runtime) per method, or None where the result has no row for it.  The

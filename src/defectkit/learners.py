@@ -9,7 +9,7 @@ The SVM here is linear only: a hinge-loss classifier trained by
 deterministic subgradient descent with regularisation 1/C.
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
-sets them.  Fits on one training set can share a CellContext (a split memo).
+sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import Dataset, memo_get, nearest
+from .dataset import Dataset, Memo, nearest
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -64,18 +64,6 @@ class Model:
     feature_names: tuple[str, ...]
     threshold: float
     state: Any
-
-
-class CellContext:
-    """Work the fits on one training set share: the CART/forest split memo.
-
-    `splits` maps (split path from the root, which fixes a node's rows on
-    `data`, and min_samples_leaf) to each feature's best gain (NaN until
-    searched) and threshold there, least recently used first.
-    """
-
-    def __init__(self, data: Dataset):
-        self.data, self.splits = data, {}
 
 
 def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,10 +124,10 @@ def _best_split(features, labels, candidates, min_samples_leaf):
 class _Cart:
     """Entropy CART grown best-first up to max_leaf_nodes leaves."""
 
-    def __init__(self, params: dict, seed: int, splits: dict):
+    def __init__(self, params: dict, seed: int, memo: Memo):
         self.params = params
         self.seed = seed
-        self.splits = splits
+        self.memo = memo
         self.root = None
 
     def _feature_sample(self, n_features: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,8 +138,8 @@ class _Cart:
 
     def _split(self, key, feats, labs, candidates):
         """(gain, feature, threshold) of the best split, or None; ties take the lowest feature."""
-        gains, thresholds = memo_get(self.splits, key, SPLIT_MEMO_NODES,
-                                     lambda: np.full((2, feats.shape[1]), np.nan))
+        # The node's memo entry: each feature's best gain (NaN until searched) and threshold.
+        gains, thresholds = self.memo.get(key, lambda: np.full((2, feats.shape[1]), np.nan))
         todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
         if len(todo):
             gains[todo], thresholds[todo] = _best_split(feats, labs, todo,
@@ -169,8 +157,8 @@ class _Cart:
         heap = []
         counter = 0
 
-        # `key` is a node's (min_samples_leaf, split path from the root); its
-        # probability is its positive count over its size, as labs.mean() is.
+        # `key` is a node's (min_samples_leaf, split path from the root: it fixes the node's
+        # rows on the memo's data); its probability is pos / len(labs), as labs.mean() is.
         def consider(key, feats, labs):
             nonlocal counter
             pos = int(np.count_nonzero(labs))
@@ -207,32 +195,22 @@ class _Cart:
                 stack.append((node.right, idx[~mask]))
         return out
 
-    def structure(self):
-        """Nested tuples describing the tree shape (tests compare these)."""
-        def walk(node):
-            if node.feature is None:
-                return ("leaf", round(node.prob, 12))
-            return (node.feature, node.threshold, walk(node.left), walk(node.right))
-        return walk(self.root)
-
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = None,
-        context: CellContext | None = None) -> Model:
+        memo: Memo | None = None) -> Model:
     """Train spec.kind on the data; deterministic given (spec, data, seed).
 
-    Fits on the same data may share a `context`; else the fit makes its own.
+    Fits on the same data may share a split `memo`; else the fit makes its own.
     """
     if not len(data):
         raise ValueError("cannot fit on an empty dataset")
-    context = context or CellContext(data)
-    if context.data is not data:
-        raise ValueError("a CellContext serves fits on its own training set only")
+    memo = (memo or Memo(data, SPLIT_MEMO_NODES)).serving(data)
     learner = _LEARNERS[spec.kind]
     if learner.needs_both_classes and not 0 < data.labels.sum() < len(data):
         raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
     params = spec.resolved()
     return decide(Model(spec.kind, data.schema.feature_names, 0.5,
-                        learner.fit(params, data, seed, goal, context.splits)), params)
+                        learner.fit(params, data, seed, goal, memo)), params)
 
 
 def decide(model: Model, tunings: dict) -> Model:
@@ -243,14 +221,14 @@ def decide(model: Model, tunings: dict) -> Model:
     return model
 
 
-def _fit_forest(params, features, labels, seed, splits):
+def _fit_forest(params, features, labels, seed, memo):
     # Trees differ through per-split feature sampling with per-tree seeds
     # (seed + index), not bootstrapping, so a one-tree forest at
     # max_feature=1.0 is exactly the CART build.  With every feature
     # sampled the builds are identical, and one tree's vote is the forest's.
     if params["max_feature"] >= 1.0:
-        return [_Cart(params, seed, splits).fit(features, labels)]
-    return [_Cart(params, seed + i, splits).fit(features, labels)
+        return [_Cart(params, seed, memo).fit(features, labels)]
+    return [_Cart(params, seed + i, memo).fit(features, labels)
             for i in range(params["n_estimators"])]
 
 
@@ -369,12 +347,12 @@ _RF_DIMS = (
 _LEARNERS = {
     "cart": _Learner(
         ParamSpace(_RF_DIMS, _DECIDED),
-        lambda p, data, seed, _, splits: _Cart(p, seed, splits).fit(data.features, data.labels),
+        lambda p, data, seed, _, memo: _Cart(p, seed, memo).fit(data.features, data.labels),
         lambda cart, x: cart.prob(x)),
     "random_forest": _Learner(
         ParamSpace(_RF_DIMS + (ParamSpec("n_estimators", INTEGER, 50, 150, default=100),),
                    _DECIDED),
-        lambda p, data, seed, _, splits: _fit_forest(p, data.features, data.labels, seed, splits),
+        lambda p, data, seed, _, memo: _fit_forest(p, data.features, data.labels, seed, memo),
         _score_forest),
     "naive_bayes": _Learner(
         ParamSpace((_THRESHOLD,), _DECIDED),

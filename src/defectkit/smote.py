@@ -9,7 +9,7 @@ Tuning k, m, r with differential evolution is what the harness calls a
 "smotuned" run.  Each synthetic row draws a minority index, a neighbour rank
 and u, in that order, from default_rng(cfg.seed); the majority undersample
 comes last.  `apply` reproduces that stream in one vectorised pass at any k;
-calls that share a NeighbourMemo rank the minority rows once per power r.
+calls that share a dataset.Memo rank the minority rows once per power r.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, memo_get, nearest
+from .dataset import Dataset, Memo, nearest
 from .errors import DegenerateDataError
 
 M_CHOICES = (50, 100, 200, 400)
@@ -74,23 +74,13 @@ def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
     return draws[0].astype(np.int64), draws[1].astype(np.int64), draws[2]
 
 
-class NeighbourMemo:
-    """At most `size` min(K_MAX, minority - 1)-nearest tables of `data`, one per typed r, least
-    recently used first.  A stable argsort makes each k-nearest table a prefix of one."""
-
-    def __init__(self, data: Dataset, size: int):
-        self.data, self.size, self.tables = data, size, {}
-
-
-def apply(data: Dataset, cfg: SmoteConfig, memo: NeighbourMemo | None = None) -> Dataset:
+def apply(data: Dataset, cfg: SmoteConfig, memo: Memo | None = None) -> Dataset:
     """Rebalanced copy of the data; the input dataset is never touched.
 
     Output keeps the surviving original instances in their original order and
     appends the synthetic minority instances after them.  Calls on `data` may share a `memo`.
     """
-    memo = memo or NeighbourMemo(data, 1)
-    if memo.data is not data:
-        raise ValueError("a NeighbourMemo serves its own dataset only")
+    memo = (memo or Memo(data, 1)).serving(data)
     labels = data.labels
     counts = np.bincount(labels, minlength=2)
     if counts.min() == 0:
@@ -118,7 +108,9 @@ def apply(data: Dataset, cfg: SmoteConfig, memo: NeighbourMemo | None = None) ->
 
     rng = np.random.default_rng(cfg.seed)
     minority_points = data.features[minority_idx]
-    neighbours = memo_get(memo.tables, (type(cfg.r), cfg.r), memo.size, lambda: nearest(
+    # One min(K_MAX, minority - 1)-nearest table per typed r (1 and 1.0 are separate keys); a
+    # stable argsort makes each k-nearest table a prefix of it.
+    neighbours = memo.get((type(cfg.r), cfg.r), lambda: nearest(
         minority_points, minority_points, min(K_MAX, len(minority_idx) - 1), cfg.r,
         exclude_self=True))[:, :k]
 

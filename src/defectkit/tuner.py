@@ -178,8 +178,6 @@ class DERun:
     generations: int
     initial_scores: list[float]
     best_history: list[float] = field(default_factory=list)
-    # (generation, slot, incumbent score, challenger score, replaced)
-    log: list[tuple[int, int, float, float, bool]] = field(default_factory=list)
     stop_reason: str = ""  # "life", or "max_generations" when the cap ended a live search
 
 
@@ -231,10 +229,8 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
             ai, bi, ci = rng.choice(others, size=3, replace=False)
             mutant = scored(extrapolate(incumbent, population[ai], population[bi],
                                         population[ci], space, cfg, rng))
-            replaced = prefer(mutant.score, incumbent.score)
             gained_ground |= improved(mutant.score, incumbent.score)
-            run.log.append((generation, i, incumbent.score, mutant.score, replaced))
-            next_population.append(mutant if replaced else incumbent)
+            next_population.append(mutant if prefer(mutant.score, incumbent.score) else incumbent)
         population = next_population
         generation_best = best_of(population, key=lambda c: c.score)
         if prefer(generation_best.score, run.best.score):

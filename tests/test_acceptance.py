@@ -23,12 +23,12 @@ from defectkit.harness import ExperimentSpec, report, run_tuned, run_untuned
 from defectkit.learners import LearnerSpec
 from defectkit.metrics import evaluate, goal, p_opt
 from defectkit.smote import SmoteConfig, apply as smote_apply
-from defectkit.tuner import (CONTINUOUS, Candidate, DEConfig, ParamSpace, ParamSpec,
-                             extrapolate, run_de)
+from defectkit.tuner import CONTINUOUS, Candidate, DEConfig, ParamSpace, ParamSpec, extrapolate
 
 from conftest import lift_curve, make_dataset, planted_dataset
 from test_fft import interpret_rules
 from test_smote import is_convex_combination
+from test_tuner import challenges
 
 D2H = goal("dist2heaven")
 
@@ -139,14 +139,14 @@ def test_de_convergence_30_seeds():
 
     for seed in range(30):
         cfg = DEConfig(seed=seed)
-        run = run_de(space, lambda c: -(c.tunings["x"] - 25.0) ** 2, "maximize", cfg)
+        run, log = challenges(space, lambda c: -(c.tunings["x"] - 25.0) ** 2, "maximize", cfg)
         assert abs(run.best.tunings["x"] - brute_force_best) <= 1.0
         for earlier, later in zip(run.best_history, run.best_history[1:]):
             assert later >= earlier
         assert run.evaluations == cfg.np * (run.generations + 1)
         stagnant = 0
         for gen in range(1, run.generations + 1):
-            events = [e for e in run.log if e[0] == gen]
+            events = [e for e in log if e[0] == gen]
             if not any(challenger > incumbent + 1e-12
                        for _, _, incumbent, challenger, _ in events):
                 stagnant += 1

@@ -273,8 +273,14 @@ class TestErrorPaths:
          "score"),
         ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, score=10 ** 400)]},
          "score"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, repeat=-3)]},
+         "repeat"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, duration=-1e300)]},
+         "duration"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": []}, "rows"),
     ], ids=["no_rows", "list", "no_goal", "list_goal", "mode_aggregate", "unknown_row_key",
-            "missing_row_key", "string_score", "list_dataset", "nan_score", "huge_int_score"])
+            "missing_row_key", "string_score", "list_dataset", "nan_score", "huge_int_score",
+            "negative_repeat", "negative_duration", "empty_rows"])
     def test_malformed_results_are_runtime_errors(self, tmp_path, capsys, payload, field):
         results = tmp_path / "results.json"
         results.write_text(json.dumps(payload), encoding="utf-8")

@@ -75,6 +75,14 @@ class TestLoadCsv:
         data = load_csv(path)
         assert data.schema.feature_names == ("wmc", "loc")
 
+    def test_byte_order_mark_keeps_first_column_name(self, tmp_path):
+        path = tmp_path / "proj-1.0.csv"
+        path.write_text("name,wmc,loc,bug\na.B0,1.5,100,1\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        data = load_csv(path)
+        assert data.schema.feature_names == ("wmc", "loc")
+        assert data.features.tolist() == [[1.5, 100.0]]
+
     def test_missing_label_column(self, tmp_path):
         with pytest.raises(SchemaError, match="label"):
             load_csv(write_rows(tmp_path, [], header="wmc,loc,other\n"))

@@ -367,7 +367,7 @@ class TestRunSmotuned:
 
         def spying_apply(data, cfg, memo=None):
             out = apply(data, cfg, memo)
-            applies.append((cfg.r, len(memo.tables), memo.size))
+            applies.append((cfg.r, len(memo.entries), memo.size))
             return out
 
         def spying_nearest(queries, points, k, r, **kwargs):

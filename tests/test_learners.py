@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defectkit.dataset import nearest, row_chunks
+from defectkit.dataset import Memo, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit import learners
 from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict_dataset
@@ -22,6 +22,15 @@ def walk_cart(tree, x):
     while node.feature is not None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.prob
+
+
+def structure(tree):
+    """Nested tuples describing a tree's shape, leaf probabilities rounded to 12 places."""
+    def walk(node):
+        if node.feature is None:
+            return ("leaf", round(node.prob, 12))
+        return (node.feature, node.threshold, walk(node.left), walk(node.right))
+    return walk(tree.root)
 
 
 def predict(model, x):
@@ -168,10 +177,10 @@ class TestCapacity:
 
 def repeated_tree_forest(params, features, labels, seed):
     """The forest fit that fills all n slots with its one tree when every feature is sampled."""
-    splits = {}
+    memo = Memo(None, learners.SPLIT_MEMO_NODES)
     if params["max_feature"] >= 1.0:
-        return [learners._Cart(params, seed, splits).fit(features, labels)] * params["n_estimators"]
-    return [learners._Cart(params, seed + i, splits).fit(features, labels)
+        return [learners._Cart(params, seed, memo).fit(features, labels)] * params["n_estimators"]
+    return [learners._Cart(params, seed + i, memo).fit(features, labels)
             for i in range(params["n_estimators"])]
 
 
@@ -204,7 +213,7 @@ class TestRandomForest:
         rf = fit(LearnerSpec("random_forest", {"n_estimators": 50}), data, seed=3)
         # n_estimators floor is 50; compare the first tree, seeded seed+0
         cart = fit(LearnerSpec("cart"), data, seed=3)
-        assert rf.state[0].structure() == cart.state.structure()
+        assert structure(rf.state[0]) == structure(cart.state)
         rf_labels = np.array([walk_cart(tree, x) >= 0.5 for tree in rf.state[:1]
                               for x in data.features], dtype=int)
         cart_labels, _ = predict_dataset(cart, data)
@@ -222,7 +231,7 @@ class TestRandomForest:
         data = planted_dataset(n=60, n_noise=5, seed=8)
         model = fit(LearnerSpec("random_forest",
                                 {"n_estimators": 50, "max_feature": 0.2}), data, seed=1)
-        structures = {str(tree.structure()) for tree in model.state}
+        structures = {str(structure(tree)) for tree in model.state}
         assert len(structures) > 1
 
 
@@ -406,7 +415,7 @@ class TestKnnRanking:
         assert ranking.call_count == 1
 
 
-# The split search before its memo, kept verbatim as the oracle for CellContext.
+# The split search before its memo, kept verbatim as the oracle for the split Memo.
 def oracle_entropy(n_pos, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(n > 0, n_pos / np.maximum(n, 1), 0.0)
@@ -488,13 +497,6 @@ class OracleCart:
             consider(node.right, feats[~mask], labs[~mask])
         return self
 
-    def structure(self):
-        def walk(node):
-            if node.feature is None:
-                return ("leaf", round(node.prob, 12))
-            return (node.feature, node.threshold, walk(node.left), walk(node.right))
-        return walk(self.root)
-
 
 def oracle_fit_forest(params, features, labels, seed):
     if params["max_feature"] >= 1.0:
@@ -526,12 +528,12 @@ def check_fits_against_oracle(data_seed, n, n_features, fits, bound):
     rng = np.random.default_rng(data_seed)
     data = make_dataset(rng.integers(0, 4, size=(n, n_features)), [0, 1] + [
         int(v) for v in rng.random(n - 2) < rng.random()])
-    context = learners.CellContext(data)
+    memo = Memo(data, bound)
     for kind, params, seed in fits:
         if kind == "cart":
             params = {k: v for k, v in params.items() if k != "n_estimators"}
-        model = fit(LearnerSpec(kind, params), data, seed, context=context)
-        assert len(context.splits) <= bound
+        model = fit(LearnerSpec(kind, params), data, seed, memo=memo)
+        assert len(memo.entries) <= bound
         resolved = LearnerSpec(kind, params).resolved()
         if kind == "cart":
             got, expected = [model.state], [OracleCart(resolved, seed).fit(data.features,
@@ -540,29 +542,28 @@ def check_fits_against_oracle(data_seed, n, n_features, fits, bound):
             # A shared forest holds its one tree once; the oracle repeats it per slot.
             got, expected = model.state, list(dict.fromkeys(
                 oracle_fit_forest(resolved, data.features, data.labels, seed)))
-        assert [t.structure() for t in got] == [t.structure() for t in expected]
+        assert list(map(structure, got)) == list(map(structure, expected))
 
 
 class TestSplitMemo:
-    """Fits that share a CellContext grow exactly the trees of the memo-free build."""
+    """Fits that share a split Memo grow exactly the trees of the memo-free build."""
 
     @settings(max_examples=15, deadline=None)
     @given(tree_fits(["cart", "random_forest"]))
-    def test_shared_context_fits_equal_oracle(self, case):
+    def test_shared_memo_fits_equal_oracle(self, case):
         check_fits_against_oracle(*case, bound=learners.SPLIT_MEMO_NODES)
 
     # Cart only: without the memo's hits a forest's hundred trees take too long.
     @settings(max_examples=20, deadline=None)
     @given(tree_fits(["cart"]), st.integers(1, 4))
     def test_tiny_memo_bound_still_exact_and_held(self, case, bound):
-        with mock.patch.object(learners, "SPLIT_MEMO_NODES", bound):
-            check_fits_against_oracle(*case, bound=bound)
+        check_fits_against_oracle(*case, bound=bound)
 
-    def test_context_serves_its_own_data_only(self, separated8):
-        context = learners.CellContext(separated8)
+    def test_memo_serves_its_own_data_only(self, separated8):
+        memo = Memo(separated8, learners.SPLIT_MEMO_NODES)
         other = make_dataset(separated8.features[:, :-1], separated8.labels)
-        with pytest.raises(ValueError, match="CellContext"):
-            fit(LearnerSpec("cart"), other, 0, context=context)
+        with pytest.raises(ValueError, match="Memo serves its own dataset"):
+            fit(LearnerSpec("cart"), other, 0, memo=memo)
 
 
 class TestSchemaFingerprint:

@@ -1,9 +1,9 @@
 """Every public name in `src/defectkit` has a caller outside the tests.
 
-A public top-level function or class, or a public method of a public class,
-must appear as a whole word somewhere in `src/`, `demos/`, `README.md` or
-`perfbench/`, outside its own definition and outside `__init__.py` (whose
-re-exports are not callers).  A name only the tests use is API nobody runs;
+A public top-level function or class, or a public method of any class (a
+private class's too), must appear as a whole word somewhere in `src/`,
+`demos/`, `README.md` or `perfbench/`, outside its own definition and outside
+`__init__.py` (whose re-exports are not callers).  A name only the tests use is API nobody runs;
 delete it, or move what the tests need into `tests/`.
 """
 
@@ -22,10 +22,10 @@ def public_definitions():
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            found.append((path, node.name, node.lineno, node.end_lineno))
+            if not node.name.startswith("_"):
+                found.append((path, node.name, node.lineno, node.end_lineno))
             if isinstance(node, ast.ClassDef):
                 found += [(path, item.name, item.lineno, item.end_lineno)
                           for item in node.body

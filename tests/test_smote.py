@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defectkit.dataset import Dataset, nearest, row_chunks
+from defectkit.dataset import Dataset, Memo, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit.harness import SMOTE_SPACE
-from defectkit.smote import K_MAX, M_CHOICES, NeighbourMemo, SmoteConfig, _segment_draws, apply
+from defectkit.smote import K_MAX, M_CHOICES, SmoteConfig, _segment_draws, apply
 
 from conftest import make_dataset, same_data
 
@@ -321,20 +321,20 @@ class TestNeighbourMemo:
                     else rng.integers(0, levels, (n, 3)).astype(float))
         labels = rng.permutation([1] * n_minority + [0] * (n - n_minority))
         data = make_dataset(features, labels)
-        memo = NeighbourMemo(data, size)
+        memo = Memo(data, size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             for i, (k, m, r) in enumerate(configs):
                 cfg = SmoteConfig(k=k, m=m, r=r, seed=seed + i)
                 expected = reference_apply(data, cfg)
-                assert same_data(apply(data, cfg, memo), expected)
+                assert same_data(apply(data, cfg, memo=memo), expected)
                 assert same_data(apply(data, cfg), expected)
-                assert len(memo.tables) <= size
-                assert next(reversed(memo.tables)) == (type(r), r)
+                assert len(memo.entries) <= size
+                assert next(reversed(memo.entries)) == (type(r), r)
 
     def test_refuses_another_dataset(self):
         data, other = imbalanced(5, 20, seed=1), imbalanced(5, 20, seed=1)
-        memo = NeighbourMemo(data, 2)
-        apply(data, SmoteConfig(k=2, seed=1), memo)
-        with pytest.raises(ValueError, match="NeighbourMemo"):
-            apply(other, SmoteConfig(k=2, seed=1), memo)
+        memo = Memo(data, 2)
+        apply(data, SmoteConfig(k=2, seed=1), memo=memo)
+        with pytest.raises(ValueError, match="Memo serves its own dataset"):
+            apply(other, SmoteConfig(k=2, seed=1), memo=memo)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,36 @@ MIXED_SPACE = ParamSpace((
 
 def quadratic(c: Candidate) -> float:
     return -(c.tunings["x"] - 25.0) ** 2
+
+
+def challenges(space, objective, direction, cfg):
+    """run_de's result, plus each challenge as (generation, slot, incumbent score, challenger
+    score, replaced).
+
+    The objective's calls are the np initial members, then one challenger per slot per
+    generation; each challenger's incumbent is the target it was extrapolated from.  A slot
+    was replaced when its next incumbent is its challenger, which is unknown (None) after
+    the last generation.
+    """
+    calls, targets = [], []
+
+    def recording(candidate):
+        calls.append(candidate)
+        return objective(candidate)
+
+    def watching(target, *args):
+        targets.append(target)
+        return extrapolate(target, *args)
+
+    with mock.patch.object(tuner, "extrapolate", watching):
+        run = run_de(space, recording, direction, cfg)
+    challengers = calls[cfg.np:]
+    assert len(challengers) == len(targets) == cfg.np * run.generations
+    next_incumbents = targets[cfg.np:] + [None] * cfg.np
+    return run, [(j // cfg.np + 1, j % cfg.np, incumbent.score, challenger.score,
+                  None if after is None else after is challenger)
+                 for j, (incumbent, challenger, after)
+                 in enumerate(zip(targets, challengers, next_incumbents))]
 
 
 def round_then_clamp(spec: ParamSpec, raw: float) -> int:
@@ -205,12 +236,11 @@ class TestOptimize:
 
     def test_minimize_maximize_duality(self):
         cfg = DEConfig(seed=9)
-        run_max = run_de(QUADRATIC_SPACE, quadratic, "maximize", cfg)
-        run_min = run_de(QUADRATIC_SPACE, lambda c: -quadratic(c), "minimize", cfg)
+        run_max, log_max = challenges(QUADRATIC_SPACE, quadratic, "maximize", cfg)
+        run_min, log_min = challenges(QUADRATIC_SPACE, lambda c: -quadratic(c), "minimize", cfg)
         assert run_max.best.tunings == run_min.best.tunings
         assert run_max.generations == run_min.generations
-        assert [e[:2] + (e[4],) for e in run_max.log] == \
-               [e[:2] + (e[4],) for e in run_min.log]
+        assert [e[:2] + (e[4],) for e in log_max] == [e[:2] + (e[4],) for e in log_min]
 
     def test_best_history_is_monotone(self):
         run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=11))
@@ -218,8 +248,10 @@ class TestOptimize:
             assert later >= earlier
 
     def test_every_slot_holds_winner_of_challenge(self):
-        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=12))
-        for _, _, incumbent, challenger, replaced in run.log:
+        _, log = challenges(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=12))
+        decided = [e for e in log if e[4] is not None]
+        assert decided and any(e[4] for e in decided) and not all(e[4] for e in decided)
+        for _, _, incumbent, challenger, replaced in decided:
             assert replaced == (challenger > incumbent)
 
     def test_best_ever_equals_best_of_final_population(self):
