@@ -7,7 +7,8 @@ the winner's model, fitted on new-training, once on the held-out test set.
 Candidates that differ only in decision-time tunings (`threshold`, knn's
 `k`) share one fit.  Each cell keeps its shared work in a dataset.Memo: at
 most `np` (the DE population size) fitted models, a tuned cell's CART split
-searches, and a smotuned cell's SMOTE neighbour tables.
+searches, and a smotuned cell's SMOTE neighbour tables.  Untuned cells that
+fit on one training set share one memo of its split searches.
 The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -162,6 +164,8 @@ class ExperimentResult:
             for name in ("repeat", "duration"):  # a repeat index and a time in seconds
                 if (value := getattr(r, name)) < 0:
                     raise ValueError(f"a row's {name} must be non-negative, got {value!r}")
+            if r.duration >= 1e9:  # about 32 years; `report --runtime` prints every digit
+                raise ValueError(f"a row's duration must be below 1e9 seconds, got {r.duration!r}")
         g = make_goal(payload.get("goal"))
         if not rows:
             raise ValueError("'rows' must hold at least one row")
@@ -193,6 +197,9 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
         if folds is not None and len(train) < folds:
             raise ConfigError(f"dataset {name!r} has {len(train)} training rows, "
                               f"fewer than folds={folds}")
+        if tuned and folds is None and len(train) < 3:  # a smaller 80/20 split tunes on no rows
+            raise ConfigError(f"dataset {name!r} has {len(train)} training rows; "
+                              "an 80/20 tuning split needs at least 3")
     result = ExperimentResult(spec.goal, aggregate_kind="median" if folds is None else "mean")
     cell = 0
     for name, (train, test) in spec.datasets.items():
@@ -267,8 +274,14 @@ def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
 
 def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
     """Fit each learner with its given parameters; no tuning stage."""
+    memo = Memo(None, 0)
+
     def body(lspec, train, test, seed):
-        model = learners.fit(lspec, _rebalanced(spec, train, seed), seed, goal=spec.goal)
+        nonlocal memo
+        data = _rebalanced(spec, train, seed)
+        if memo.data is not data:  # cells fitting on one training set share its split memo
+            memo = Memo(data, learners.SPLIT_MEMO_NODES)
+        model = learners.fit(lspec, data, seed, goal=spec.goal, memo=memo)
         return {"score": _score(model, test, spec.goal)}
 
     return _run(spec, body, tuned=False)
@@ -346,7 +359,7 @@ def report(result: ExperimentResult, fmt: str = "table",
                                  + (f",{runtime}" if include_runtime else ""))
         return "\n".join(lines) + "\n"
 
-    n_repeats = max(r.repeat for r in result.rows) + 1
+    n_repeats = max(Counter((r.dataset, r.method) for r in result.rows).values())
     width = max(7, *(len(m) for m in result.methods))
     name_width = max(7, *(len(d) for d in result.datasets))
 

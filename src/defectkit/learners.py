@@ -10,6 +10,8 @@ deterministic subgradient descent with regularisation 1/C.
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
 sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
+A CART fit seeds its generator at its first feature draw; with every feature
+sampled it makes none.
 """
 
 from __future__ import annotations
@@ -130,12 +132,6 @@ class _Cart:
         self.memo = memo
         self.root = None
 
-    def _feature_sample(self, n_features: int, rng: np.random.Generator) -> np.ndarray:
-        size = max(1, int(round(self.params["max_feature"] * n_features)))
-        if size >= n_features:
-            return np.arange(n_features)
-        return np.sort(rng.choice(n_features, size=size, replace=False))
-
     def _split(self, key, feats, labs, candidates):
         """(gain, feature, threshold) of the best split, or None; ties take the lowest feature."""
         # The node's memo entry: each feature's best gain (NaN until searched) and threshold.
@@ -150,21 +146,28 @@ class _Cart:
         return float(gains[best]), int(best), float(thresholds[best])
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "_Cart":
-        rng = np.random.default_rng(self.seed)
         min_split = self.params["min_sample_split"]
         min_leaf = self.params["min_samples_leaf"]
         max_leaves = self.params["max_leaf_nodes"]
+        n_features = features.shape[1]
+        every_feature = np.arange(n_features)
+        n_sampled = max(1, int(round(self.params["max_feature"] * n_features)))
+        rng = None  # made at the first draw, so a fit that samples every feature makes none
         heap = []
         counter = 0
 
         # `key` is a node's (min_samples_leaf, split path from the root: it fixes the node's
         # rows on the memo's data); its probability is pos / len(labs), as labs.mean() is.
         def consider(key, feats, labs):
-            nonlocal counter
+            nonlocal counter, rng
             pos = int(np.count_nonzero(labs))
             node = _TreeNode(pos / len(labs))
             if len(labs) >= min_split and 0 < pos < len(labs):
-                split = self._split(key, feats, labs, self._feature_sample(feats.shape[1], rng))
+                candidates = every_feature
+                if n_sampled < n_features:
+                    rng = rng or np.random.default_rng(self.seed)
+                    candidates = np.sort(rng.choice(n_features, size=n_sampled, replace=False))
+                split = self._split(key, feats, labs, candidates)
                 if split is not None:
                     heapq.heappush(heap, (-split[0], counter, node, key, split, feats, labs))
                     counter += 1

@@ -94,13 +94,17 @@ def test_p_opt_bounds():
 
         assert popt_of(s_optimal) == 1.0
         assert popt_of(s_worst) == 0.0
-        for bits in itertools.product((0, 1), repeat=n):
+        # Every prediction vector of the set, scored as one (2^n, n) matrix.
+        vectors = list(itertools.product((0, 1), repeat=n))
+        values = p_opt(locs, labels, np.array(vectors))
+        for bits, value in zip(vectors, values):
             model_order = sorted(range(n), key=lambda i: (1 - bits[i], locs[i]))
             s_model = lift_curve(instances, model_order).area()
             assert s_worst - 1e-9 <= s_model <= s_optimal + 1e-9
-            value = p_opt(locs, labels, list(bits))
             assert -1e-9 <= value <= 1.0 + 1e-9
             assert value == pytest.approx(popt_of(s_model), abs=1e-12)
+        one = checked % len(vectors)
+        assert p_opt(locs, labels, list(vectors[one])) == values[one]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"p_opt bounds took {elapsed:.2f}s"

@@ -254,6 +254,21 @@ class TestErrorPaths:
         assert err.startswith("configuration error:")
         assert "'p'" in err and "6 training rows" in err and "folds=10" in err
 
+    @pytest.mark.parametrize("command", ["tune", "smotuned"])
+    def test_too_few_training_rows_to_tune_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                           command):
+        # Two training rows leave the 80/20 split no tuning rows.
+        for name, n in (("p-1.0.csv", 2), ("p-2.0.csv", 3)):
+            rows = "".join(f"{i},1,{10 + i},{i % 2}\n" for i in range(n))
+            (tmp_path / name).write_text("wmc,rfc,loc,bug\n" + rows, encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"p": ["p-1.0.csv", "p-2.0.csv"]}), encoding="utf-8")
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main([command, "--manifest", str(manifest), "--learner", "cart"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'p'" in err and "2 training rows" in err
+
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
 
@@ -277,10 +292,12 @@ class TestErrorPaths:
          "repeat"),
         ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, duration=-1e300)]},
          "duration"),
+        ({"goal": "p_opt", "aggregate_kind": "median", "rows": [dict(ROW, duration=1e300)]},
+         "duration"),
         ({"goal": "p_opt", "aggregate_kind": "median", "rows": []}, "rows"),
     ], ids=["no_rows", "list", "no_goal", "list_goal", "mode_aggregate", "unknown_row_key",
             "missing_row_key", "string_score", "list_dataset", "nan_score", "huge_int_score",
-            "negative_repeat", "negative_duration", "empty_rows"])
+            "negative_repeat", "negative_duration", "huge_duration", "empty_rows"])
     def test_malformed_results_are_runtime_errors(self, tmp_path, capsys, payload, field):
         results = tmp_path / "results.json"
         results.write_text(json.dumps(payload), encoding="utf-8")
@@ -301,19 +318,22 @@ class TestErrorPaths:
 
 
 # Runs every command through cli.main in a fresh interpreter, then reports
-# whether numpy.ma was ever imported (np.unique and np.median import it lazily).
+# whether numpy.ma was ever imported (np.unique and np.median import it lazily)
+# and whether numpy.random was by the end of the untuned run, which draws nothing.
 RUN_EVERY_COMMAND = """
 import json, sys
 from defectkit.cli import main
 manifest, out = sys.argv[1:]
 tuned = ["--np", "4", "--life", "1", "--manifest", manifest]
 codes = [main(["untuned", "--goal", "popt", "--manifest", manifest,
-               "--learner", "cart,random_forest,naive_bayes,logistic,knn,linear_svm,fft"]),
-         main(["tune", "--learner", "cart,naive_bayes,fft", "--repeats", "2"] + tuned),
-         main(["kfold-tune", "--goal", "popt", "--learner", "fft", "--folds", "2"] + tuned),
-         main(["smotuned", "--learner", "naive_bayes", "--out", out] + tuned),
-         main(["report", "--out", out, "--runtime"])]
-print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+               "--learner", "cart,random_forest,naive_bayes,logistic,knn,linear_svm,fft"])]
+untuned_random = "numpy.random" in sys.modules
+codes += [main(["tune", "--learner", "cart,naive_bayes,fft", "--repeats", "2"] + tuned),
+          main(["kfold-tune", "--goal", "popt", "--learner", "fft", "--folds", "2"] + tuned),
+          main(["smotuned", "--learner", "naive_bayes", "--out", out] + tuned),
+          main(["report", "--out", out, "--runtime"])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
+                  "numpy.random after untuned": untuned_random}))
 """
 
 
@@ -327,4 +347,5 @@ class TestImportCost:
                                str(tmp_path / "out")], env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 5, "numpy.ma": False}
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "codes": [0] * 5, "numpy.ma": False, "numpy.random after untuned": False}

@@ -108,6 +108,29 @@ class TestRunUntuned:
         assert signal < 0.30
         assert abs(control - 0.5) <= 0.15
 
+    @pytest.mark.parametrize("smote", [None, SmoteConfig(k=3, m=50)], ids=["shared", "smote"])
+    def test_forest_cell_reuses_the_cart_cells_split_searches(self, monkeypatch, smote):
+        # Unrebalanced cells fit on one training set and share its split memo; SMOTE
+        # gives each cell its own data, so the forest searches its own splits.
+        fitting, searched = [], []
+        fit, best_split = harness.learners.fit, harness.learners._best_split
+
+        def recording_fit(lspec, *args, **kwargs):
+            fitting.append(lspec.kind)
+            return fit(lspec, *args, **kwargs)
+
+        def recording_search(*args):
+            searched.append(fitting[-1])
+            return best_split(*args)
+
+        monkeypatch.setattr(harness.learners, "fit", recording_fit)
+        monkeypatch.setattr(harness.learners, "_best_split", recording_search)
+        spec = spec_for({"planted": planted_split()},
+                        [LearnerSpec("cart"), LearnerSpec("random_forest")], seed=5, smote=smote)
+        run_untuned(spec)
+        assert fitting == ["cart", "random_forest"] and "cart" in searched
+        assert ("random_forest" in searched) == (smote is not None)
+
     def test_fixed_smote_preprocess_leaves_test_alone(self):
         train, test = planted_split()
         spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
@@ -457,6 +480,14 @@ class TestReport:
         for row in tuned.rows:
             row.tunings = {"threshold": 0.4}
         assert "runtime" in report(tuned, "csv")
+
+    def test_header_counts_the_rows_of_the_fullest_cell(self):
+        # A repeat is an index, not a count: one row numbered 10**9 is one repeat.
+        rows = [harness.ResultRow("d", "cart", 10 ** 9, 0.3, 1.0),
+                harness.ResultRow("d", "fft", 0, 0.2, 1.0),
+                harness.ResultRow("d", "fft", 1, 0.4, 1.0)]
+        header = report(ExperimentResult(D2H, rows), "table").splitlines()[0]
+        assert "median over 2 repeats" in header
 
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError):

@@ -559,6 +559,23 @@ class TestSplitMemo:
     def test_tiny_memo_bound_still_exact_and_held(self, case, bound):
         check_fits_against_oracle(*case, bound=bound)
 
+    @pytest.mark.parametrize("kind", ["cart", "random_forest"])
+    def test_full_feature_fit_makes_no_generator(self, monkeypatch, kind):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a fit that samples every feature draws nothing")
+
+        data = planted_dataset(n=60, n_noise=5, seed=8)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        fit(LearnerSpec(kind, {"max_feature": 1.0}), data, seed=3)
+
+    def test_refit_restarts_the_draw_stream(self):
+        data = planted_dataset(n=60, n_noise=5, seed=8)
+        params = LearnerSpec("cart", {"max_feature": 0.3}).resolved()
+        cart = learners._Cart(params, 5, Memo(data, learners.SPLIT_MEMO_NODES))
+        first = structure(cart.fit(data.features, data.labels))
+        assert structure(cart.fit(data.features, data.labels)) == first
+        assert first == structure(OracleCart(params, 5).fit(data.features, data.labels))
+
     def test_memo_serves_its_own_data_only(self, separated8):
         memo = Memo(separated8, learners.SPLIT_MEMO_NODES)
         other = make_dataset(separated8.features[:, :-1], separated8.labels)
