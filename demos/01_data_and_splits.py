@@ -25,17 +25,18 @@ for version, n in (("1.0", 50), ("2.0", 80), ("3.0", 60)):
                     f"{rng.random():.3f},{rng.integers(10, 400)},{labels[j] * rng.integers(1, 4)}\n")
     (workdir / f"demo-{version}.csv").write_text("".join(rows))
 
-versions = [load_csv(workdir / f"demo-{v}.csv") for v in ("1.0", "2.0", "3.0")]
-for data in versions:
-    print(f"loaded {data.provenance}: {len(data)} modules, "
+names = ("1.0", "2.0", "3.0")
+versions = [load_csv(workdir / f"demo-{v}.csv") for v in names]
+for name, data in zip(names, versions):
+    print(f"loaded demo-{name}.csv: {len(data)} modules, "
           f"{data.n_defective} defective ({data.defect_ratio:.0%})")
 
 # --- version-based train/test assembly ------------------------------------
 train = merge(versions[:-1])
 test = versions[-1]
-print(f"\ntraining on {train.provenance} -> {len(train)} modules "
+print(f"\ntraining on versions {', '.join(names[:-1])} -> {len(train)} modules "
       f"({train.defect_ratio:.0%} defective)")
-print(f"testing on  {test.provenance} -> {len(test)} modules")
+print(f"testing on  version {names[-1]} -> {len(test)} modules")
 
 # the same assembly, driven by a manifest file (what the CLI consumes)
 manifest_path = workdir / "manifest.json"

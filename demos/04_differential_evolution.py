@@ -8,7 +8,7 @@ parameters, or any objective you hand it.
 """
 
 from defectkit import DEConfig, ParamSpace, ParamSpec
-from defectkit.tuner import BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, run_de
+from defectkit.tuner import CATEGORICAL, CONTINUOUS, INTEGER, run_de
 
 # --- a one-dimensional sanity problem --------------------------------------
 space = ParamSpace((ParamSpec("x", CONTINUOUS, 1.0, 50.0, default=25.0),))
@@ -30,11 +30,11 @@ print(f"\na constant objective can never improve, so the search spends its "
       f"5 lives\nand stops after exactly {flat.generations} generations "
       f"({flat.evaluations} calls)")
 
-# --- mixed spaces: continuous, integer, boolean, categorical ----------------
+# --- mixed spaces: continuous, integer, categorical (a flag is (False, True)) -
 mixed = ParamSpace((
     ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5),
     ParamSpec("n_estimators", INTEGER, 50, 150, default=100),
-    ParamSpec("normalize", BOOLEAN, default=False),
+    ParamSpec("normalize", CATEGORICAL, values=(False, True), default=False),
     ParamSpec("kernel", CATEGORICAL, values=("linear", "poly", "rbf"), default="rbf"),
 ))
 

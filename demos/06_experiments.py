@@ -17,7 +17,7 @@ The command-line equivalents of what this script does:
 import numpy as np
 
 from defectkit import (DEConfig, ExperimentSpec, LearnerSpec, SmoteConfig, goal,
-                       random_split, report, run_smotuned, run_tuned, run_untuned)
+                       random_split, report, run_smotuned, run_tuned, run_untuned, smote)
 from defectkit.dataset import AttributeSchema, Dataset
 
 rng = np.random.default_rng(5)
@@ -55,13 +55,15 @@ print(f"repeat 0: defaults scored {row.default_tune_score:.3f} on the tuning "
 print(f"  winning tunings: {row.tunings}\n")
 
 # --- fixed SMOTE: one rebalancing of the training data, no tuning ------------
+# smote.apply rebalances the training set before the spec is built; test stays as it is.
+balanced = smote.apply(train, SmoteConfig(k=5, m=50, r=2.0, seed=42))
 rebalanced = run_untuned(ExperimentSpec(
-    datasets, [LearnerSpec("cart")], d2h, seed=42, smote=SmoteConfig(k=5, m=50, r=2.0)))
+    {"demo": (balanced, test)}, [LearnerSpec("cart")], d2h, seed=42))
 print(f"untuned cart after fixed SMOTE (k=5, m=50, r=2): "
       f"{rebalanced.rows[0].score * 100:.1f}\n")
 
 # --- data-savvy tuning: DE over the SMOTE preprocessor ----------------------
-# run_smotuned is the workflow: it tunes (k, m, r) per cell and rejects a fixed `smote`.
+# run_smotuned tunes (k, m, r) per cell, on the new-training part of each 80/20 split.
 smotuned = run_smotuned(ExperimentSpec(
     datasets, [LearnerSpec("cart")], d2h, repeats=3, seed=42, de=DEConfig()))
 print(report(smotuned, "table"))

@@ -20,8 +20,8 @@ from .errors import ConfigError, CsvParseError, SchemaError
 
 LABEL_ALIASES = ("bug", "defects", "defect")
 LOC_ALIASES = ("loc",)
-# Identifier columns present in the public CK dumps; dropped on load
-# (provenance is taken from the file name instead).
+# Identifier columns present in the public CK dumps; dropped on load (results
+# take their dataset names from the manifest).
 IDENTIFIER_COLUMNS = ("name", "version")
 
 CLEAN = 0
@@ -55,8 +55,7 @@ class Dataset:
     Feature rows, labels and loc values are held as read-only numpy arrays.
     """
 
-    def __init__(self, schema: AttributeSchema, features: np.ndarray, labels: np.ndarray,
-                 provenance: tuple[tuple[str, str], ...] = ()):
+    def __init__(self, schema: AttributeSchema, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=int)
         if features.ndim != 2:
@@ -75,7 +74,6 @@ class Dataset:
         self.schema = schema
         self.features = features
         self.labels = labels
-        self.provenance = tuple(provenance)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -94,15 +92,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
-        return Dataset(self.schema, self.features[indices], self.labels[indices], self.provenance)
-
-
-def _guess_provenance(path: Path) -> tuple[tuple[str, str], ...]:
-    stem = path.stem
-    project, dash, version = stem.rpartition("-")
-    if dash and version and version[0].isdigit():
-        return ((project, version),)
-    return ((stem, ""),)
+        return Dataset(self.schema, self.features[indices], self.labels[indices])
 
 
 def _locate(header_lower: list[str], aliases, role: str) -> int:
@@ -116,9 +106,9 @@ def load_csv(path) -> Dataset:
     """Read one metrics CSV into a Dataset.
 
     The loc and label columns are found by name (LOC_ALIASES, LABEL_ALIASES),
-    case-insensitively; identifier columns are dropped and provenance comes
-    from the file name.  Missing, non-numeric and non-finite cells, and
-    negative loc values, are rejected with their row and column.
+    case-insensitively; identifier columns are dropped.  Empty header cells,
+    missing, non-numeric and non-finite cells, and negative loc values, are
+    rejected with their row and column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -128,6 +118,8 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: no header row") from None
         rows = list(reader)
+    if "" in header:
+        raise SchemaError(f"{path}: header column {header.index('') + 1} has no name")
 
     keep = [i for i, name in enumerate(header) if name.lower() not in IDENTIFIER_COLUMNS]
     names = tuple(header[i] for i in keep)
@@ -163,7 +155,7 @@ def load_csv(path) -> Dataset:
         features[r] = [values[i] for i in feature_cols]
         labels[r] = DEFECTIVE if values[label_col] > 0 else CLEAN
 
-    return Dataset(schema, features, labels, _guess_provenance(path))
+    return Dataset(schema, features, labels)
 
 
 def merge(parts: list[Dataset]) -> Dataset:
@@ -174,8 +166,7 @@ def merge(parts: list[Dataset]) -> Dataset:
         raise SchemaError(f"schema mismatch: {[p.schema for p in parts]}")
     features = np.concatenate([p.features for p in parts])
     labels = np.concatenate([p.labels for p in parts])
-    provenance = tuple(tag for p in parts for tag in p.provenance)
-    return Dataset(parts[0].schema, features, labels, provenance)
+    return Dataset(parts[0].schema, features, labels)
 
 
 def random_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -1,7 +1,8 @@
 """Fast-and-frugal tree ensembles built from median-split extreme ranges.
 
-A depth-d tree is a chain of levels; each level tests one attribute against
-its median and exits straight to a class when the test matches.  Choosing
+A depth-d tree is a chain of at most d ranges; each tests one attribute
+against its median and exits straight to its predicted class when the test
+matches, and rows no range matches get the tree's default class.  Choosing
 the exit class at every level gives 2^d distinct tree shapes, so fitting
 enumerates all of them, scores each on the training data with the goal
 metric, and keeps the best.  Trees render to a human-readable rule list
@@ -32,7 +33,6 @@ class Range:
     relation: str
     threshold: float
     predicted: int
-    score: float
 
     def matches(self, features: np.ndarray) -> np.ndarray:
         column = features[:, self.attribute]
@@ -41,15 +41,14 @@ class Range:
 
 @dataclass(frozen=True)
 class FFTree:
-    """Chain of (range, exit class) levels closed by a two-way final leaf.
+    """Chain of ranges closed by a default class.
 
-    An instance takes the exit class of the first level it matches; if no
-    level matches it gets the final leaf's false-branch class.
+    An instance takes the predicted class of the first range it matches; if
+    no range matches it gets the default.
     """
 
-    levels: tuple[tuple[Range, int], ...]
-    final_leaf: tuple[int, int]
-    structure_id: int
+    levels: tuple[Range, ...]
+    default: int
     feature_names: tuple[str, ...]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -57,32 +56,31 @@ class FFTree:
         if features.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"data has {features.shape[1]} features, tree expects {len(self.feature_names)}")
-        out = np.full(len(features), self.final_leaf[1], dtype=int)
+        out = np.full(len(features), self.default, dtype=int)
         undecided = np.ones(len(features), dtype=bool)
-        for rng, exit_class in self.levels:
+        for rng in self.levels:
             hit = undecided & rng.matches(features)
-            out[hit] = exit_class
+            out[hit] = rng.predicted
             undecided &= ~hit
         return out
 
     def to_text(self) -> str:
         lines = []
-        for i, (rng, exit_class) in enumerate(self.levels):
+        for i, rng in enumerate(self.levels):
             prefix = "if" if i == 0 else "else if"
             # Shortest exact repr, so the text reloads to the very same threshold.
             threshold = repr(float(rng.threshold)).removesuffix(".0")
             lines.append(f"{prefix} {self.feature_names[rng.attribute]} {rng.relation} "
-                         f"{threshold} then {_CLASS_NAMES[exit_class]}")
-        lines.append(f"else {_CLASS_NAMES[self.final_leaf[1]]}")
+                         f"{threshold} then {_CLASS_NAMES[rng.predicted]}")
+        lines.append(f"else {_CLASS_NAMES[self.default]}")
         return "\n".join(lines)
 
 
 def tree_from_text(text: str, feature_names) -> FFTree:
-    """Parse the rule-list format back into a tree (scores are not recoverable)."""
+    """Parse the rule-list format back into the tree that `to_text` wrote."""
     feature_names = tuple(feature_names)
     index = {name: i for i, name in enumerate(feature_names)}
     levels = []
-    final_class = None
     for line in (ln.strip() for ln in text.strip().splitlines()):
         body = line
         for prefix in ("else if ", "if "):
@@ -90,19 +88,13 @@ def tree_from_text(text: str, feature_names) -> FFTree:
                 body = body[len(prefix):]
                 break
         else:
-            final_class = _CLASS_VALUES[body.removeprefix("else ").strip()]
-            break
+            return FFTree(tuple(levels), _CLASS_VALUES[body.removeprefix("else ").strip()],
+                          feature_names)
         name, relation, threshold, kw, klass = body.split()
         if kw != "then" or relation not in (LE, GT):
             raise ValueError(f"cannot parse rule line: {line!r}")
-        exit_class = _CLASS_VALUES[klass]
-        levels.append((Range(index[name], relation, float(threshold), exit_class, 0.0),
-                       exit_class))
-    if final_class is None:
-        raise ValueError("rule list has no final else line")
-    structure_id = sum((exit_class << i) for i, (_, exit_class) in enumerate(levels))
-    final_leaf = (levels[-1][1] if levels else final_class, final_class)
-    return FFTree(tuple(levels), final_leaf, structure_id, feature_names)
+        levels.append(Range(index[name], relation, float(threshold), _CLASS_VALUES[klass]))
+    raise ValueError("rule list has no final else line")
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ def _best_ranges(data: Dataset, goal: GoalSpec) -> tuple[Range, Range]:
     for c in (CLEAN, DEFECTIVE):
         # Flat index 2a + g: attribute a's (<=, c) range for g = 0, its (>, c) range for g = 1.
         a, g = divmod(int(np.argmin(signed[:, (c, 1 - c)])), 2)
-        best.append(Range(a, (LE, GT)[g], float(thresholds[a]), c, scores[2 * a + (c ^ g)]))
+        best.append(Range(a, (LE, GT)[g], float(thresholds[a]), c))
     return tuple(best)
 
 
@@ -164,7 +156,7 @@ def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels:
     level, names = len(levels), data.schema.feature_names
     if level == depth or not 0 < node.labels.sum() < len(node):
         leaf = _majority(node.labels, _majority(data.labels))
-        trees.update((sid, FFTree(levels, (leaf, leaf), sid, names)) for sid in ids)
+        trees.update((sid, FFTree(levels, leaf, names)) for sid in ids)
         return trees
     ranges = _best_ranges(node, goal)
     for exit_class in (CLEAN, DEFECTIVE):
@@ -172,9 +164,9 @@ def _grow(data: Dataset, node: Dataset, goal: GoalSpec, depth: int, ids, levels:
         if not branch:
             continue
         best = ranges[exit_class]
-        path = levels + ((best, exit_class),)
+        path = levels + (best,)
         if level == depth - 1:
-            trees[branch[0]] = FFTree(path, (exit_class, 1 - exit_class), branch[0], names)
+            trees[branch[0]] = FFTree(path, 1 - exit_class, names)
         else:
             rest = node.subset(np.flatnonzero(~best.matches(node.features)))
             _grow(data, rest, goal, depth, branch, path, trees)

@@ -17,6 +17,8 @@ function, which makes whole runs byte-reproducible.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 import time
@@ -63,9 +65,6 @@ class ExperimentSpec:
     seed: int = 0
     folds: int = 10
     de: tuner.DEConfig | None = None
-    # Fixed rebalancing of what untuned, tuned and k-fold runs fit on (never
-    # the tuning or test data); run_smotuned tunes SMOTE itself and rejects it.
-    smote: SmoteConfig | None = None
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -258,13 +257,8 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     }
 
 
-def _rebalanced(spec: ExperimentSpec, data: Dataset, seed: int) -> Dataset:
-    return data if spec.smote is None else smote.apply(data, replace(spec.smote, seed=seed))
-
-
 def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
     """DE over the learner's own parameter space, its defaults planted."""
-    new_train = _rebalanced(spec, new_train, seed)
     memo = Memo(new_train, learners.SPLIT_MEMO_NODES)
     return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
                     lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
@@ -278,10 +272,9 @@ def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
 
     def body(lspec, train, test, seed):
         nonlocal memo
-        data = _rebalanced(spec, train, seed)
-        if memo.data is not data:  # cells fitting on one training set share its split memo
-            memo = Memo(data, learners.SPLIT_MEMO_NODES)
-        model = learners.fit(lspec, data, seed, goal=spec.goal, memo=memo)
+        if memo.data is not train:  # cells fitting on one training set share its split memo
+            memo = Memo(train, learners.SPLIT_MEMO_NODES)
+        model = learners.fit(lspec, train, seed, goal=spec.goal, memo=memo)
         return {"score": _score(model, test, spec.goal)}
 
     return _run(spec, body, tuned=False)
@@ -301,9 +294,6 @@ def run_kfold_tuned(spec: ExperimentSpec) -> ExperimentResult:
 
 def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     """Tune the SMOTE preprocessor (k, m, r) by DE; learner parameters stay fixed."""
-    if spec.smote is not None:
-        raise ConfigError("run_smotuned tunes SMOTE itself; a fixed `smote` config is an error")
-
     def body(lspec, train, test, seed):
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
         # Rejected DE trials push the population's r out of an np-sized memo.
@@ -350,14 +340,15 @@ def report(result: ExperimentResult, fmt: str = "table",
                           for m in result.methods]
 
     if fmt == "csv":
-        lines = ["dataset,method,score,best" + (",runtime_seconds" if include_runtime else "")]
+        out, n_cols = io.StringIO(), 4 + include_runtime
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["dataset", "method", "score", "best", "runtime_seconds"][:n_cols])
         for dataset, row in cells.items():
             for method, cell in zip(result.methods, row):
                 if cell is not None:
                     score, is_best, runtime = cell
-                    lines.append(f"{dataset},{method},{score},{int(is_best)}"
-                                 + (f",{runtime}" if include_runtime else ""))
-        return "\n".join(lines) + "\n"
+                    writer.writerow([dataset, method, score, int(is_best), runtime][:n_cols])
+        return out.getvalue()
 
     n_repeats = max(Counter((r.dataset, r.method) for r in result.rows).values())
     width = max(7, *(len(m) for m in result.methods))

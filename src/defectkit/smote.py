@@ -127,4 +127,4 @@ def apply(data: Dataset, cfg: SmoteConfig, memo: Memo | None = None) -> Dataset:
     features = np.concatenate([data.features[originals], synthetic])
     new_labels = np.concatenate([labels[originals],
                                  np.full(n_synthetic, minority, dtype=int)])
-    return Dataset(data.schema, features, new_labels, data.provenance)
+    return Dataset(data.schema, features, new_labels)

@@ -2,10 +2,11 @@
 
 Candidates mutate by extrapolating between three other population members:
 continuous and integer dimensions move to a + f*(b - c) trimmed to range,
-booleans negate, categoricals resample from the three donors.  Each member
-is challenged by its mutant every generation; a generation that fails to
-improve the best score costs one life, and the search stops when life runs
-out.  Defaults follow np=10, f=0.75, cr=0.3, life=5.
+categoricals resample from the three donors (a yes/no choice is a
+categorical over (False, True)).  Each member is challenged by its mutant
+every generation; a generation that fails to improve the best score costs
+one life, and the search stops when life runs out.  Defaults follow np=10,
+f=0.75, cr=0.3, life=5.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 CONTINUOUS = "continuous"
 INTEGER = "integer"
 CATEGORICAL = "categorical"
-BOOLEAN = "boolean"
 
 # Improvements smaller than this are float noise, not progress.
 IMPROVEMENT_EPS = 1e-12
@@ -42,19 +42,16 @@ class ParamSpec:
         if self.kind in (CONTINUOUS, INTEGER):
             if not self.lo < self.hi:
                 raise ValueError(f"{self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
-        elif self.kind == CATEGORICAL:
-            if not self.values:
-                raise ValueError(f"{self.name}: categorical needs a non-empty value list")
-        elif self.kind != BOOLEAN:
+        elif self.kind != CATEGORICAL:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
+        elif not self.values:
+            raise ValueError(f"{self.name}: categorical needs a non-empty value list")
 
     def contains(self, value) -> bool:
         if self.kind == CONTINUOUS:
             return self.lo <= value <= self.hi
         if self.kind == INTEGER:
             return self.lo <= value <= self.hi and float(value).is_integer()
-        if self.kind == BOOLEAN:
-            return isinstance(value, (bool, np.bool_))
         return value in self.values
 
     def sample(self, rng: np.random.Generator):
@@ -62,8 +59,6 @@ class ParamSpec:
             return float(rng.uniform(self.lo, self.hi))
         if self.kind == INTEGER:
             return int(rng.integers(int(self.lo), int(self.hi) + 1))
-        if self.kind == BOOLEAN:
-            return bool(rng.integers(0, 2))
         return self.values[int(rng.integers(0, len(self.values)))]
 
     def trim(self, raw: float):
@@ -158,8 +153,6 @@ def extrapolate(target: Candidate, a: Candidate, b: Candidate, c: Candidate,
         name = spec.name
         if rng.random() >= cfg.cr and k != forced:
             tunings[name] = target.tunings[name]
-        elif spec.kind == BOOLEAN:
-            tunings[name] = not target.tunings[name]
         elif spec.kind == CATEGORICAL:
             donors = (a.tunings[name], b.tunings[name], c.tunings[name])
             tunings[name] = donors[int(rng.integers(0, 3))]

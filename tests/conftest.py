@@ -1,5 +1,7 @@
 """Shared builders for synthetic defect datasets, and the metric oracles."""
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -10,7 +12,7 @@ from defectkit.dataset import AttributeSchema, Dataset
 from defectkit.errors import DegenerateDataError
 
 
-def make_dataset(features, labels, loc=None, names=None, provenance=()):
+def make_dataset(features, labels, loc=None, names=None):
     """Dataset from raw arrays; a loc column is appended unless one is passed."""
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
@@ -22,13 +24,13 @@ def make_dataset(features, labels, loc=None, names=None, provenance=()):
     if names is None:
         names = [f"a{i}" for i in range(features.shape[1])]
     schema = AttributeSchema(tuple(names) + ("loc",), loc_index=len(names))
-    return Dataset(schema, full, labels, provenance)
+    return Dataset(schema, full, labels)
 
 
 def same_data(a, b):
-    """True when two datasets hold the same schema, provenance and arrays."""
-    return (a.schema == b.schema and a.provenance == b.provenance
-            and np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels))
+    """True when two datasets hold the same schema and arrays."""
+    return (a.schema == b.schema and np.array_equal(a.features, b.features)
+            and np.array_equal(a.labels, b.labels))
 
 
 def planted_dataset(n=300, n_noise=9, defect_ratio=0.45, seed=7, gap=10.0):
@@ -64,11 +66,8 @@ def separated8():
 
 def parse_report_csv(text):
     """Read back a csv report: (dataset, method, score, best) per line."""
-    rows = []
-    for line in text.strip().splitlines()[1:]:
-        parts = line.split(",")
-        rows.append((parts[0], parts[1], float(parts[2]), parts[3] == "1"))
-    return rows
+    return [(parts[0], parts[1], float(parts[2]), parts[3] == "1")
+            for parts in list(csv.reader(io.StringIO(text)))[1:]]
 
 
 # The point-by-point lift curve that metrics.inspection_areas replaced with one

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -58,6 +60,17 @@ class TestUntuned:
         assert code == 0
         rows = parse_report_csv((out / "report.csv").read_text(encoding="utf-8"))
         assert rows[0][0] == "p" and rows[0][1] == "fft"
+
+    @pytest.mark.parametrize("name", ["poi,v2", '"poi" v2'], ids=["comma", "quote"])
+    def test_csv_report_quotes_names(self, tmp_path, capsys, name):
+        make_project(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({name: ["p-1.0.csv", "p-2.0.csv", "p-3.0.csv"]}),
+                            encoding="utf-8")
+        assert main(["untuned", "--manifest", str(manifest), "--format", "csv",
+                     "--learner", "fft"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(header) == len(row) == 4 and row[0] == name
 
 
 class TestTune:
@@ -268,6 +281,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "'p'" in err and "2 training rows" in err
+
+    def test_empty_header_cell_names_file_and_column(self, tmp_path, capsys, monkeypatch):
+        manifest = make_project(tmp_path)
+        rows = "".join(f"{i},1,{10 + i},{i % 2}\n" for i in range(12))
+        (tmp_path / "p-2.0.csv").write_text("wmc,,loc,bug\n" + rows, encoding="utf-8")
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["untuned", "--manifest", str(manifest), "--learner", "fft"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "p-2.0.csv" in err and "column 2" in err
 
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2

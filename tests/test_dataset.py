@@ -50,7 +50,6 @@ class TestLoadCsv:
         assert data.labels.tolist() == [0, 1, 1]
         assert data.defect_ratio == pytest.approx(2 / 3)
         assert data.locs.tolist() == [100.0, 200.0, 50.0]
-        assert data.provenance == (("proj", "1.0"),)
 
     def test_header_only(self, tmp_path):
         data = load_csv(write_rows(tmp_path, []))
@@ -115,16 +114,16 @@ class TestLoadCsv:
 
 class TestMerge:
     def test_counts_add_up(self):
-        a = make_dataset([[1.0], [2.0]], [0, 1], provenance=(("p", "1"),))
-        b = make_dataset([[3.0], [4.0]], [1, 1], provenance=(("p", "2"),))
+        a = make_dataset([[1.0], [2.0]], [0, 1])
+        b = make_dataset([[3.0], [4.0]], [1, 1])
         merged = merge([a, b])
         assert len(merged) == 4
         assert merged.n_defective == 3
-        assert merged.provenance == (("p", "1"), ("p", "2"))
+        assert merged.labels.tolist() == [0, 1, 1, 1]
         assert merged.features[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_identity(self):
-        a = make_dataset([[1.0], [2.0]], [0, 1], provenance=(("p", "1"),))
+        a = make_dataset([[1.0], [2.0]], [0, 1])
         assert same_data(merge([a]), a)
 
     def test_defect_ratio_matches_brute_force(self):
@@ -205,7 +204,8 @@ class TestManifest:
         resolved = Manifest.load(tmp_path / "manifest.json").assemble()
         train, test = resolved["p"]
         assert len(train) == 3 and len(test) == 1
-        assert train.provenance == (("p", "1.0"), ("p", "2.0"))
+        assert train.locs.tolist() == [100.0, 100.0, 90.0]  # oldest version first
+        assert test.locs.tolist() == [50.0]
 
     def test_single_version_project_rejected(self, tmp_path):
         write_rows(tmp_path, ["1,2,3,4,100,1\n"], name="p-1.0.csv")

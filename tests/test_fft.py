@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,12 +41,19 @@ def lower_median(data, attribute):
     return float(values[(len(values) - 1) // 2])
 
 
-def _ranked(data, goal: GoalSpec) -> list[Range]:
-    """All four median-split ranges of every attribute, best-scoring first (the node oracle).
+def range_score(data, g: GoalSpec, r: Range) -> float:
+    """A range's goal score as a one-rule model: matches get its class, the rest the other."""
+    return evaluate(g, data.labels, np.where(r.matches(data.features), r.predicted,
+                                             1 - r.predicted), data.locs)
 
-    A range alone is a one-rule model: matches get its class, the rest the
-    opposite class.  So (<=, c) and (>, 1 - c) predict the same vector, and the
-    node's 2F distinct vectors are scored in one matrix call to `evaluate`.
+
+def _ranked(data, goal: GoalSpec) -> list[tuple[float, Range]]:
+    """(score, range) for all four median-split ranges of every attribute, best first.
+
+    This is the node oracle.  A range alone is a one-rule model: matches get its
+    class, the rest the opposite class.  So (<=, c) and (>, 1 - c) predict the
+    same vector, and the node's 2F distinct vectors are scored in one matrix call
+    to `evaluate`.
     """
     thresholds = [lower_median(data, a) for a in range(data.features.shape[1])]
     below = (data.features <= thresholds).T
@@ -56,15 +61,16 @@ def _ranked(data, goal: GoalSpec) -> list[Range]:
     scores = evaluate(goal, data.labels, np.stack((~below, below), axis=1).reshape(-1, len(data)),
                       data.locs)
     sign = 1.0 if goal.direction == MINIMIZE else -1.0
-    return sorted((Range(a, relation, t, c if relation == LE else 1 - c, scores[2 * a + c])
+    return sorted(((scores[2 * a + c], Range(a, relation, t, c if relation == LE else 1 - c))
                    for a, t in enumerate(thresholds) for c in (CLEAN, DEFECTIVE)
                    for relation in (LE, GT)),
-                  key=lambda r: (sign * r.score, r.attribute, r.relation == GT, r.predicted))
+                  key=lambda sr: (sign * sr[0], sr[1].attribute, sr[1].relation == GT,
+                                  sr[1].predicted))
 
 
 def first_per_exit_class(ranked):
     """The first range of a ranking that exits to each class: (clean, defective)."""
-    return tuple(next(r for r in ranked if r.predicted == c) for c in (CLEAN, DEFECTIVE))
+    return tuple(next(r for _, r in ranked if r.predicted == c) for c in (CLEAN, DEFECTIVE))
 
 
 def outcome(call):
@@ -86,19 +92,19 @@ def tie_heavy_nodes(draw):
 
 
 def reference_ranges(features, labels, locs, g):
-    """Every median-split range scored on its own (four evaluations per attribute), best first."""
+    """(score, range) for every median-split range, each scored on its own, best first."""
     candidates = []
     for attribute in range(features.shape[1]):
         values = np.sort(features[:, attribute])
         threshold = float(values[(len(values) - 1) // 2])
         for relation in (LE, GT):
             for predicted in (CLEAN, DEFECTIVE):
-                rng = Range(attribute, relation, threshold, predicted, 0.0)
+                rng = Range(attribute, relation, threshold, predicted)
                 hits = np.where(rng.matches(features), predicted, 1 - predicted)
-                candidates.append(replace(rng, score=evaluate(g, labels, hits, locs)))
+                candidates.append((evaluate(g, labels, hits, locs), rng))
     sign = 1.0 if g.direction == "minimize" else -1.0
-    return sorted(candidates,
-                  key=lambda r: (sign * r.score, r.attribute, 0 if r.relation == LE else 1))
+    return sorted(candidates, key=lambda sr: (sign * sr[0], sr[1].attribute,
+                                              0 if sr[1].relation == LE else 1))
 
 
 def reference_tree(data, g, structure_id, depth):
@@ -110,13 +116,13 @@ def reference_tree(data, g, structure_id, depth):
     for level in range(depth):
         if not len(labels) or len(np.unique(labels)) < 2:
             leaf = int(np.bincount(labels, minlength=2).argmax()) if len(labels) else overall
-            return FFTree(tuple(levels), (leaf, leaf), structure_id, names)
+            return FFTree(tuple(levels), leaf, names)
         exit_class = (structure_id >> level) & 1
-        best = [r for r in reference_ranges(features, labels, locs, g)
+        best = [r for _, r in reference_ranges(features, labels, locs, g)
                 if r.predicted == exit_class][0]
-        levels.append((best, exit_class))
+        levels.append(best)
         if level == depth - 1:
-            return FFTree(tuple(levels), (exit_class, 1 - exit_class), structure_id, names)
+            return FFTree(tuple(levels), 1 - exit_class, names)
         keep = ~best.matches(features)
         features, labels, locs = features[keep], labels[keep], locs[keep]
 
@@ -143,12 +149,12 @@ def fig_tree():
     """A five-line tree over named attributes (exits false, true, true, true)."""
     names = ("cbo", "rfc", "dam", "amc")
     levels = (
-        (Range(0, "<=", 4.0, 0, 0.0), 0),
-        (Range(1, ">", 32.0, 1, 0.0), 1),
-        (Range(2, ">", 0.0, 1, 0.0), 1),
-        (Range(3, "<=", 32.25, 1, 0.0), 1),
+        Range(0, "<=", 4.0, 0),
+        Range(1, ">", 32.0, 1),
+        Range(2, ">", 0.0, 1),
+        Range(3, "<=", 32.25, 1),
     )
-    return FFTree(levels, (1, 0), structure_id=0b1110, feature_names=names)
+    return FFTree(levels, default=0, feature_names=names)
 
 
 class TestMedianSplit:
@@ -180,10 +186,11 @@ class TestMedianSplit:
 
 class TestScoreRanges:
     def test_perfect_separator_attains_optimum(self, separator6):
-        best = _ranked(separator6, D2H)[0]
-        assert best.score == 0.0
+        score, best = _ranked(separator6, D2H)[0]
+        assert score == 0.0
         assert best.attribute == 0
-        assert [(r.attribute, r.score) for r in _best_ranges(separator6, D2H)] == [(0, 0.0)] * 2
+        assert [(r.attribute, range_score(separator6, D2H, r))
+                for r in _best_ranges(separator6, D2H)] == [(0, 0.0)] * 2
 
     def test_random_attribute_scores_worse_than_planted(self):
         rng = np.random.default_rng(2)
@@ -192,10 +199,10 @@ class TestScoreRanges:
         noise = rng.random(20)
         data = make_dataset(np.column_stack([planted, noise]), labels)
         ranked = _ranked(data, D2H)
-        assert ranked[0].attribute == 0
+        assert ranked[0][1].attribute == 0
         assert [r.attribute for r in _best_ranges(data, D2H)] == [0, 0]
-        planted_best = min(r.score for r in ranked if r.attribute == 0)
-        noise_best = min(r.score for r in ranked if r.attribute == 1)
+        planted_best = min(s for s, r in ranked if r.attribute == 0)
+        noise_best = min(s for s, r in ranked if r.attribute == 1)
         assert planted_best < noise_best
         # the noise attribute hovers near the no-information diagonal
         assert noise_best > 0.25
@@ -204,7 +211,7 @@ class TestScoreRanges:
         data = make_dataset(
             np.column_stack([separator6.features[:, 0], np.full(6, 3.0)]),
             separator6.labels)
-        assert _ranked(data, D2H)[0].attribute == 0
+        assert _ranked(data, D2H)[0][1].attribute == 0
         assert [r.attribute for r in _best_ranges(data, D2H)] == [0, 0]
 
     def test_single_class_rejected(self):
@@ -214,8 +221,9 @@ class TestScoreRanges:
 
     def test_sorted_best_first(self, separator6):
         ranked = _ranked(separator6, D2H)
-        scores = [r.score for r in ranked]
+        scores = [s for s, _ in ranked]
         assert scores == sorted(scores)
+        assert scores == [range_score(separator6, D2H, r) for _, r in ranked]
         assert len(ranked) == 4 * len(separator6.schema.feature_names)
 
     @pytest.mark.parametrize("kind", sorted(GOAL_DIRECTIONS))
@@ -233,23 +241,22 @@ class TestBuildTree:
     def test_depth_one_separator(self, separator6):
         tree = fit(separator6, D2H, 1).trees[0b1]
         assert len(tree.levels) == 1
-        rng0, exit_class = tree.levels[0]
-        assert exit_class == 1
-        assert (rng0.attribute, rng0.relation, rng0.threshold) == (0, ">", 3.0)
-        assert tree.final_leaf == (1, 0)
+        rng0 = tree.levels[0]
+        assert (rng0.attribute, rng0.relation, rng0.threshold, rng0.predicted) == (0, ">", 3.0, 1)
+        assert tree.default == 0
         assert tree.predict(separator6.features).tolist() == separator6.labels.tolist()
 
     def test_structure_bits_dictate_exits(self):
         data = planted_dataset(n=80, n_noise=3, seed=5)
         tree = fit(data, D2H, 4).trees[0b1110]
-        assert [exit_class for _, exit_class in tree.levels] == [0, 1, 1, 1]
+        assert [r.predicted for r in tree.levels] == [0, 1, 1, 1]
 
     def test_truncates_when_remaining_single_class(self, separator6):
         # the separating first level leaves only clean instances behind
         tree = fit(separator6, D2H, 3).trees[0b111]
         assert len(tree.levels) < 3
-        assert tree.structure_id == 0b111
-        assert tree.final_leaf == (0, 0)
+        assert [r.predicted for r in tree.levels] == [1] * len(tree.levels)
+        assert tree.default == 0
 
 
 class TestFit:
@@ -350,9 +357,8 @@ class TestPredictRouting:
         data = planted_dataset(n=30, n_noise=2, seed=8)
         tree = fit(data, D2H, 3).trees[0b101]
         for x in data.features:
-            exits = [exit_class for rng, exit_class in tree.levels if rng.matches(
-                x.reshape(1, -1))[0]]
-            routed = exits[0] if exits else tree.final_leaf[1]
+            exits = [rng.predicted for rng in tree.levels if rng.matches(x.reshape(1, -1))[0]]
+            routed = exits[0] if exits else tree.default
             assert predict_row(tree, x) == routed
 
 
@@ -369,19 +375,12 @@ class TestSerialization:
 
     def test_text_round_trip(self):
         tree = fig_tree()
-        again = tree_from_text(tree.to_text(), tree.feature_names)
-        assert again.final_leaf == tree.final_leaf
-        assert again.structure_id == tree.structure_id
-        for (r1, e1), (r2, e2) in zip(tree.levels, again.levels):
-            assert (r1.attribute, r1.relation, r1.threshold, e1) == \
-                   (r2.attribute, r2.relation, r2.threshold, e2)
+        assert tree_from_text(tree.to_text(), tree.feature_names) == tree
 
     def test_majority_leaf_round_trips_as_bare_else(self):
-        tree = FFTree((), (1, 1), 0, ("a0", "loc"))
+        tree = FFTree((), 1, ("a0", "loc"))
         assert tree.to_text() == "else true"
-        again = tree_from_text(tree.to_text(), tree.feature_names)
-        assert again.final_leaf == tree.final_leaf
-        assert again.levels == ()
+        assert tree_from_text(tree.to_text(), tree.feature_names) == tree
 
     def test_interpreter_agrees_with_predict(self):
         rng = np.random.default_rng(17)
@@ -400,11 +399,11 @@ class TestSerialization:
     @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=4))
     def test_text_round_trip_keeps_thresholds_exactly(self, thresholds):
         names = tuple(f"a{i}" for i in range(len(thresholds)))
-        levels = tuple((Range(i, "<=" if i % 2 else ">", t, i % 2, 0.0), i % 2)
+        levels = tuple(Range(i, "<=" if i % 2 else ">", t, i % 2)
                        for i, t in enumerate(thresholds))
-        tree = FFTree(levels, (levels[-1][1], 1 - levels[-1][1]), 0, names)
+        tree = FFTree(levels, 1 - levels[-1].predicted, names)
         again = tree_from_text(tree.to_text(), names)
-        assert [r.threshold for r, _ in again.levels] == list(thresholds)
+        assert [r.threshold for r in again.levels] == list(thresholds)
         # rows sitting exactly on each threshold route the same way after reloading
         rows = np.array([thresholds, np.nextafter(thresholds, np.inf)])
         assert again.predict(rows).tolist() == tree.predict(rows).tolist()

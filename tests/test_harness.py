@@ -108,11 +108,11 @@ class TestRunUntuned:
         assert signal < 0.30
         assert abs(control - 0.5) <= 0.15
 
-    @pytest.mark.parametrize("smote", [None, SmoteConfig(k=3, m=50)], ids=["shared", "smote"])
-    def test_forest_cell_reuses_the_cart_cells_split_searches(self, monkeypatch, smote):
-        # Unrebalanced cells fit on one training set and share its split memo; SMOTE
-        # gives each cell its own data, so the forest searches its own splits.
-        fitting, searched = [], []
+    @pytest.mark.parametrize("n_datasets", [1, 2], ids=["shared", "two_datasets"])
+    def test_forest_cell_reuses_the_cart_cells_split_searches(self, monkeypatch, n_datasets):
+        # The cells of one training set share its split memo; the next training set
+        # gets a memo of its own, so its cart cell searches again.
+        fitting, searched = [], set()
         fit, best_split = harness.learners.fit, harness.learners._best_split
 
         def recording_fit(lspec, *args, **kwargs):
@@ -120,24 +120,30 @@ class TestRunUntuned:
             return fit(lspec, *args, **kwargs)
 
         def recording_search(*args):
-            searched.append(fitting[-1])
+            searched.add(len(fitting) - 1)  # the index of the searching cell
             return best_split(*args)
 
         monkeypatch.setattr(harness.learners, "fit", recording_fit)
         monkeypatch.setattr(harness.learners, "_best_split", recording_search)
-        spec = spec_for({"planted": planted_split()},
-                        [LearnerSpec("cart"), LearnerSpec("random_forest")], seed=5, smote=smote)
+        spec = spec_for({f"planted{i}": planted_split(seed=7 + i) for i in range(n_datasets)},
+                        [LearnerSpec("cart"), LearnerSpec("random_forest")], seed=5)
         run_untuned(spec)
-        assert fitting == ["cart", "random_forest"] and "cart" in searched
-        assert ("random_forest" in searched) == (smote is not None)
+        assert fitting == ["cart", "random_forest"] * n_datasets
+        assert searched == set(range(0, 2 * n_datasets, 2))
 
-    def test_fixed_smote_preprocess_leaves_test_alone(self):
+    def test_fixed_smote_preprocess_leaves_test_alone(self, monkeypatch):
+        # One fixed rebalance is smote.apply on the training set before the spec is built.
         train, test = planted_split()
-        spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
-                        smote=SmoteConfig(k=3, m=50))
-        result = run_untuned(spec)
+        balanced = harness.smote.apply(train, SmoteConfig(k=3, m=50))
+        fitted, scored = [], []
+        fit, score = harness.learners.fit, harness._score
+        monkeypatch.setattr(harness.learners, "fit", lambda lspec, data, *args, **kwargs:
+                            fitted.append(data) or fit(lspec, data, *args, **kwargs))
+        monkeypatch.setattr(harness, "_score", lambda model, data, g:
+                            scored.append(data) or score(model, data, g))
+        result = run_untuned(spec_for({"planted": (balanced, test)}, [LearnerSpec("cart")]))
         assert len(result.rows) == 1
-        assert len(test) == len(planted_split()[1])
+        assert fitted == [balanced] and scored == [test]
 
 
 class TestRunTuned:
@@ -235,20 +241,6 @@ class TestRunKfoldTuned:
         assert result.aggregate_kind == "mean"
         expected = sum(r.score for r in result.rows) / 4
         assert result.aggregates()[("planted", "cart")] == pytest.approx(expected, abs=1e-12)
-
-    def test_fixed_smote_rebalances_each_fold_once(self, monkeypatch):
-        seeds = []
-        original = harness.smote.apply
-
-        def watching(data, cfg):
-            seeds.append(cfg.seed)
-            return original(data, cfg)
-
-        monkeypatch.setattr(harness.smote, "apply", watching)
-        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
-                        folds=3, seed=11, de=FAST_DE, smote=SmoteConfig(k=3, m=50))
-        run_kfold_tuned(spec)
-        assert len(seeds) == len(set(seeds)) == 3  # one fold seed each, before tuning
 
     def test_two_folds_smallest_case(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
@@ -425,12 +417,6 @@ class TestRunSmotuned:
         assert row_fields(run_smotuned(spec)) == fresh_tables
         assert len({r for r, _, _ in applies}) > 2 * FAST_DE.np  # so the memo evicted
         assert max(held for _, held, _ in applies) == 2 * FAST_DE.np
-
-    def test_fixed_smote_rejected(self):
-        spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
-                        seed=17, de=FAST_DE, smote=SmoteConfig(k=3, m=50))
-        with pytest.raises(ConfigError, match="smote"):
-            run_smotuned(spec)
 
 
 class TestReport:

@@ -72,11 +72,11 @@ def reference_score(model, x):
         return float(state["labels"][nearest].mean())
     if model.kind == "fft":
         tree = state.best_tree
-        for rng, exit_class in tree.levels:
+        for rng in tree.levels:
             if (x[rng.attribute] <= rng.threshold if rng.relation == "<="
                     else x[rng.attribute] > rng.threshold):
-                return float(exit_class)
-        return float(tree.final_leaf[1])
+                return float(rng.predicted)
+        return float(tree.default)
     raise AssertionError(f"no reference scorer for {model.kind!r}")
 
 

@@ -4,7 +4,8 @@ A public top-level function or class, or a public method of any class (a
 private class's too), must appear as a whole word somewhere in `src/`,
 `demos/`, `README.md` or `perfbench/`, outside its own definition and outside
 `__init__.py` (whose re-exports are not callers).  A name only the tests use is API nobody runs;
-delete it, or move what the tests need into `tests/`.
+delete it, or move what the tests need into `tests/`.  Likewise every field of a
+`@dataclass` must be named as `.field` somewhere in those files.
 """
 
 import ast
@@ -58,3 +59,24 @@ def test_every_export_resolves():
     import defectkit
     missing = [name for name in defectkit.__all__ if not hasattr(defectkit, name)]
     assert not missing, f"names in defectkit.__all__ that the package does not define: {missing}"
+
+
+def dataclass_fields():
+    """(module stem, class name, field name) of every field of a @dataclass in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", "") == "dataclass"
+                    for d in node.decorator_list):
+                found += [(path.stem, node.name, item.target.id) for item in node.body
+                          if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    # A field no `.name` names outside the tests is state kept in step for nothing.
+    text = "\n".join(path.read_text(encoding="utf-8") for path in caller_files())
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in dataclass_fields()
+              if not re.search(rf"\.{name}\b", text)]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -234,7 +234,7 @@ def reference_apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
     features = np.concatenate([data.features[originals], synthetic])
     new_labels = np.concatenate([labels[originals],
                                  np.full(n_synthetic, minority, dtype=int)])
-    return Dataset(data.schema, features, new_labels, data.provenance)
+    return Dataset(data.schema, features, new_labels)
 
 
 class TestVectorisedKernel:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectkit import tuner
-from defectkit.tuner import (BOOLEAN, CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
+from defectkit.tuner import (CATEGORICAL, CONTINUOUS, INTEGER, Candidate,
                              DEConfig, ParamSpace, ParamSpec, _sample_population, extrapolate,
                              run_de)
 
@@ -14,7 +14,7 @@ QUADRATIC_SPACE = ParamSpace((ParamSpec("x", CONTINUOUS, 1.0, 50.0, default=25.0
 MIXED_SPACE = ParamSpace((
     ParamSpec("x", CONTINUOUS, 0.0, 10.0, default=5.0),
     ParamSpec("n", INTEGER, 1, 20, default=10),
-    ParamSpec("flag", BOOLEAN, default=False),
+    ParamSpec("flag", CATEGORICAL, values=(False, True), default=False),
     ParamSpec("mode", CATEGORICAL, values=("a", "b", "c"), default="a"),
 ))
 
@@ -103,7 +103,7 @@ class TestParamSpec:
 class TestParamSpace:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            ParamSpace((ParamSpec("x", CONTINUOUS, 0, 1), ParamSpec("x", BOOLEAN)))
+            ParamSpace((ParamSpec("x", CONTINUOUS, 0, 1), ParamSpec("x", INTEGER, 0, 1)))
 
     def test_validate_names_parameter_and_range(self):
         with pytest.raises(ValueError, match=r"x=99.*0.*10"):
@@ -153,14 +153,6 @@ class TestExtrapolate:
         mutant = extrapolate(target, a, b, c, QUADRATIC_SPACE, DEConfig(cr=1.0),
                              np.random.default_rng(0))
         assert mutant.tunings["x"] == 50.0  # raw 81.75 trimmed
-
-    def test_boolean_negates_target(self):
-        space = ParamSpace((ParamSpec("flag", BOOLEAN, default=False),))
-        target = Candidate({"flag": True})
-        donors = [Candidate({"flag": False}) for _ in range(3)]
-        mutant = extrapolate(target, *donors, space, DEConfig(cr=1.0),
-                             np.random.default_rng(0))
-        assert mutant.tunings["flag"] is False
 
     def test_categorical_samples_from_donors(self):
         space = ParamSpace((ParamSpec("mode", CATEGORICAL,
