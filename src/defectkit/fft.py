@@ -77,23 +77,26 @@ class FFTree:
 
 
 def tree_from_text(text: str, feature_names) -> FFTree:
-    """Parse the rule-list format back into the tree that `to_text` wrote."""
+    """Parse the rule-list format back into the tree that `to_text` wrote.
+
+    A line that is no rule, or names an attribute or class word the tree does not
+    have, raises ValueError naming the line.
+    """
     feature_names = tuple(feature_names)
     index = {name: i for i, name in enumerate(feature_names)}
     levels = []
     for line in (ln.strip() for ln in text.strip().splitlines()):
-        body = line
-        for prefix in ("else if ", "if "):
-            if body.startswith(prefix):
-                body = body[len(prefix):]
-                break
-        else:
-            return FFTree(tuple(levels), _CLASS_VALUES[body.removeprefix("else ").strip()],
-                          feature_names)
-        name, relation, threshold, kw, klass = body.split()
-        if kw != "then" or relation not in (LE, GT):
-            raise ValueError(f"cannot parse rule line: {line!r}")
-        levels.append(Range(index[name], relation, float(threshold), _CLASS_VALUES[klass]))
+        try:
+            if not line.startswith(("if ", "else if ")):
+                return FFTree(tuple(levels), _CLASS_VALUES[line.removeprefix("else ").strip()],
+                              feature_names)
+            name, relation, threshold, kw, klass = (
+                line.removeprefix("else ").removeprefix("if ").split())
+            if kw != "then" or relation not in (LE, GT):
+                raise ValueError
+            levels.append(Range(index[name], relation, float(threshold), _CLASS_VALUES[klass]))
+        except (KeyError, ValueError):  # an unknown name, a bad threshold or token count
+            raise ValueError(f"cannot parse rule line: {line!r}") from None
     raise ValueError("rule list has no final else line")
 
 

@@ -13,6 +13,16 @@ The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
 function, which makes whole runs byte-reproducible.
+
+Process model: a tuned cell depends on nothing outside itself, so on Linux,
+while no other Python thread runs, tuned runs use P = min(CPUs this process
+may run on, cells) processes.  The calling process runs cells 0, P, 2P, ...;
+helper h, made by os.fork, runs cells h, h+P, ... and pickles each cell's
+rows, or its first error, back through a pipe.  The fixed round-robin keeps
+which cells run in the caller the same from run to run.  Rows merge in cell
+order, a failure raises the error of the lowest failing cell, and every
+helper is reaped before the run returns, so the output and errors are those
+of a serial run.  Untuned cells share split memos and stay in the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +30,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -69,6 +82,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if self.folds < 2:  # kfold needs a tuning fold and the rest to train on
+            raise ConfigError(f"folds must be at least 2, got {self.folds!r}")
         if not self.datasets:
             raise ConfigError("no datasets configured")
         if not self.learners:
@@ -177,6 +192,104 @@ def _score(model, data: Dataset, g: GoalSpec) -> float:
     return evaluate(g, data.labels, predicted, data.locs)
 
 
+def _cpus() -> int:
+    """The processes a tuned run may use: the CPUs this process may run on.
+
+    It is 1 without os.sched_getaffinity (not Linux), and while other Python threads
+    run: a fork copies only the calling thread, so a lock another thread holds would
+    stay held in every helper.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or threading.active_count() > 1:
+        return 1
+    return len(affinity(0))
+
+
+def _helper(run_cell, cells: range, write_end: int, parent: int) -> None:
+    """A forked helper's whole life: run `cells`, send each (index, rows or exception).
+
+    It stops at its first failing cell, or once orphaned, and leaves by os._exit, so
+    the stdio buffers and atexit hooks it shares with its parent never run twice.
+    """
+    try:
+        with os.fdopen(write_end, "wb") as pipe:
+            for i in cells:
+                if os.getppid() != parent:  # orphaned: nobody reads its pipe
+                    break
+                try:
+                    frame = pickle.dumps((i, run_cell(i)))
+                except Exception as exc:
+                    try:
+                        frame = pickle.dumps((i, exc))
+                        pickle.loads(frame)
+                    except Exception:  # an exception that cannot cross the pipe
+                        frame = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                    pipe.write(frame)
+                    break
+                pipe.write(frame)
+                pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _run_cells(run_cell, n: int, processes: int) -> list:
+    """The rows of cells 0..n-1 in cell order, run round-robin on `processes` processes.
+
+    A failure raises the exception of the lowest failing cell, as a serial run does.
+    Every helper is killed and reaped before this returns or raises.
+    """
+    if processes <= 1:
+        return [row for i in range(n) for row in run_cell(i)]
+    outcomes = {}  # cell index -> its rows, or the exception it raised
+    helpers = []  # (pid, read end of its pipe)
+    parent = os.getpid()
+    stop = n  # the lowest failing cell seen so far
+    try:
+        for h in range(1, processes):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                for _, pipe in helpers:
+                    pipe.close()
+                _helper(run_cell, range(h, n, processes), write_end, parent)
+            os.close(write_end)
+            helpers.append((pid, os.fdopen(read_end, "rb")))
+        for i in range(0, n, processes):
+            try:
+                outcomes[i] = run_cell(i)
+            except Exception as exc:
+                outcomes[i], stop = exc, i
+                break
+        # Cells after `stop` cannot change what a serial run returns or raises.
+        for _, pipe in helpers:
+            while True:
+                try:
+                    i, outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # finished, or died mid-frame
+                    break
+                if i > stop:
+                    break
+                outcomes[i] = outcome
+                if isinstance(outcome, Exception):
+                    stop = i
+                    break
+        rows = []
+        for i in range(n):
+            if i not in outcomes:
+                raise ChildProcessError(f"a helper process ended before returning cell {i}")
+            if isinstance(outcomes[i], Exception):
+                raise outcomes[i]
+            rows += outcomes[i]
+        return rows
+    finally:
+        import signal  # here, so that a serial run never imports it
+        for pid, pipe in helpers:
+            os.kill(pid, signal.SIGKILL)  # one blocked on a full pipe would never exit
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = None,
          suffix: str = "") -> ExperimentResult:
     """The one experiment loop: cell order, seeds, timing and rows of every workflow.
@@ -185,7 +298,8 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
     and gives the row body(lspec, train, test, seed).  With `folds`, a cell is one
     (dataset, learner) pair whose training data kfold carves with the cell seed;
     fold f gives row f, body(lspec, (new_train, tune_set), test, derive_seed(seed, f)),
-    and rows aggregate by mean, not median.
+    and rows aggregate by mean, not median.  Tuned cells run on min(_cpus(), cells)
+    processes (see _run_cells); untuned ones, which share split memos, run here.
     """
     if (spec.de is None) == tuned:
         raise ConfigError("tuned workflows need a DE configuration" if tuned
@@ -199,26 +313,28 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
         if tuned and folds is None and len(train) < 3:  # a smaller 80/20 split tunes on no rows
             raise ConfigError(f"dataset {name!r} has {len(train)} training rows; "
                               "an 80/20 tuning split needs at least 3")
-    result = ExperimentResult(spec.goal, aggregate_kind="median" if folds is None else "mean")
-    cell = 0
-    for name, (train, test) in spec.datasets.items():
-        for lspec in spec.learners:
-            for repeat in range(spec.repeats):
-                seed = derive_seed(spec.seed, cell)
-                cell += 1
-                try:
-                    units = ([(repeat, train, seed)] if folds is None
-                             else [(f, pair, derive_seed(seed, f))
-                                   for f, pair in enumerate(kfold(train, folds, seed))])
-                    for index, data, unit_seed in units:
-                        start = time.perf_counter()
-                        fields = body(lspec, data, test, unit_seed)
-                        result.rows.append(ResultRow(name, lspec.kind + suffix, index,
-                                                     duration=time.perf_counter() - start,
-                                                     **fields))
-                except DegenerateDataError as exc:
-                    raise DegenerateDataError(f"dataset {name!r}: {exc}") from exc
-    return result
+    cells = [(name, train, test, lspec, repeat) for name, (train, test) in spec.datasets.items()
+             for lspec in spec.learners for repeat in range(spec.repeats)]
+
+    def run_cell(cell: int) -> list[ResultRow]:
+        name, train, test, lspec, repeat = cells[cell]
+        seed = derive_seed(spec.seed, cell)
+        rows = []
+        try:
+            units = ([(repeat, train, seed)] if folds is None
+                     else [(f, pair, derive_seed(seed, f))
+                           for f, pair in enumerate(kfold(train, folds, seed))])
+            for index, data, unit_seed in units:
+                start = time.perf_counter()
+                fields = body(lspec, data, test, unit_seed)
+                rows.append(ResultRow(name, lspec.kind + suffix, index,
+                                      duration=time.perf_counter() - start, **fields))
+        except DegenerateDataError as exc:
+            raise DegenerateDataError(f"dataset {name!r}: {exc}") from exc
+        return rows
+
+    rows = _run_cells(run_cell, len(cells), min(_cpus(), len(cells)) if tuned else 1)
+    return ExperimentResult(spec.goal, rows, "median" if folds is None else "mean")
 
 
 def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:

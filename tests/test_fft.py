@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,6 +383,19 @@ class TestSerialization:
         tree = FFTree((), 1, ("a0", "loc"))
         assert tree.to_text() == "else true"
         assert tree_from_text(tree.to_text(), tree.feature_names) == tree
+
+    @pytest.mark.parametrize("text,bad", [
+        ("if foo <= 1 then true\nelse false", "if foo <= 1 then true"),  # unknown attribute
+        ("if cbo <= 4 then yes\nelse false", "if cbo <= 4 then yes"),  # unknown class word
+        ("if cbo <= 4 then false\nelse yes", "else yes"),
+        ("if cbo <= 4 then\nelse false", "if cbo <= 4 then"),  # four tokens
+        ("if cbo <= 4 then false now\nelse false", "if cbo <= 4 then false now"),
+        ("if cbo <= four then false\nelse false", "if cbo <= four then false"),
+        ("if cbo < 4 then false\nelse false", "if cbo < 4 then false"),
+    ])
+    def test_bad_line_raises_value_error_naming_it(self, text, bad):
+        with pytest.raises(ValueError, match=f"cannot parse rule line: {re.escape(repr(bad))}"):
+            tree_from_text(text, fig_tree().feature_names)
 
     def test_interpreter_agrees_with_predict(self):
         rng = np.random.default_rng(17)

@@ -1,4 +1,7 @@
 import gc
+import json
+import os
+import threading
 import weakref
 from dataclasses import replace
 
@@ -40,6 +43,12 @@ def spec_for(datasets, learners, **kwargs):
     return ExperimentSpec(datasets, learners, kwargs.pop("goal", D2H), **kwargs)
 
 
+def on_cpus(monkeypatch, cpus):
+    """Run tuned cells on `cpus` processes.  A spy sees only the calling process's cells,
+    so a test that counts calls across cells runs them all there, on one."""
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
@@ -60,6 +69,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="'cart' is listed more than once"):
             spec_for({"d": planted_split()}, [LearnerSpec("cart"), LearnerSpec("fft"),
                                               LearnerSpec("cart", params)])
+
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_folds_below_two_rejected(self, folds):
+        # Caught before any cell runs, not by kfold inside the first k-fold cell.
+        with pytest.raises(ConfigError, match=f"folds must be at least 2, got {folds}"):
+            spec_for({"d": planted_split()}, [LearnerSpec("cart")], folds=folds, de=FAST_DE)
 
     def test_datasets_required(self):
         with pytest.raises(ConfigError):
@@ -225,6 +240,7 @@ class TestRunTuned:
             return original(model, data, g)
 
         monkeypatch.setattr(harness, "_score", counting)
+        on_cpus(monkeypatch, 1)
         spec = spec_for({"planted": (train, test)},
                         [LearnerSpec("cart"), LearnerSpec("knn")],
                         repeats=3, seed=9, de=FAST_DE)
@@ -320,6 +336,7 @@ class TestModelCache:
         assert len(fitted) == 1
 
     def test_cell_holds_at_most_np_models(self, monkeypatch):
+        on_cpus(monkeypatch, 1)
         fitted = recorded_fits(monkeypatch)
         alive = []
         original = harness._score
@@ -337,6 +354,129 @@ class TestModelCache:
         assert len(fitted) > 4 * FAST_DE.np  # so some of the 4 cells evicted
         assert max(alive) == FAST_DE.np
 
+
+def few_defects():
+    """40 training rows, 2 defective: at seed 0, cells 0-2 split off tuning sets with no defect."""
+    rng = np.random.default_rng(0)
+    return (make_dataset(rng.random((40, 3)), [1, 1] + [0] * 38),
+            make_dataset(rng.random((20, 3)), [1] * 5 + [0] * 15))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome_on(monkeypatch, cpus, runner, spec):
+    """The run's JSON without durations, or the type and message of what it raised."""
+    on_cpus(monkeypatch, cpus)
+    try:
+        payload = json.loads(runner(spec).to_json())
+    except Exception as exc:
+        return type(exc), str(exc)
+    for row in payload["rows"]:
+        del row["duration"]
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TwoPartError(Exception):
+    """Pickles, but does not unpickle: its one stored arg does not fit its __init__."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class TestParallelCells:
+    """Tuned cells spread round-robin over forked helpers: a serial run's rows and errors."""
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("runner", [run_tuned, run_kfold_tuned, run_smotuned])
+    def test_rows_equal_a_serial_run(self, monkeypatch, runner, cells):
+        kinds = ("naive_bayes", "cart", "logistic", "knn", "fft")[:cells]
+        spec = spec_for({"planted": planted_split(n=120)}, [LearnerSpec(k) for k in kinds],
+                        seed=31, folds=2, de=DEConfig(np=4, life=1))
+        serial = outcome_on(monkeypatch, 1, runner, spec)
+        assert isinstance(serial, str)
+        for cpus in (2, 3):
+            assert outcome_on(monkeypatch, cpus, runner, spec) == serial
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_helper_cell_error_raises_as_serial(self, monkeypatch, cpus):
+        # Listed second, the degenerate dataset's cell runs in a helper.
+        spec = spec_for({"ok": planted_split(n=120), "few": few_defects()},
+                        [LearnerSpec("cart")], goal=goal("p_opt"), seed=0,
+                        de=DEConfig(np=4, life=1))
+        expected = (DegenerateDataError,
+                    "dataset 'few': no defective instances; recall axis undefined")
+        assert outcome_on(monkeypatch, 1, run_tuned, spec) == expected
+        assert outcome_on(monkeypatch, cpus, run_tuned, spec) == expected
+        assert_no_child_left()
+
+    def test_lowest_failing_cell_wins(self, monkeypatch):
+        # On 2 CPUs the main process fails at cell 2 and its helper first, at cell 1.
+        few = few_defects()
+        spec = spec_for({"ok": planted_split(n=120), "few1": few, "few2": few},
+                        [LearnerSpec("naive_bayes")], goal=goal("p_opt"), seed=0,
+                        de=DEConfig(np=4, life=1))
+        serial = outcome_on(monkeypatch, 1, run_tuned, spec)
+        assert serial[0] is DegenerateDataError and "'few1'" in serial[1]
+        assert outcome_on(monkeypatch, 2, run_tuned, spec) == serial
+        assert_no_child_left()
+
+    def test_helper_that_dies_is_an_error(self, monkeypatch):
+        parent, tune = os.getpid(), harness._tune_learner
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return tune(*args)
+
+        monkeypatch.setattr(harness, "_tune_learner", dying)
+        spec = spec_for({"planted": planted_split(n=120)},
+                        [LearnerSpec("naive_bayes"), LearnerSpec("logistic")],
+                        seed=32, de=DEConfig(np=4, life=1))
+        assert outcome_on(monkeypatch, 2, run_tuned, spec) == (
+            ChildProcessError, "a helper process ended before returning cell 1")
+        assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert harness._cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert harness._cpus() == len(os.sched_getaffinity(0))
+
+    def test_orphaned_helper_runs_no_cell(self):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # a parent pid that is not its own: the helper was orphaned
+            harness._helper(lambda i: os._exit(5), range(3), write_end, parent=-1)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == b""
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    def test_unpicklable_error_keeps_its_message(self, monkeypatch):
+        parent, tune = os.getpid(), harness._tune_learner
+
+        def failing_in_helper(*args):
+            if os.getpid() != parent:
+                raise TwoPartError("this", "that")
+            return tune(*args)
+
+        monkeypatch.setattr(harness, "_tune_learner", failing_in_helper)
+        spec = spec_for({"planted": planted_split(n=120)},
+                        [LearnerSpec("naive_bayes"), LearnerSpec("logistic")],
+                        seed=33, de=DEConfig(np=4, life=1))
+        assert outcome_on(monkeypatch, 2, run_tuned, spec) == (
+            RuntimeError, "TwoPartError: this and that")
+        assert_no_child_left()
 
 class TestRunSmotuned:
     def test_tunings_stay_in_table_ranges(self):
@@ -407,6 +547,7 @@ class TestRunSmotuned:
         assert all(held <= bound == 2 * FAST_DE.np for _, held, bound in applies)
 
     def test_memo_bound_keeps_rows(self, monkeypatch):
+        on_cpus(monkeypatch, 1)
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("naive_bayes")],
                         repeats=2, seed=19, de=FAST_DE)
         apply = harness.smote.apply
