@@ -16,13 +16,15 @@ function, which makes whole runs byte-reproducible.
 
 Process model: a tuned cell depends on nothing outside itself, so on Linux,
 while no other Python thread runs, tuned runs use P = min(CPUs this process
-may run on, cells) processes.  The calling process runs cells 0, P, 2P, ...;
-helper h, made by os.fork, runs cells h, h+P, ... and pickles each cell's
-rows, or its first error, back through a pipe.  The fixed round-robin keeps
-which cells run in the caller the same from run to run.  Rows merge in cell
-order, a failure raises the error of the lowest failing cell, and every
-helper is reaped before the run returns, so the output and errors are those
-of a serial run.  Untuned cells share split memos and stay in the caller.
+may run on, 2, cells) processes.  The calling process runs cells 0, P, 2P,
+...; helper h, made by os.fork, runs cells h, h+P, ... and pickles each
+cell's rows, or its first error, back through a pipe, which the caller
+empties after each of its own cells.  The fixed round-robin keeps which cells run in the
+caller the same from run to run.  Rows merge in cell order, a failure raises
+the error of the lowest failing cell, and every helper is reaped before the
+run returns, so the output and errors are those of a serial run.  Cell
+durations are wall times taken while the processes share the CPUs.  Untuned
+cells share split memos and stay in the caller.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import pickle
+import struct
 import sys
 import threading
 import time
@@ -192,8 +195,17 @@ def _score(model, data: Dataset, g: GoalSpec) -> float:
     return evaluate(g, data.labels, predicted, data.locs)
 
 
+# Tuned runs use at most this many processes.  Two were measured: on a 2-CPU host,
+# smotuned_nb's run_s fell to 0.69x.  Each further helper would hold about 30 MB more,
+# and sched_getaffinity does not see a container's CPU quota; neither was measured.
+_MAX_PROCESSES = 2
+
+# A helper sends each cell as one frame: the byte length of a pickle, then the pickle.
+_FRAME = struct.Struct("<Q")
+
+
 def _cpus() -> int:
-    """The processes a tuned run may use: the CPUs this process may run on.
+    """The processes a tuned run may use: the CPUs this process may run on, at most 2.
 
     It is 1 without os.sched_getaffinity (not Linux), and while other Python threads
     run: a fork copies only the calling thread, so a lock another thread holds would
@@ -202,11 +214,11 @@ def _cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is None or threading.active_count() > 1:
         return 1
-    return len(affinity(0))
+    return min(len(affinity(0)), _MAX_PROCESSES)
 
 
 def _helper(run_cell, cells: range, write_end: int, parent: int) -> None:
-    """A forked helper's whole life: run `cells`, send each (index, rows or exception).
+    """A forked helper's whole life: run `cells`, send a frame (index, rows or exception) each.
 
     It stops at its first failing cell, or once orphaned, and leaves by os._exit, so
     the stdio buffers and atexit hooks it shares with its parent never run twice.
@@ -216,60 +228,106 @@ def _helper(run_cell, cells: range, write_end: int, parent: int) -> None:
             for i in cells:
                 if os.getppid() != parent:  # orphaned: nobody reads its pipe
                     break
+                failed = False
                 try:
                     frame = pickle.dumps((i, run_cell(i)))
                 except Exception as exc:
+                    failed = True
                     try:
                         frame = pickle.dumps((i, exc))
                         pickle.loads(frame)
                     except Exception:  # an exception that cannot cross the pipe
                         frame = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
-                    pipe.write(frame)
-                    break
-                pipe.write(frame)
+                pipe.write(_FRAME.pack(len(frame)) + frame)
                 pipe.flush()
+                if failed:
+                    break
     finally:
         os._exit(0)
+
+
+class _Pipe:
+    """The caller's end of a helper's pipe, and the bytes read from it so far."""
+
+    def __init__(self, fd: int):
+        self.fd, self.buffer, self.open = fd, bytearray(), True
+        os.set_blocking(fd, False)
+
+    def _read(self) -> None:
+        chunk = os.read(self.fd, 1 << 16)
+        self.buffer += chunk
+        self.open = bool(chunk)
+
+    def drain(self) -> None:
+        """Read what the pipe holds without waiting, so the helper never waits on a full pipe."""
+        try:
+            while self.open:
+                self._read()
+        except BlockingIOError:
+            pass
+
+    def frame(self):
+        """The next (index, outcome) frame, waiting for it; None if the helper ended first."""
+        os.set_blocking(self.fd, True)
+        while True:
+            if len(self.buffer) >= _FRAME.size:
+                end = _FRAME.size + _FRAME.unpack_from(self.buffer)[0]
+                if len(self.buffer) >= end:
+                    frame = pickle.loads(self.buffer[_FRAME.size:end])
+                    del self.buffer[:end]
+                    return frame
+            if not self.open:  # finished, or died mid-frame
+                return None
+            self._read()
 
 
 def _run_cells(run_cell, n: int, processes: int) -> list:
     """The rows of cells 0..n-1 in cell order, run round-robin on `processes` processes.
 
-    A failure raises the exception of the lowest failing cell, as a serial run does.
-    Every helper is killed and reaped before this returns or raises.
+    The caller runs cells 0, P, 2P, ... and helper h cells h, h+P, ...; if a fork fails,
+    the caller also runs the cells of the helpers it could not make.  A failure raises
+    the exception of the lowest failing cell, as a serial run does.  Every helper is
+    killed and reaped before this returns or raises.
     """
-    if processes <= 1:
-        return [row for i in range(n) for row in run_cell(i)]
     outcomes = {}  # cell index -> its rows, or the exception it raised
-    helpers = []  # (pid, read end of its pipe)
+    helpers = {}  # h -> (pid, its _Pipe)
     parent = os.getpid()
-    stop = n  # the lowest failing cell seen so far
     try:
         for h in range(1, processes):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:  # at a process, memory or file limit
+                for fd in fds:
+                    os.close(fd)
+                break
+            read_end, write_end = fds
             if pid == 0:
                 os.close(read_end)
-                for _, pipe in helpers:
-                    pipe.close()
+                for _, pipe in helpers.values():
+                    os.close(pipe.fd)
                 _helper(run_cell, range(h, n, processes), write_end, parent)
             os.close(write_end)
-            helpers.append((pid, os.fdopen(read_end, "rb")))
-        for i in range(0, n, processes):
+            helpers[h] = (pid, _Pipe(read_end))
+        stop = n  # the lowest failing cell seen so far
+        for i in range(n):
+            if i % processes in helpers:
+                continue
             try:
                 outcomes[i] = run_cell(i)
             except Exception as exc:
                 outcomes[i], stop = exc, i
                 break
-        # Cells after `stop` cannot change what a serial run returns or raises.
-        for _, pipe in helpers:
-            while True:
-                try:
-                    i, outcome = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # finished, or died mid-frame
+            for _, pipe in helpers.values():
+                pipe.drain()
+        # Cells from `stop` on cannot change what a serial run returns or raises.
+        for h, (_, pipe) in helpers.items():
+            for _ in range(h, stop, processes):
+                frame = pipe.frame()
+                if frame is None:
                     break
-                if i > stop:
-                    break
+                i, outcome = frame
                 outcomes[i] = outcome
                 if isinstance(outcome, Exception):
                     stop = i
@@ -283,11 +341,10 @@ def _run_cells(run_cell, n: int, processes: int) -> list:
             rows += outcomes[i]
         return rows
     finally:
-        import signal  # here, so that a serial run never imports it
-        for pid, pipe in helpers:
-            os.kill(pid, signal.SIGKILL)  # one blocked on a full pipe would never exit
+        for pid, pipe in helpers.values():
+            os.kill(pid, 9)  # SIGKILL: a helper may be mid-cell, or blocked on a full pipe
             os.waitpid(pid, 0)
-            pipe.close()
+            os.close(pipe.fd)
 
 
 def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = None,

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -450,7 +451,57 @@ class TestParallelCells:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert harness._cpus() == len(os.sched_getaffinity(0))
+        assert harness._cpus() == min(len(os.sched_getaffinity(0)), harness._MAX_PROCESSES)
+
+    def test_helper_never_waits_for_the_caller(self):
+        # The helper's 10 cells send about 200 KB, more than a 64 KiB pipe holds, in less
+        # time than the caller's first cell takes; the caller empties the pipe between cells.
+        def run_cell(i):
+            if i % 2 == 0:
+                time.sleep(0.05)
+            return [(i, time.monotonic(), "x" * 20_000)]
+
+        rows = harness._run_cells(run_cell, 20, 2)
+        assert [row[0] for row in rows] == list(range(20))
+        assert rows[19][1] < rows[18][1]  # the helper's last cell ended before the caller's
+        assert_no_child_left()
+
+    def test_caller_failure_waits_for_no_higher_helper_cell(self):
+        parent = os.getpid()
+
+        def run_cell(i):
+            if os.getpid() == parent:
+                raise ValueError(f"cell {i}")
+            time.sleep(60)  # cell 1, in the helper, cannot change the outcome
+            return [i]
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="cell 0"):
+            harness._run_cells(run_cell, 2, 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_failed_fork_leaves_the_cells_to_the_caller(self, monkeypatch, forks):
+        spec = spec_for({"planted": planted_split(n=120)},
+                        [LearnerSpec(k) for k in ("naive_bayes", "cart", "logistic", "knn")],
+                        seed=34, de=DEConfig(np=4, life=1))
+        serial = outcome_on(monkeypatch, 1, run_tuned, spec)
+        fork, made = os.fork, []
+
+        def failing_fork():
+            if len(made) == forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            made.append(None)
+            return fork()
+
+        open_fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert outcome_on(monkeypatch, 3, run_tuned, spec) == serial
+        monkeypatch.setattr(os, "fork", fork)
+        assert len(made) == forks
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert_no_child_left()
 
     def test_orphaned_helper_runs_no_cell(self):
         read_end, write_end = os.pipe()
