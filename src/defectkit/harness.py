@@ -16,15 +16,19 @@ function, which makes whole runs byte-reproducible.
 
 Process model: a tuned cell depends on nothing outside itself, so on Linux,
 while no other Python thread runs, tuned runs use P = min(CPUs this process
-may run on, 2, cells) processes.  The calling process runs cells 0, P, 2P,
-...; helper h, made by os.fork, runs cells h, h+P, ... and pickles each
-cell's rows, or its first error, back through a pipe, which the caller
-empties after each of its own cells.  The fixed round-robin keeps which cells run in the
-caller the same from run to run.  Rows merge in cell order, a failure raises
-the error of the lowest failing cell, and every helper is reaped before the
-run returns, so the output and errors are those of a serial run.  Cell
-durations are wall times taken while the processes share the CPUs.  Untuned
-cells share split memos and stay in the caller.
+may run on, 2, cells) processes.  _deal assigns the cells longest first by a
+fixed cost per learner kind, which ignores dataset size and goal, each to the
+least-loaded process; with equal costs it is a round-robin.  On tune_d2h's
+five learners the tuned SVM and CART so land in different processes.  The
+caller is process 0; helper h, made by os.fork, runs its cells in index order
+and pickles each cell's rows, or its first error, back through a pipe, which
+the caller empties after each of its own cells.  The deal reads only the
+spec, never a clock, so a run puts the same cells in the caller every time.
+Rows merge in cell order, a failure raises the error of the lowest failing
+cell, and every helper is reaped before the run returns, so the output and
+errors are those of a serial run.  Cell durations are wall times taken while
+the processes share the CPUs.  Untuned cells share split memos and stay in
+the caller.
 """
 
 from __future__ import annotations
@@ -195,10 +199,19 @@ def _score(model, data: Dataset, g: GoalSpec) -> float:
     return evaluate(g, data.labels, predicted, data.locs)
 
 
-# Tuned runs use at most this many processes.  Two were measured: on a 2-CPU host,
-# smotuned_nb's run_s fell to 0.69x.  Each further helper would hold about 30 MB more,
-# and sched_getaffinity does not see a container's CPU quota; neither was measured.
+# Tuned runs use at most this many processes.  Two were measured on a 2-CPU host:
+# smotuned_nb's run_s fell to 0.69x, and tune_d2h's to 0.75x once _deal balanced its
+# learners (round-robin left it at 1.03x).  Each further helper would hold about
+# 30 MB more, and sched_getaffinity does not see a container's CPU quota; neither
+# was measured.
 _MAX_PROCESSES = 2
+
+# Relative seconds of one tuned cell of each learner kind: run_tuned under d2h on
+# n=1000 training rows, one process.  The cost ignores dataset size, goal and
+# workflow (an FFT cell under P_opt costs far more than under d2h), so it balances
+# runs whose datasets are alike in size; a manifest of mixed sizes may deal worse.
+_CELL_COST = {"random_forest": 270, "linear_svm": 9.3, "cart": 7.5, "fft": 6.3, "knn": 6.3,
+              "logistic": 2.7, "naive_bayes": 0.08}
 
 # A helper sends each cell as one frame: the byte length of a pickle, then the pickle.
 _FRAME = struct.Struct("<Q")
@@ -217,7 +230,22 @@ def _cpus() -> int:
     return min(len(affinity(0)), _MAX_PROCESSES)
 
 
-def _helper(run_cell, cells: range, write_end: int, parent: int) -> None:
+def _deal(costs: list[float], processes: int) -> list[list[int]]:
+    """The cells each process runs, in index order; process 0 is the caller.
+
+    Longest processing time first (Graham 1969): cells in order of (-cost, index) go
+    each to the least-loaded process, the lowest-numbered on a tie.  Equal costs give
+    the round-robin i % processes.
+    """
+    loads, owned = [0.0] * processes, [[] for _ in range(processes)]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        p = loads.index(min(loads))
+        loads[p] += costs[i]
+        owned[p].append(i)
+    return [sorted(cells) for cells in owned]
+
+
+def _helper(run_cell, cells: list[int], write_end: int, parent: int) -> None:
     """A forked helper's whole life: run `cells`, send a frame (index, rows or exception) each.
 
     It stops at its first failing cell, or once orphaned, and leaves by os._exit, so
@@ -281,14 +309,15 @@ class _Pipe:
             self._read()
 
 
-def _run_cells(run_cell, n: int, processes: int) -> list:
-    """The rows of cells 0..n-1 in cell order, run round-robin on `processes` processes.
+def _run_cells(run_cell, costs: list[float], processes: int) -> list:
+    """The rows of cells 0..n-1 in cell order, dealt by `costs` to `processes` processes.
 
-    The caller runs cells 0, P, 2P, ... and helper h cells h, h+P, ...; if a fork fails,
-    the caller also runs the cells of the helpers it could not make.  A failure raises
-    the exception of the lowest failing cell, as a serial run does.  Every helper is
-    killed and reaped before this returns or raises.
+    _deal gives each process its cells; if a fork fails, the caller also runs the cells
+    of the helpers it could not make.  A failure raises the exception of the lowest
+    failing cell, as a serial run does.  Every helper is killed and reaped before this
+    returns or raises.
     """
+    n, owned = len(costs), _deal(costs, processes)
     outcomes = {}  # cell index -> its rows, or the exception it raised
     helpers = {}  # h -> (pid, its _Pipe)
     parent = os.getpid()
@@ -307,13 +336,11 @@ def _run_cells(run_cell, n: int, processes: int) -> list:
                 os.close(read_end)
                 for _, pipe in helpers.values():
                     os.close(pipe.fd)
-                _helper(run_cell, range(h, n, processes), write_end, parent)
+                _helper(run_cell, owned[h], write_end, parent)
             os.close(write_end)
             helpers[h] = (pid, _Pipe(read_end))
         stop = n  # the lowest failing cell seen so far
-        for i in range(n):
-            if i % processes in helpers:
-                continue
+        for i in sorted(i for h, cells in enumerate(owned) if h not in helpers for i in cells):
             try:
                 outcomes[i] = run_cell(i)
             except Exception as exc:
@@ -323,7 +350,9 @@ def _run_cells(run_cell, n: int, processes: int) -> list:
                 pipe.drain()
         # Cells from `stop` on cannot change what a serial run returns or raises.
         for h, (_, pipe) in helpers.items():
-            for _ in range(h, stop, processes):
+            for cell in owned[h]:
+                if cell >= stop:
+                    break
                 frame = pipe.frame()
                 if frame is None:
                     break
@@ -356,7 +385,8 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
     (dataset, learner) pair whose training data kfold carves with the cell seed;
     fold f gives row f, body(lspec, (new_train, tune_set), test, derive_seed(seed, f)),
     and rows aggregate by mean, not median.  Tuned cells run on min(_cpus(), cells)
-    processes (see _run_cells); untuned ones, which share split memos, run here.
+    processes, dealt by their learners' _CELL_COST (see _run_cells); untuned ones,
+    which share split memos, run here.
     """
     if (spec.de is None) == tuned:
         raise ConfigError("tuned workflows need a DE configuration" if tuned
@@ -390,7 +420,8 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
             raise DegenerateDataError(f"dataset {name!r}: {exc}") from exc
         return rows
 
-    rows = _run_cells(run_cell, len(cells), min(_cpus(), len(cells)) if tuned else 1)
+    rows = _run_cells(run_cell, [_CELL_COST[lspec.kind] for _, _, _, lspec, _ in cells],
+                      min(_cpus(), len(cells)) if tuned else 1)
     return ExperimentResult(spec.goal, rows, "median" if folds is None else "mean")
 
 

@@ -387,13 +387,48 @@ class TwoPartError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-class TestParallelCells:
-    """Tuned cells spread round-robin over forked helpers: a serial run's rows and errors."""
+# tune_d2h's learners, in its order: the tuned linear_svm and cart cost the most.
+D2H_KINDS = ("cart", "knn", "logistic", "naive_bayes", "linear_svm")
 
-    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 5])
+
+class TestDeal:
+    """Cells go longest first, each to the least-loaded process; equal costs go round-robin."""
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equal_costs_deal_round_robin(self, n, processes):
+        assert harness._deal([2.7] * n, processes) == [list(range(p, n, processes))
+                                                        for p in range(processes)]
+
+    def test_tune_d2h_keeps_svm_and_cart_apart(self):
+        caller, helper = harness._deal([harness._CELL_COST[k] for k in D2H_KINDS], 2)
+        assert {D2H_KINDS[i] for i in caller} == {"logistic", "naive_bayes", "linear_svm"}
+        assert {D2H_KINDS[i] for i in helper} == {"cart", "knn"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.01, 300.0), min_size=1, max_size=12), st.integers(1, 4))
+    def test_every_cell_dealt_once_within_graham_bound(self, costs, processes):
+        owned = harness._deal(costs, processes)
+        assert len(owned) == processes
+        assert sorted(i for cells in owned for i in cells) == list(range(len(costs)))
+        assert all(cells == sorted(cells) for cells in owned)
+        total = sum(costs)
+        largest_load = max(sum(costs[i] for i in cells) for cells in owned)
+        assert largest_load <= total / processes + max(costs) + 1e-9 * total  # float sums
+
+    def test_every_learner_kind_has_a_cost(self):
+        assert set(harness._CELL_COST) == set(KINDS)
+
+
+class TestParallelCells:
+    """Tuned cells dealt over forked helpers: a serial run's rows and errors."""
+
+    @pytest.mark.parametrize("kinds", [
+        *(pytest.param(("naive_bayes", "cart", "logistic", "knn", "fft")[:cells], id=str(cells))
+          for cells in range(1, 6)),
+        pytest.param(D2H_KINDS, id="tune_d2h")])
     @pytest.mark.parametrize("runner", [run_tuned, run_kfold_tuned, run_smotuned])
-    def test_rows_equal_a_serial_run(self, monkeypatch, runner, cells):
-        kinds = ("naive_bayes", "cart", "logistic", "knn", "fft")[:cells]
+    def test_rows_equal_a_serial_run(self, monkeypatch, runner, kinds):
         spec = spec_for({"planted": planted_split(n=120)}, [LearnerSpec(k) for k in kinds],
                         seed=31, folds=2, de=DEConfig(np=4, life=1))
         serial = outcome_on(monkeypatch, 1, runner, spec)
@@ -437,8 +472,11 @@ class TestParallelCells:
         spec = spec_for({"planted": planted_split(n=120)},
                         [LearnerSpec("naive_bayes"), LearnerSpec("logistic")],
                         seed=32, de=DEConfig(np=4, life=1))
+        # Logistic costs more than naive Bayes, so the helper owes cell 0.
+        assert harness._deal([harness._CELL_COST[k] for k in ("naive_bayes", "logistic")],
+                             2) == [[1], [0]]
         assert outcome_on(monkeypatch, 2, run_tuned, spec) == (
-            ChildProcessError, "a helper process ended before returning cell 1")
+            ChildProcessError, "a helper process ended before returning cell 0")
         assert_no_child_left()
 
     def test_no_fork_while_another_thread_runs(self):
@@ -461,7 +499,7 @@ class TestParallelCells:
                 time.sleep(0.05)
             return [(i, time.monotonic(), "x" * 20_000)]
 
-        rows = harness._run_cells(run_cell, 20, 2)
+        rows = harness._run_cells(run_cell, [1.0] * 20, 2)
         assert [row[0] for row in rows] == list(range(20))
         assert rows[19][1] < rows[18][1]  # the helper's last cell ended before the caller's
         assert_no_child_left()
@@ -477,7 +515,38 @@ class TestParallelCells:
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="cell 0"):
-            harness._run_cells(run_cell, 2, 2)
+            harness._run_cells(run_cell, [1.0, 1.0], 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    # The caller owns cells 1 and 4, the helper 0, 2 and 3: not a stride.
+    SPLIT_COSTS = [1.0, 5.0, 3.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("failing, raised", [({2, 4}, 2), ({1, 2}, 1), ({0, 1}, 0)])
+    def test_lowest_failing_cell_wins_in_a_split_deal(self, failing, raised):
+        assert harness._deal(self.SPLIT_COSTS, 2) == [[1, 4], [0, 2, 3]]
+
+        def run_cell(i):
+            if i in failing:
+                raise ValueError(f"cell {i}")
+            return [i]
+
+        with pytest.raises(ValueError, match=f"^cell {raised}$"):
+            harness._run_cells(run_cell, self.SPLIT_COSTS, 2)
+        assert harness._run_cells(lambda i: [i], self.SPLIT_COSTS, 2) == list(range(5))
+        assert_no_child_left()
+
+    def test_caller_failure_waits_for_no_higher_cell_in_a_split_deal(self):
+        def run_cell(i):
+            if i == 1:
+                raise ValueError("cell 1")
+            if i > 1:  # the helper runs 2 and 3; above cell 1 they cannot change the outcome
+                time.sleep(60)
+            return [i]
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^cell 1$"):
+            harness._run_cells(run_cell, self.SPLIT_COSTS, 2)
         assert time.monotonic() - start < 30
         assert_no_child_left()
 
