@@ -29,7 +29,7 @@ DEFECTIVE = 1
 
 # Nearest-neighbour kernels (knn scoring, SMOTE's neighbour table) hold at most
 # this many query-row x point x feature terms at once, so their memory grows
-# with n*F, not with n*n*F.
+# with n*F, not with n*n*F.  A memo keeps SMOTE's pair differences up to this size.
 CHUNK_TERMS = 1 << 18
 
 
@@ -230,26 +230,22 @@ class Memo:
         return self
 
 
-def nearest(queries: np.ndarray, points: np.ndarray, k: int, r: float,
-            exclude_self: bool = False) -> np.ndarray:
-    """Indices of each query row's k nearest points under Minkowski distance with power r.
-
-    Distances are taken CHUNK_TERMS terms at a time.  The argsort is stable, so
-    equal distances break by point index.  With `exclude_self` the queries are
-    the points themselves, and each one is left out of its own list.
-    """
-    tables = []
+def distance_chunks(queries: np.ndarray, points: np.ndarray, r: float):
+    """(rows, distances) for each chunk of query rows: their Minkowski distances with power
+    r to every point, taken CHUNK_TERMS terms at a time."""
     for rows in row_chunks(len(queries), points.size):
         terms = queries[rows, None, :] - points[None, :, :]
         # In place: a second chunk-sized temporary costs more than the arithmetic.
         np.abs(terms, out=terms)
         terms **= r
-        distances = terms.sum(axis=2) ** (1.0 / r)
-        if exclude_self:
-            own = np.arange(len(points))[rows]
-            distances[np.arange(len(own)), own] = np.inf
-        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
-    return np.concatenate(tables)
+        yield rows, terms.sum(axis=2) ** (1.0 / r)
+
+
+def nearest(queries: np.ndarray, points: np.ndarray, k: int, r: float) -> np.ndarray:
+    """Indices of each query row's k nearest points under Minkowski distance with power r,
+    equal distances broken by point index (the argsort is stable)."""
+    return np.concatenate([np.argsort(distances, axis=1, kind="stable")[:, :k]
+                           for _, distances in distance_chunks(queries, points, r)])
 
 
 @dataclass

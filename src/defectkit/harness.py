@@ -4,11 +4,11 @@ A run walks (dataset x learner x repeat) cells.  Tuned cells split the
 training data 80/20 into new-training and tuning sets, let differential
 evolution pick parameters by the goal score on the tuning set, and score
 the winner's model, fitted on new-training, once on the held-out test set.
-Candidates that differ only in decision-time tunings (`threshold`, knn's
-`k`) share one fit.  Each cell keeps its shared work in a dataset.Memo: at
-most `np` (the DE population size) fitted models, a tuned cell's CART split
-searches, and a smotuned cell's SMOTE neighbour tables.  Untuned cells that
-fit on one training set share one memo of its split searches.
+Each distinct candidate is scored once, and candidates that differ only in
+decision-time tunings (`threshold`, knn's `k`) share one fit.  A cell keeps its
+shared work in a dataset.Memo: at most `np` (the DE population size) models, a
+tuned cell's CART split searches, and a smotuned cell's SMOTE neighbour tables
+and their pair differences.  Untuned cells on one training set share its split memo.
 The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -428,14 +428,16 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
 def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     """Tune by DE, take the winner's model, score it once on the test set.
 
-    DE searches `space` from a population holding `planted`; every candidate
-    becomes a model through `fit_from(tunings)` and is scored on `tune_set`.
-    Candidates with equal fit-time tunings (all but `space.decision`) share
-    one model, whose decision-time tunings are set before each scoring; the
-    cell keeps the de_cfg.np most recently used models.
+    DE searches `space` from a population holding `planted`; each distinct
+    candidate becomes a model through `fit_from(tunings)` and is scored once on
+    `tune_set` (a repeat, say a trimmed value drawn again, counts as an evaluation
+    but neither fits nor predicts).  Candidates with equal fit-time tunings (all
+    but `space.decision`) share one model, whose decision-time tunings are set
+    before each scoring; the cell keeps the de_cfg.np most recently used models.
     """
     calls = 0
     models = Memo(None, de_cfg.np)  # its models come from no one dataset: nothing calls serving
+    scores = Memo(None, sys.maxsize)  # every distinct candidate's tuning score
 
     def model_for(tunings: dict) -> learners.Model:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
@@ -447,7 +449,8 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
-        return _score(model_for(candidate.tunings), tune_set, g)
+        key = tuple((name, type(value), value) for name, value in sorted(candidate.tunings.items()))
+        return scores.get(key, lambda: _score(model_for(candidate.tunings), tune_set, g))
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
                        seed_candidates=[planted])
@@ -500,8 +503,8 @@ def run_smotuned(spec: ExperimentSpec) -> ExperimentResult:
     """Tune the SMOTE preprocessor (k, m, r) by DE; learner parameters stay fixed."""
     def body(lspec, train, test, seed):
         new_train, tune_set = random_split(train, TUNE_FRACTION, seed)
-        # Rejected DE trials push the population's r out of an np-sized memo.
-        memo = Memo(new_train, 2 * spec.de.np)
+        # 2np tables (rejected DE trials push the population's r out of np), plus the pairs.
+        memo = Memo(new_train, 2 * spec.de.np + 1)
 
         def fit_from(tunings):
             # No shared split memo: every candidate fits on its own rebalanced data.

@@ -9,7 +9,8 @@ Tuning k, m, r with differential evolution is what the harness calls a
 "smotuned" run.  Each synthetic row draws a minority index, a neighbour rank
 and u, in that order, from default_rng(cfg.seed); the majority undersample
 comes last.  `apply` reproduces that stream in one vectorised pass at any k;
-calls that share a dataset.Memo rank the minority rows once per power r.
+calls that share a dataset.Memo share the minority rows' |x_i - x_j| for each pair
+i < j (up to CHUNK_TERMS terms) and rank the rows once per power r from them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Memo, nearest
+from .dataset import CHUNK_TERMS, Dataset, Memo, distance_chunks
 from .errors import DegenerateDataError
 
 M_CHOICES = (50, 100, 200, 400)
@@ -40,10 +41,10 @@ class SmoteConfig:
             raise ValueError(f"k must be an integer in [1, {K_MAX}], got {self.k!r}")
         if self.m not in M_CHOICES:
             raise ValueError(f"m must be one of {M_CHOICES}, got {self.m}")
-        if not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
+        if type(self.r) is bool or not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
             raise ValueError(f"r must be a real number in [0.1, 5], got {self.r!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if type(self.seed) is bool or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
@@ -72,6 +73,24 @@ def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
     draws = np.array([(rng.integers(0, n_points), rng.integers(0, k), rng.uniform())
                       for _ in range(count)]).reshape(count, 3).T
     return draws[0].astype(np.int64), draws[1].astype(np.int64), draws[2]
+
+
+def neighbour_table(points: np.ndarray, k: int, r: float, memo: Memo) -> np.ndarray:
+    """Each point's k nearest other points (Minkowski power r, ties by index).  Calls on one
+    memo of these points share their pair differences up to CHUNK_TERMS terms, else chunk."""
+    m = len(points)
+    if m * (m - 1) // 2 * points.shape[1] <= CHUNK_TERMS:  # |p_i - p_j| for each i < j, in order
+        pairs, upper = memo.get("pairs", lambda: (np.concatenate(
+            [np.abs(points[i] - points[i + 1:]) for i in range(m - 1)]), ~np.tri(m, dtype=bool)))
+        distances = np.full((m, m), np.inf)
+        distances[upper] = (pairs ** r).sum(axis=1) ** (1.0 / r)
+        distances.T[upper] = distances[upper]
+        return np.argsort(distances, axis=1, kind="stable")[:, :k]
+    tables = []
+    for rows, distances in distance_chunks(points, points, r):
+        np.fill_diagonal(distances[:, rows], np.inf)  # each point's distance to itself
+        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
+    return np.concatenate(tables)
 
 
 def apply(data: Dataset, cfg: SmoteConfig, memo: Memo | None = None) -> Dataset:
@@ -110,13 +129,14 @@ def apply(data: Dataset, cfg: SmoteConfig, memo: Memo | None = None) -> Dataset:
     minority_points = data.features[minority_idx]
     # One min(K_MAX, minority - 1)-nearest table per typed r (1 and 1.0 are separate keys); a
     # stable argsort makes each k-nearest table a prefix of it.
-    neighbours = memo.get((type(cfg.r), cfg.r), lambda: nearest(
-        minority_points, minority_points, min(K_MAX, len(minority_idx) - 1), cfg.r,
-        exclude_self=True))[:, :k]
+    neighbours = memo.get((type(cfg.r), cfg.r), lambda: neighbour_table(
+        minority_points, min(K_MAX, len(minority_idx) - 1), cfg.r, memo))[:, :k]
 
     seed_pos, nn_rank, u = _segment_draws(rng, len(minority_idx), k, n_synthetic)
-    base = minority_points[seed_pos]
-    synthetic = base + u[:, None] * (minority_points[neighbours[seed_pos, nn_rank]] - base)
+    base, synthetic = minority_points[seed_pos], minority_points[neighbours[seed_pos, nn_rank]]
+    synthetic -= base  # base + u * (nn - base), in place on the gathered copy
+    synthetic *= u[:, None]
+    synthetic += base
 
     if keep_majority < len(majority_idx):
         kept = np.sort(rng.choice(majority_idx, size=keep_majority, replace=False))

@@ -222,33 +222,17 @@ def knn_nearest(z, points, k):
         for rows in row_chunks(len(z), points.size)])
 
 
-def smote_neighbour_table(points, k, r):
-    """SMOTE's own chunked self-excluding table, before it moved into `nearest` (an oracle)."""
-    tables = []
-    for rows in row_chunks(len(points), points.size):
-        diffs = np.abs(points[rows, None, :] - points[None, :, :]) ** r
-        distances = diffs.sum(axis=2) ** (1.0 / r)
-        own = np.arange(len(points))[rows]
-        distances[np.arange(len(own)), own] = np.inf
-        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
-    return np.concatenate(tables)
-
-
 class TestNearest:
     # Coordinates in {0, 1, 2, 3} make many equal distances, so tie order counts.
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.integers(0, 40),
-           st.integers(1, 8), st.integers(1, 20),
-           st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.7]), st.floats(0.1, 5.0)))
-    def test_equals_the_two_kernels_it_replaced(self, seed, n_points, n_queries, n_features,
-                                                k, r):
+           st.integers(1, 8), st.integers(1, 20))
+    def test_equals_the_knn_kernel_it_replaced(self, seed, n_points, n_queries, n_features, k):
         rng = np.random.default_rng(seed)
         points = rng.integers(0, 4, (n_points, n_features)).astype(float)
         queries = rng.integers(0, 4, (n_queries, n_features)).astype(float)
         k = min(k, n_points - 1)
         assert np.array_equal(nearest(queries, points, k, 2.0), knn_nearest(queries, points, k))
-        assert np.array_equal(nearest(points, points, k, r, exclude_self=True),
-                              smote_neighbour_table(points, k, r))
 
 
 def test_dataset_is_immutable():

@@ -194,11 +194,22 @@ class TestRunTuned:
             calls["tune"] += data is not test
             return original(model, data, g)
 
+        run_de, candidates = harness.tuner.run_de, []
+
+        def recording(space, objective, *args, **kwargs):
+            def seen(candidate):
+                candidates.append(tuple(sorted(candidate.tunings.items())))
+                return objective(candidate)
+            return run_de(space, seen, *args, **kwargs)
+
         monkeypatch.setattr(harness, "_score", counting)
+        monkeypatch.setattr(harness.tuner, "run_de", recording)
         spec = spec_for({"planted": (train, test)}, [LearnerSpec("cart")],
                         repeats=1, seed=7, de=FAST_DE)
         result = run_tuned(spec)
-        assert calls["tune"] == result.rows[0].evaluations
+        # DE counts every candidate it scores; the cell scores each distinct one once.
+        assert len(candidates) == result.rows[0].evaluations
+        assert calls["tune"] == len(set(candidates))
 
     def test_rows_carry_tunings_in_range(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],
@@ -335,6 +346,34 @@ class TestModelCache:
         row = run_tuned(spec).rows[0]
         assert row.evaluations > FAST_DE.np
         assert len(fitted) == 1
+
+    def test_svm_cell_fits_each_distinct_c_once(self, monkeypatch):
+        # DE trims C to its bounds 1.0 and 50.0, so some candidates come back.
+        train, test = planted_split()
+        spec = spec_for({"planted": (train, test)}, [LearnerSpec("linear_svm")], seed=0,
+                        de=FAST_DE)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_de_cell", reference_de_cell)
+            refit_every_candidate = row_fields(run_tuned(spec))
+        fitted_c, tuning_scores = [], []
+        fit, score = harness.learners.fit, harness._score
+
+        def fitting(lspec, *args, **kwargs):
+            fitted_c.append(lspec.params["C"])
+            return fit(lspec, *args, **kwargs)
+
+        def scoring(model, data, g):
+            if data is not test:
+                tuning_scores.append(len(fitted_c))
+            return score(model, data, g)
+
+        monkeypatch.setattr(harness.learners, "fit", fitting)
+        monkeypatch.setattr(harness, "_score", scoring)
+        result = run_tuned(spec)
+        assert row_fields(result) == refit_every_candidate  # evaluations too
+        tuning_c = fitted_c[:tuning_scores[-1]]
+        assert 50.0 in tuning_c and len(set(tuning_c)) == len(tuning_c) == len(tuning_scores)
+        assert result.rows[0].evaluations > len(tuning_scores)  # so DE drew some C again
 
     def test_cell_holds_at_most_np_models(self, monkeypatch):
         on_cpus(monkeypatch, 1)
@@ -636,35 +675,40 @@ class TestRunSmotuned:
 
     @staticmethod
     def spy_on_smote(monkeypatch):
-        """Record each smotuned apply's (r, tables held after it, memo bound) and each ranking."""
-        applies, rankings = [], []
-        apply, nearest = harness.smote.apply, harness.smote.nearest
+        """Record each smotuned apply's (r, tables held after it, memo bound) and the pair
+        differences it held, and each table's r."""
+        applies, rankings, pairs_held = [], [], []
+        apply, table = harness.smote.apply, harness.smote.neighbour_table
 
         def spying_apply(data, cfg, memo=None):
             out = apply(data, cfg, memo)
-            applies.append((cfg.r, len(memo.entries), memo.size))
+            applies.append((cfg.r, len(memo.entries) - ("pairs" in memo.entries), memo.size))
+            pairs_held.append(memo.entries.get("pairs"))
             return out
 
-        def spying_nearest(queries, points, k, r, **kwargs):
+        def spying_table(points, k, r, memo):
             rankings.append(r)
-            return nearest(queries, points, k, r, **kwargs)
+            return table(points, k, r, memo)
 
         monkeypatch.setattr(harness.smote, "apply", spying_apply)
-        monkeypatch.setattr(harness.smote, "nearest", spying_nearest)
-        return applies, rankings
+        monkeypatch.setattr(harness.smote, "neighbour_table", spying_table)
+        return applies, rankings, pairs_held
 
     def test_cell_ranks_each_r_once(self, monkeypatch):
         few_r = tuner.ParamSpace(tuple(
             tuner.ParamSpec("r", tuner.CATEGORICAL, values=(0.5, 1.0, 2.0), default=2.0)
             if spec.name == "r" else spec for spec in harness.SMOTE_SPACE))
         monkeypatch.setattr(harness, "SMOTE_SPACE", few_r)
-        applies, rankings = self.spy_on_smote(monkeypatch)
+        applies, rankings, pairs_held = self.spy_on_smote(monkeypatch)
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("naive_bayes")],
                         seed=18, de=FAST_DE)
         run_smotuned(spec)
         assert len(applies) > len(set(rankings)) > 1
         assert sorted(rankings) == sorted({r for r, _, _ in applies})
-        assert all(held <= bound == 2 * FAST_DE.np for _, held, bound in applies)
+        # Every table of the cell ranks from one array of pair differences, held throughout.
+        assert pairs_held[0] is not None and all(p is pairs_held[0] for p in pairs_held)
+        # 2np tables, plus the pair differences
+        assert all(held <= bound - 1 == 2 * FAST_DE.np for _, held, bound in applies)
 
     def test_memo_bound_keeps_rows(self, monkeypatch):
         on_cpus(monkeypatch, 1)
@@ -674,7 +718,7 @@ class TestRunSmotuned:
         with monkeypatch.context() as patch:
             patch.setattr(harness.smote, "apply", lambda data, cfg, memo=None: apply(data, cfg))
             fresh_tables = row_fields(run_smotuned(spec))
-        applies, _ = self.spy_on_smote(monkeypatch)
+        applies, _, _ = self.spy_on_smote(monkeypatch)
         assert row_fields(run_smotuned(spec)) == fresh_tables
         assert len({r for r, _, _ in applies}) > 2 * FAST_DE.np  # so the memo evicted
         assert max(held for _, held, _ in applies) == 2 * FAST_DE.np

@@ -354,6 +354,47 @@ class TestLogistic:
         assert model.state["b"] == b
 
 
+def mean_var_naive_bayes(features, labels):
+    """The naive-Bayes fit through np.mean and np.var (the one-mean fit's oracle)."""
+    classes = np.flatnonzero(np.bincount(labels, minlength=2)).tolist()
+    overall_var = features.var(axis=0).max() if features.size else 1.0
+    smoothing = 1e-9 * max(overall_var, 1.0)
+    rows = {c: features[labels == c] for c in classes}
+    return {"classes": classes, "priors": {c: len(rows[c]) / len(labels) for c in classes},
+            "means": {c: np.mean(rows[c], axis=0) for c in classes},
+            "vars": {c: np.var(rows[c], axis=0) + smoothing for c in classes}}
+
+
+class TestNaiveBayes:
+    # Lognormal columns of mixed scale make rounding differences show; a class may hold
+    # one row or every row, and a column may be constant.
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), n_features=st.integers(1, 6),
+           n_defective=st.integers(0, 40), constant=st.booleans())
+    def test_equals_the_mean_var_oracle(self, seed, n, n_features, n_defective, constant):
+        rng = np.random.default_rng(seed)
+        features = rng.lognormal(0, 2, (n, n_features)) * 10.0 ** rng.integers(-3, 4, n_features)
+        if constant:
+            features[:, 0] = 0.1
+        labels = rng.permutation(np.arange(n) < min(n_defective, n)).astype(int)
+        state, expected = learners._fit_naive_bayes(features, labels), \
+            mean_var_naive_bayes(features, labels)
+        assert state["classes"] == expected["classes"] and state["priors"] == expected["priors"]
+        for c in expected["classes"]:
+            for key in ("means", "vars"):
+                assert state[key][c].tobytes() == expected[key][c].tobytes(), (key, c)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1], [1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1]])
+    def test_one_row_classes_and_single_class_equal_the_oracle(self, labels):
+        features = np.array([[0.1, 3.0, 7.7], [0.2, 3.0, 1e-3], [0.7, 3.0, 12.5],
+                             [1e4, 3.0, 0.3]])[:len(labels)]
+        state = learners._fit_naive_bayes(features, np.array(labels))
+        expected = mean_var_naive_bayes(features, np.array(labels))
+        for key in ("means", "vars"):
+            assert all(state[key][c].tobytes() == expected[key][c].tobytes()
+                       for c in expected["classes"])
+
+
 def one_shot_knn(state, x):
     """knn scores from one n_test x n_train x F distance array (the chunking oracle)."""
     z = (x - state["mean"]) / state["std"]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defectkit.dataset import Dataset, Memo, nearest, row_chunks
+from defectkit.dataset import CHUNK_TERMS, Dataset, Memo, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit.harness import SMOTE_SPACE
-from defectkit.smote import K_MAX, M_CHOICES, SmoteConfig, _segment_draws, apply
+from defectkit.smote import (K_MAX, M_CHOICES, SmoteConfig, _segment_draws, apply,
+                             neighbour_table)
 
 from conftest import make_dataset, same_data
 
@@ -52,6 +53,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs,field", [
         ({"k": 2.5}, "k"), ({"k": 3.0}, "k"), ({"k": True}, "k"), ({"k": "3"}, "k"),
         ({"r": "2"}, "r"), ({"r": None}, "r"), ({"seed": -1}, "seed"),
+        ({"r": True}, "r"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"),
+        ({"seed": 2.0}, "seed"), ({"seed": "1"}, "seed"),
     ])
     def test_wrong_type_or_sign_names_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -157,6 +160,51 @@ class TestApply:
         assert (out.labels[len(out.labels) - (20 - 4):] == 1).all()
 
 
+def smote_neighbour_table(points, k, r):
+    """SMOTE's own chunked self-excluding table, before it moved into `nearest` (an oracle)."""
+    tables = []
+    for rows in row_chunks(len(points), points.size):
+        diffs = np.abs(points[rows, None, :] - points[None, :, :]) ** r
+        distances = diffs.sum(axis=2) ** (1.0 / r)
+        own = np.arange(len(points))[rows]
+        distances[np.arange(len(own)), own] = np.inf
+        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
+    return np.concatenate(tables)
+
+
+class TestNeighbourTable:
+    # Coordinates in {0, 1, 2, 3} make many equal distances, so tie order counts.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.integers(1, 8), st.integers(1, 20),
+           st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.7]), st.floats(0.1, 5.0)))
+    def test_equals_the_smote_kernel_it_replaced(self, seed, n_points, n_features, k, r):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 4, (n_points, n_features)).astype(float)
+        k = min(k, n_points - 1)
+        assert np.array_equal(neighbour_table(points, k, r, Memo(None, 1)),
+                              smote_neighbour_table(points, k, r))
+
+    # One memo serves every r in turn, from its pair differences below CHUNK_TERMS
+    # terms and from chunks above (m >= 257 at 8 features).
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(2, 40),
+           n_features=st.integers(1, 8), above_bound=st.booleans(),
+           rs=st.lists(st.one_of(st.sampled_from([0.5, 1, 1.0, 2.0, 3.7]), st.floats(0.1, 5.0)),
+                       min_size=2, max_size=5))
+    def test_tables_from_one_memo_equal_the_oracle(self, seed, n_points, n_features,
+                                                   above_bound, rs):
+        if above_bound:
+            n_points, n_features = 257 + n_points, 8
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 4, (n_points, n_features)).astype(float)
+        memo, k = Memo(None, len(rs) + 1), min(K_MAX, n_points - 1)
+        for r in rs:
+            assert np.array_equal(neighbour_table(points, k, r, memo),
+                                  smote_neighbour_table(points, k, r))
+        above = n_points * (n_points - 1) // 2 * n_features > CHUNK_TERMS
+        assert above is above_bound and ("pairs" in memo.entries) is not above
+
+
 def one_shot_neighbours(points, k, r):
     """The neighbour table from one m x m x F distance array (the chunking oracle)."""
     diffs = np.abs(points[:, None, :] - points[None, :, :]) ** r
@@ -173,8 +221,10 @@ class TestNeighbourChunks:
         # Small integer coordinates make many equal distances, so tie order counts.
         points = rng.integers(0, 4, size=(m, n_features)).astype(float)
         assert len(row_chunks(m, points.size)) > 1
-        assert np.array_equal(nearest(points, points, k, r, exclude_self=True),
+        memo = Memo(None, 2)
+        assert np.array_equal(neighbour_table(points, k, r, memo),
                               one_shot_neighbours(points, k, r))
+        assert not memo.entries  # above CHUNK_TERMS terms no memo keeps the pair differences
 
     def test_peak_memory_does_not_grow_with_minority_squared(self):
         data = imbalanced(n_minority=600, n_majority=700, n_features=10)
@@ -215,7 +265,7 @@ def reference_apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
 
     rng = np.random.default_rng(cfg.seed)
     minority_points = data.features[minority_idx]
-    neighbours = nearest(minority_points, minority_points, k, cfg.r, exclude_self=True)
+    neighbours = smote_neighbour_table(minority_points, k, cfg.r)
 
     synthetic = np.empty((n_synthetic, data.features.shape[1]))
     for i in range(n_synthetic):
