@@ -89,7 +89,7 @@ def _load_config(args) -> dict:
         return {}
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config {args.config} must hold a JSON object")

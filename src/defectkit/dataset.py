@@ -111,13 +111,17 @@ def load_csv(path) -> Dataset:
     rejected with their row and column.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: no header row") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: no header row") from None
+            rows = list(reader)
+    except UnicodeDecodeError as exc:  # exc.start counts from the chunk read, not the file
+        raise CsvParseError(f"{path}: not valid UTF-8: byte {exc.object[exc.start]:#04x} "
+                            f"({exc.reason})") from None
     if "" in header:
         raise SchemaError(f"{path}: header column {header.index('') + 1} has no name")
 
@@ -132,30 +136,43 @@ def load_csv(path) -> Dataset:
     feature_cols = [i for i in range(len(names)) if i != label_col]
     schema = AttributeSchema(tuple(names[i] for i in feature_cols), feature_cols.index(loc_col))
 
-    features = np.zeros((len(rows), len(feature_cols)))
-    labels = np.zeros(len(rows), dtype=int)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvParseError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        cells = [row[i] for i in keep]
-        values = []
-        for c, cell in enumerate(cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
+    values = _parse_at_once(rows, len(header), keep, loc_col)
+    if values is None:  # find the first bad row or cell, and name it
+        values = np.zeros((len(rows), len(keep)))
+        for r, row in enumerate(rows):
+            if len(row) != len(header):
                 raise CsvParseError(
-                    f"{path}: non-numeric value {cell!r} at row {r + 2}, column {names[c]!r}"
-                ) from None
-            if not math.isfinite(values[-1]):
-                raise CsvParseError(
-                    f"{path}: non-finite value {cell!r} at row {r + 2}, column {names[c]!r}")
-        if values[loc_col] < 0:
-            raise SchemaError(f"{path}: negative loc value {cells[loc_col]!r} at row {r + 2}, "
-                              f"column {names[loc_col]!r}")
-        features[r] = [values[i] for i in feature_cols]
-        labels[r] = DEFECTIVE if values[label_col] > 0 else CLEAN
+                    f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+            cells = [row[i] for i in keep]
+            for c, cell in enumerate(cells):
+                try:
+                    values[r, c] = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"{path}: non-numeric value {cell!r} at row {r + 2}, column {names[c]!r}"
+                    ) from None
+                if not math.isfinite(values[r, c]):
+                    raise CsvParseError(
+                        f"{path}: non-finite value {cell!r} at row {r + 2}, column {names[c]!r}")
+            if values[r, loc_col] < 0:
+                raise SchemaError(f"{path}: negative loc value {cells[loc_col]!r} at row {r + 2}, "
+                                  f"column {names[loc_col]!r}")
+    return Dataset(schema, values[:, feature_cols],
+                   np.where(values[:, label_col] > 0, DEFECTIVE, CLEAN))
 
-    return Dataset(schema, features, labels)
+
+def _parse_at_once(rows: list[list[str]], n_cells: int, keep: list[int], loc_col: int):
+    """The kept cells of every row as one float matrix, parsed by numpy, which reads a string
+    as float() does; None if a row is not n_cells long, a cell does not parse, a value is not
+    finite or a loc (kept column loc_col) is negative."""
+    if any(len(row) != n_cells for row in rows):
+        return None
+    try:
+        values = np.array([[row[i] for i in keep] for row in rows], dtype=float)
+    except ValueError:
+        return None
+    values = values.reshape(len(rows), len(keep))
+    return values if np.isfinite(values).all() and not (values[:, loc_col] < 0).any() else None
 
 
 def merge(parts: list[Dataset]) -> Dataset:
@@ -259,6 +276,8 @@ class Manifest:
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict) or not raw:

@@ -6,9 +6,11 @@ evolution pick parameters by the goal score on the tuning set, and score
 the winner's model, fitted on new-training, once on the held-out test set.
 Each distinct candidate is scored once, and candidates that differ only in
 decision-time tunings (`threshold`, knn's `k`) share one fit.  A cell keeps its
-shared work in a dataset.Memo: at most `np` (the DE population size) models, a
-tuned cell's CART split searches, and a smotuned cell's SMOTE neighbour tables
-and their pair differences.  Untuned cells on one training set share its split memo.
+shared work in dataset.Memos: the np - 1 (np: the DE population size) most recently
+used models, a tuned cell's CART split searches, and a smotuned cell's SMOTE
+neighbour tables and their pair differences.  Beside them it keeps the model of the
+best candidate so far, so the winner's test score reuses its model and no cell fits
+any candidate twice.  Untuned cells on one training set share its split memo.
 The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -433,30 +435,41 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     `tune_set` (a repeat, say a trimmed value drawn again, counts as an evaluation
     but neither fits nor predicts).  Candidates with equal fit-time tunings (all
     but `space.decision`) share one model, whose decision-time tunings are set
-    before each scoring; the cell keeps the de_cfg.np most recently used models.
+    before each scoring.  The cell keeps the de_cfg.np - 1 most recently used
+    models plus the best-scoring one so far, which the test score reuses.
     """
     calls = 0
-    models = Memo(None, de_cfg.np)  # its models come from no one dataset: nothing calls serving
+    models = Memo(None, de_cfg.np - 1)  # from no one dataset: nothing calls serving
     scores = Memo(None, sys.maxsize)  # every distinct candidate's tuning score
+    best = None  # (tuning score, fit key, model) of the first candidate to score best so far
 
-    def model_for(tunings: dict) -> learners.Model:
+    def model_for(tunings: dict) -> tuple:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
         key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
                     if name not in space.decision)
-        model = models.get(key, lambda: fit_from(tunings))
-        return learners.decide(model, {name: tunings[name] for name in space.decision})
+        model = best[2] if best and best[1] == key else models.get(key, lambda: fit_from(tunings))
+        return key, learners.decide(model, {name: tunings[name] for name in space.decision})
+
+    def score(tunings: dict) -> float:
+        nonlocal best
+        key, model = model_for(tunings)
+        value = _score(model, tune_set, g)
+        if best is None or g.better(value, best[0]):
+            best = (value, key, model)
+        return value
 
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
         key = tuple((name, type(value), value) for name, value in sorted(candidate.tunings.items()))
-        return scores.get(key, lambda: _score(model_for(candidate.tunings), tune_set, g))
+        return scores.get(key, lambda: score(candidate.tunings))
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
                        seed_candidates=[planted])
     assert calls == run.evaluations
+    # run.best normally is `best`; were it not, model_for would find or fit its model.
     return {
-        "score": _score(model_for(run.best.tunings), test, g),
+        "score": _score(model_for(run.best.tunings)[1], test, g),
         "tunings": dict(run.best.tunings),
         "evaluations": run.evaluations,
         "default_tune_score": run.initial_scores[0],

@@ -6,7 +6,10 @@ names, defaults and tuning ranges are exposed as ParamSpaces that plug
 straight into the differential-evolution tuner.
 
 The SVM here is linear only: a hinge-loss classifier trained by
-deterministic subgradient descent with regularisation 1/C.
+deterministic subgradient descent with regularisation 1/C.  Each epoch sums
+both subgradients, of w and of b, in one reduction over the violator rows of
+[y * x, y], and updates w in place; the weights equal, bit for bit, those of
+the epoch that sums y * x and y apart.
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
 sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
@@ -270,16 +273,34 @@ def _fit_logistic(features, labels):
 
 def _fit_linear_svm(features, labels, c_penalty):
     mean, std, x = _z_stats(features)
+    n, n_features = x.shape
     y = np.where(labels == 1, 1.0, -1.0)
     lam = 1.0 / c_penalty
-    yx = y[:, None] * x
-    w = np.zeros(x.shape[1])
+    # yxy = [y * x, y]: one reduction over the violator rows sums both gradients.  It adds
+    # the same rows in the same order as yx[violators].sum(0), and y's sum is a small
+    # integer, exact in any order.  As y is +-1, yx @ w + y * b equals y * (x @ w + b).
+    yxy = np.empty((n, n_features + 1))
+    yx = yxy[:, :n_features]
+    np.multiply(y[:, None], x, out=yx)
+    yxy[:, n_features] = y
+    sums = np.empty(n_features + 1)
+    grad = sums[:n_features]
+    yb, margins, step = np.empty(n), np.empty(n), np.empty(n_features)
+    violators = np.empty(n, dtype=bool)
+    w = np.zeros(n_features)
     b = 0.0
     for _ in range(GD_EPOCHS):
-        margins = y * (x @ w + b)
-        violators = margins < 1
-        w -= GD_LEARNING_RATE * (lam * w - yx[violators].sum(0) / len(y))
-        b += GD_LEARNING_RATE * y[violators].sum() / len(y)
+        np.add(np.matmul(yx, w, out=margins), np.multiply(y, b, out=yb), out=margins)
+        rows = np.compress(np.less(margins, 1.0, out=violators), yxy, axis=0)
+        if n_features > 1:  # row by row
+            np.add.reduce(rows, axis=0, out=sums)
+        else:  # one column of yx is a 1-D sum, which numpy adds pairwise
+            sums[0], sums[1] = np.add.reduce(rows[:, 0]), np.add.reduce(rows[:, 1])
+        # w -= rate * (lam * w - grad / n), in that order of operations.
+        np.multiply(w, lam, out=step)
+        step -= np.divide(grad, n, out=grad)
+        w -= np.multiply(step, GD_LEARNING_RATE, out=step)
+        b += GD_LEARNING_RATE * sums.item(n_features) / n
     return {"mean": mean, "std": std, "w": w, "b": b}
 
 

@@ -292,6 +292,34 @@ class TestErrorPaths:
         assert err.startswith("configuration error:")
         assert "p-2.0.csv" in err and "column 2" in err
 
+    @pytest.mark.parametrize("bad_row", [None, 900], ids=["header", "row-past-first-read"])
+    def test_csv_not_utf8_names_file(self, tmp_path, capsys, monkeypatch, bad_row):
+        manifest = make_project(tmp_path)
+        lines = [f"{i},1,{10 + i},{i % 2}\n".encode() for i in range(1000)]
+        header = b"wmc,rfc,loc,bug\n"
+        if bad_row is None:
+            header = b"w\xffmc,rfc,loc,bug\n"
+        else:  # past the first 8 KiB the reader decodes
+            lines[bad_row] = b"\xff" + lines[bad_row]
+        (tmp_path / "p-2.0.csv").write_bytes(header + b"".join(lines))
+        monkeypatch.setattr(learners, "fit", no_fit)
+        assert main(["untuned", "--manifest", str(manifest), "--learner", "fft"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "p-2.0.csv" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("which", ["manifest", "config"])
+    def test_json_file_not_utf8_is_config_error(self, tmp_path, capsys, monkeypatch, which):
+        manifest = make_project(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"p": ["p-1.0.csv", "p-2.0.csv"], "\xff": []}')
+        monkeypatch.setattr(learners, "fit", no_fit)
+        argv = ["untuned", "--manifest", str(bad if which == "manifest" else manifest)]
+        if which == "config":
+            argv += ["--config", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(bad) in err and "utf-8" in err
+
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
 

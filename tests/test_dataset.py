@@ -1,7 +1,13 @@
+import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectkit import dataset
 from defectkit.dataset import (AttributeSchema, Dataset, Manifest, kfold, load_csv, merge, nearest,
                                random_split, row_chunks)
 from defectkit.errors import ConfigError, CsvParseError, SchemaError
@@ -110,6 +116,66 @@ class TestLoadCsv:
         path = write_rows(tmp_path, ["1,2,3,4,,0\n"])
         with pytest.raises(CsvParseError):
             load_csv(path)
+
+
+def loaded(path):
+    """A load's (schema, feature bytes and shape, labels), or its error's type and message."""
+    try:
+        data = load_csv(path)
+    except (CsvParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return data.schema, data.features.tobytes(), data.features.shape, data.labels.tolist()
+
+
+# Cells float() reads: integers, reprs, exponents down to subnormals and up to overflow,
+# padding, signs and underscores; then cells it rejects, non-finite ones and negatives.
+READABLE = st.one_of(
+    st.integers(0, 10 ** 6).map(str), st.floats(0, 1e6).map(repr),
+    st.builds("{}e{}".format, st.sampled_from(["1", "2.5", "+7", ".3", "0"]),
+              st.integers(-330, 330)),
+    st.sampled_from([" 7 ", "+.5", "1_000", "\t3", "-0", "0E0", "4.9e-324"]))
+ANY_CELL = st.one_of(READABLE, st.floats().map(repr), st.integers(-5, 5).map(str),
+                     st.sampled_from(["", "oops", "0x10", "1__0", "1e", "inf", "nan", "1,5"]))
+
+
+@st.composite
+def csv_files(draw):
+    """(header, rows) of a metrics CSV: identifier columns among the numeric ones, readable
+    cells, and in about half the files one cell drawn from any, or one row of wrong length."""
+    columns = draw(st.permutations(["name", "version", "wmc", "loc", "bug", "rfc"]))
+    rows = [[draw(st.text("ab.1", max_size=4)) if name in ("name", "version")
+             else draw(READABLE) for name in columns] for _ in range(draw(st.integers(0, 12)))]
+    flaw = draw(st.sampled_from(["none", "none", "cell", "length"])) if rows else "none"
+    r = draw(st.integers(0, len(rows) - 1)) if rows else 0
+    if flaw == "cell":
+        rows[r][draw(st.integers(0, len(columns) - 1))] = draw(ANY_CELL)
+    elif flaw == "length":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    return columns, rows
+
+
+class TestLoadCsvAtOnce:
+    @settings(max_examples=120, deadline=None)
+    @given(csv_files())
+    def test_equals_the_cell_by_cell_loop(self, table):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "proj-1.0.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + rows)
+            parsed, parse_at_once = [], dataset._parse_at_once
+
+            def spying(*args):
+                parsed.append(parse_at_once(*args))
+                return parsed[-1]
+
+            with mock.patch.object(dataset, "_parse_at_once", spying):
+                at_once = loaded(path)
+            with mock.patch.object(dataset, "_parse_at_once", lambda *args: None):
+                cell_by_cell = loaded(path)
+        assert at_once == cell_by_cell
+        # numpy reads every file the loop reads, so a good file never takes the loop.
+        assert (parsed[0] is not None) == (not isinstance(at_once[0], type))
 
 
 class TestMerge:

@@ -364,16 +364,40 @@ class TestModelCache:
 
         def scoring(model, data, g):
             if data is not test:
-                tuning_scores.append(len(fitted_c))
+                tuning_scores.append(model)
             return score(model, data, g)
 
         monkeypatch.setattr(harness.learners, "fit", fitting)
         monkeypatch.setattr(harness, "_score", scoring)
         result = run_tuned(spec)
         assert row_fields(result) == refit_every_candidate  # evaluations too
-        tuning_c = fitted_c[:tuning_scores[-1]]
-        assert 50.0 in tuning_c and len(set(tuning_c)) == len(tuning_c) == len(tuning_scores)
+        # Every fit, the test score's included: the winner's model is kept, not refitted.
+        assert 50.0 in fitted_c and len(set(fitted_c)) == len(fitted_c) == len(tuning_scores)
         assert result.rows[0].evaluations > len(tuning_scores)  # so DE drew some C again
+
+    def test_smotuned_cell_rebalances_each_distinct_candidate_once(self, monkeypatch):
+        train, test = planted_split()
+        spec = spec_for({"planted": (train, test)}, [LearnerSpec("naive_bayes")], seed=24,
+                        de=FAST_DE)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_de_cell", reference_de_cell)
+            refit_every_candidate = row_fields(run_smotuned(spec))
+        applies, tuning_scores = [], []
+        apply, score = harness.smote.apply, harness._score
+
+        def applying(data, cfg, memo=None):
+            applies.append((cfg.k, cfg.m, cfg.r))
+            return apply(data, cfg, memo)
+
+        def scoring(model, data, g):
+            if data is not test:
+                tuning_scores.append(model)
+            return score(model, data, g)
+
+        monkeypatch.setattr(harness.smote, "apply", applying)
+        monkeypatch.setattr(harness, "_score", scoring)
+        assert row_fields(run_smotuned(spec)) == refit_every_candidate
+        assert len(set(applies)) == len(applies) == len(tuning_scores)
 
     def test_cell_holds_at_most_np_models(self, monkeypatch):
         on_cpus(monkeypatch, 1)

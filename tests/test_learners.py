@@ -1,6 +1,11 @@
+import contextlib
 import heapq
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -318,15 +323,69 @@ def per_epoch_linear_svm(features, labels, c_penalty):
     return w, b
 
 
+def svm_case(seed, n, n_features, constant, separable):
+    """Lognormal columns of mixed scale, one label in three defective; `constant` fixes the
+    last column, and `separable` parts the classes by a wide gap in the first."""
+    rng = np.random.default_rng(seed)
+    features = rng.lognormal(0, 1.5, (n, n_features)) * 10.0 ** rng.integers(-2, 3, n_features)
+    labels = (rng.random(n) < 1 / 3).astype(int)
+    if separable:
+        features[:, 0] = 10.0 * labels + rng.random(n)
+    if constant:
+        features[:, -1] = 0.1
+    return features, labels
+
+
+def svm_fit_bytes(features, labels, c_penalty):
+    state = learners._fit_linear_svm(features, labels, c_penalty)
+    return state["w"].tobytes(), np.float64(state["b"]).tobytes()
+
+
 class TestLinearSvm:
-    @pytest.mark.parametrize("c_penalty", [1.0, 7.3, 33.0])
-    def test_weights_equal_per_epoch_fit(self, c_penalty):
-        # A small gap leaves violators on every epoch, so each update sums products.
-        data = planted_dataset(n=300, n_noise=8, seed=21, gap=0.3)
-        model = fit(LearnerSpec("linear_svm", {"C": c_penalty}), data, seed=0)
-        w, b = per_epoch_linear_svm(data.features, data.labels, c_penalty)
-        assert (model.state["w"] == w).all()
-        assert model.state["b"] == b
+    # Epoch 1 makes every row a violator (w = 0, b = 0); a separable case later has none.
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 200),
+           n_features=st.integers(1, 25), constant=st.booleans(), separable=st.booleans(),
+           c_penalty=st.sampled_from([1.0, 50.0]) | st.floats(1.0, 50.0))
+    def test_weights_equal_per_epoch_fit(self, seed, n, n_features, constant, separable,
+                                         c_penalty):
+        features, labels = svm_case(seed, n, n_features, constant, separable)
+        w, b = per_epoch_linear_svm(features, labels, c_penalty)
+        assert svm_fit_bytes(features, labels, c_penalty) == (w.tobytes(),
+                                                              np.float64(b).tobytes())
+
+    def test_cases_reach_epochs_with_every_and_no_row_violating(self):
+        features, labels = svm_case(0, 160, 22, constant=False, separable=True)
+        compress, picked = np.compress, []
+
+        def counting(condition, rows, axis):
+            picked.append(int(np.count_nonzero(condition)))
+            return compress(condition, rows, axis=axis)
+
+        with mock.patch.object(np, "compress", counting):
+            fitted = svm_fit_bytes(features, labels, 50.0)
+        assert len(picked) == learners.GD_EPOCHS and picked[0] == 160 and 0 in picked
+        w, b = per_epoch_linear_svm(features, labels, 50.0)
+        assert fitted == (w.tobytes(), np.float64(b).tobytes())
+
+    def test_weights_equal_per_epoch_fit_on_older_cpu_kernels(self):
+        # The fit's matvec runs on a strided view (lda = F + 1), a BLAS call shape nothing
+        # else makes.  Run the oracle property again under OpenBLAS's Prescott kernels and
+        # under numpy's baseline loops, each in a child process, the two at once.
+        root = Path(__file__).resolve().parent.parent
+        test = f"{__file__}::TestLinearSvm::test_weights_equal_per_epoch_fit"
+        cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
+                        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
+        with contextlib.ExitStack() as stack:
+            children = [stack.enter_context(subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"), **extra),
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
+                for extra in cpu_settings]
+            for extra, child in zip(cpu_settings, children):
+                output, _ = child.communicate(timeout=120)
+                assert child.returncode == 0, (extra, output)
+                assert "1 passed" in output, (extra, output)
 
 
 def per_epoch_logistic(features, labels):
