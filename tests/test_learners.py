@@ -342,13 +342,22 @@ def svm_fit_bytes(features, labels, c_penalty):
 
 
 class TestLinearSvm:
+    @pytest.mark.parametrize("c_penalty", [1.0, 7.3, 33.0])
+    def test_weights_equal_per_epoch_fit(self, c_penalty):
+        # A small gap leaves violators on every epoch, so each update sums products.
+        data = planted_dataset(n=300, n_noise=8, seed=21, gap=0.3)
+        model = fit(LearnerSpec("linear_svm", {"C": c_penalty}), data, seed=0)
+        w, b = per_epoch_linear_svm(data.features, data.labels, c_penalty)
+        assert (model.state["w"] == w).all()
+        assert model.state["b"] == b
+
     # Epoch 1 makes every row a violator (w = 0, b = 0); a separable case later has none.
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 200),
            n_features=st.integers(1, 25), constant=st.booleans(), separable=st.booleans(),
            c_penalty=st.sampled_from([1.0, 50.0]) | st.floats(1.0, 50.0))
-    def test_weights_equal_per_epoch_fit(self, seed, n, n_features, constant, separable,
-                                         c_penalty):
+    def test_weights_equal_per_epoch_fit_on_drawn_cases(self, seed, n, n_features, constant,
+                                                        separable, c_penalty):
         features, labels = svm_case(seed, n, n_features, constant, separable)
         w, b = per_epoch_linear_svm(features, labels, c_penalty)
         assert svm_fit_bytes(features, labels, c_penalty) == (w.tobytes(),
@@ -373,7 +382,7 @@ class TestLinearSvm:
         # else makes.  Run the oracle property again under OpenBLAS's Prescott kernels and
         # under numpy's baseline loops, each in a child process, the two at once.
         root = Path(__file__).resolve().parent.parent
-        test = f"{__file__}::TestLinearSvm::test_weights_equal_per_epoch_fit"
+        test = f"{__file__}::TestLinearSvm::test_weights_equal_per_epoch_fit_on_drawn_cases"
         cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
                         {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
         with contextlib.ExitStack() as stack:
