@@ -10,7 +10,11 @@ shared work in dataset.Memos: the np - 1 (np: the DE population size) most recen
 used models, a tuned cell's CART split searches, and a smotuned cell's SMOTE
 neighbour tables and their pair differences.  Beside them it keeps the model of the
 best candidate so far, so the winner's test score reuses its model and no cell fits
-any candidate twice.  Untuned cells on one training set share its split memo.
+any candidate twice.  A tuned linear-SVM cell fits the new C values of DE's initial
+population, and then of each generation, together in one lockstep epoch loop
+(learners.fit_lockstep) before DE scores any of them; each model waits, pending, until
+its first use.  Such a cell so holds at most np - 1 memo models, the best one and np
+pending models of one generation.  Untuned cells on one training set share its split memo.
 The learner's defaults are planted in DE's initial population, so the tuned
 score on the tuning split can never lose to the defaults there.  All
 randomness flows from the experiment seed through a documented mixing
@@ -208,10 +212,12 @@ def _score(model, data: Dataset, g: GoalSpec) -> float:
 # was measured.
 _MAX_PROCESSES = 2
 
-# Relative seconds of one tuned cell of each learner kind: run_tuned under d2h on
-# n=1000 training rows, one process.  The cost ignores dataset size, goal and
-# workflow (an FFT cell under P_opt costs far more than under d2h), so it balances
-# runs whose datasets are alike in size; a manifest of mixed sizes may deal worse.
+# Relative cost of one tuned cell of each learner kind: the seconds of the seed-era
+# run_tuned baselines (d2h, n=1000 training rows, one process).  Today's code runs
+# these cells far faster and in other proportions; the deal reads the figures only
+# as weights.  The cost ignores dataset size, goal and workflow (an FFT cell under
+# P_opt costs far more than under d2h), so it balances runs whose datasets are alike
+# in size; a manifest of mixed sizes may deal worse.
 _CELL_COST = {"random_forest": 270, "linear_svm": 9.3, "cart": 7.5, "fft": 6.3, "knn": 6.3,
               "logistic": 2.7, "naive_bayes": 0.08}
 
@@ -427,7 +433,8 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
     return ExperimentResult(spec.goal, rows, "median" if folds is None else "mean")
 
 
-def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
+def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
+             fit_together=None) -> dict:
     """Tune by DE, take the winner's model, score it once on the test set.
 
     DE searches `space` from a population holding `planted`; each distinct
@@ -437,18 +444,43 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     but `space.decision`) share one model, whose decision-time tunings are set
     before each scoring.  The cell keeps the de_cfg.np - 1 most recently used
     models plus the best-scoring one so far, which the test score reuses.
+
+    With `fit_together(list of tunings) -> their models`, the cell fits, before
+    DE scores the initial population or a generation, every fit key of it that no
+    score, memo model, best model or pending model covers yet, in one call.  Those
+    models wait in `pending` until their first use, which moves them into the memo
+    as a fit there would, so at most de_cfg.np - 1 memo models, the best one and
+    de_cfg.np pending models are alive.
     """
     calls = 0
     models = Memo(None, de_cfg.np - 1)  # from no one dataset: nothing calls serving
     scores = Memo(None, sys.maxsize)  # every distinct candidate's tuning score
+    pending = {}  # fit key -> model fitted by fit_together, not yet used
     best = None  # (tuning score, fit key, model) of the first candidate to score best so far
 
-    def model_for(tunings: dict) -> tuple:
+    def score_key(tunings: dict) -> tuple:
         # Typed: 1 and 1.0 compare equal, but a fit need not treat them alike.
-        key = tuple((name, type(value), value) for name, value in sorted(tunings.items())
-                    if name not in space.decision)
-        model = best[2] if best and best[1] == key else models.get(key, lambda: fit_from(tunings))
+        return tuple((name, type(value), value) for name, value in sorted(tunings.items()))
+
+    def fit_key(tunings: dict) -> tuple:
+        return tuple(entry for entry in score_key(tunings) if entry[0] not in space.decision)
+
+    def model_for(tunings: dict) -> tuple:
+        key = fit_key(tunings)
+        model = best[2] if best and best[1] == key else models.get(
+            key, lambda: pending.pop(key) if key in pending else fit_from(tunings))
         return key, learners.decide(model, {name: tunings[name] for name in space.decision})
+
+    def prepare(candidates: list) -> None:
+        batch = {}  # fit key -> tunings, in candidate order
+        for candidate in candidates:
+            key = fit_key(candidate.tunings)
+            covered = (score_key(candidate.tunings) in scores.entries
+                       or (best and best[1] == key) or key in models.entries or key in pending)
+            if not covered:
+                batch.setdefault(key, candidate.tunings)
+        if batch:
+            pending.update(zip(batch, fit_together(list(batch.values()))))
 
     def score(tunings: dict) -> float:
         nonlocal best
@@ -461,11 +493,11 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
     def objective(candidate: tuner.Candidate) -> float:
         nonlocal calls
         calls += 1
-        key = tuple((name, type(value), value) for name, value in sorted(candidate.tunings.items()))
-        return scores.get(key, lambda: score(candidate.tunings))
+        return scores.get(score_key(candidate.tunings), lambda: score(candidate.tunings))
 
     run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
-                       seed_candidates=[planted])
+                       seed_candidates=[planted],
+                       prepare=prepare if fit_together else None)
     assert calls == run.evaluations
     # run.best normally is `best`; were it not, model_for would find or fit its model.
     return {
@@ -478,12 +510,21 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
 
 
 def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
-    """DE over the learner's own parameter space, its defaults planted."""
+    """DE over the learner's own parameter space, its defaults planted.
+
+    A kind that fits in lockstep fits each population's and generation's new models
+    together.
+    """
     memo = Memo(new_train, learners.SPLIT_MEMO_NODES)
+    fit_together = None
+    if lspec.kind in learners.LOCKSTEP_KINDS:
+        def fit_together(batch):
+            return learners.fit_lockstep([learners.LearnerSpec(lspec.kind, tunings)
+                                          for tunings in batch], new_train)
     return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
                     lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
                                                  new_train, seed, goal=spec.goal, memo=memo),
-                    tune_set, test, spec.goal, spec.de, seed)
+                    tune_set, test, spec.goal, spec.de, seed, fit_together)
 
 
 def run_untuned(spec: ExperimentSpec) -> ExperimentResult:

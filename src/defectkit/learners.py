@@ -9,7 +9,9 @@ The SVM here is linear only: a hinge-loss classifier trained by
 deterministic subgradient descent with regularisation 1/C.  Each epoch sums
 both subgradients, of w and of b, in one reduction over the violator rows of
 [y * x, y], and updates w in place; the weights equal, bit for bit, those of
-the epoch that sums y * x and y apart.
+the epoch that sums y * x and y apart.  Several C values on one training set fit
+in lockstep (fit_lockstep): one epoch loop over a (k, F) weight matrix, in which
+each C's weights equal those of its own fit; one fit is the one-C case of that loop.
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
 sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
@@ -208,15 +210,37 @@ def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = Non
 
     Fits on the same data may share a split `memo`; else the fit makes its own.
     """
+    _check_fit(spec.kind, data, memo)
+    params = spec.resolved()
+    state = _LEARNERS[spec.kind].fit(params, data, seed, goal,
+                                     memo or Memo(data, SPLIT_MEMO_NODES))
+    return decide(Model(spec.kind, data.schema.feature_names, 0.5, state), params)
+
+
+def fit_lockstep(specs: list[LearnerSpec], data: Dataset) -> list[Model]:
+    """fit's model of each spec on the data, all fitted in one pass.
+
+    The specs share one kind from LOCKSTEP_KINDS, whose fits read no seed, goal or split
+    memo.  Each model equals fit's, bit for bit, and bad input raises what fit raises.
+    """
+    kind = specs[0].kind
+    if kind not in LOCKSTEP_KINDS or any(spec.kind != kind for spec in specs):
+        raise ValueError(f"a lockstep fit takes specs of one kind from {sorted(LOCKSTEP_KINDS)}")
+    _check_fit(kind, data)
+    params = [spec.resolved() for spec in specs]
+    states = _LEARNERS[kind].fit_lockstep(params, data)
+    return [decide(Model(kind, data.schema.feature_names, 0.5, state), p)
+            for state, p in zip(states, params)]
+
+
+def _check_fit(kind: str, data: Dataset, memo: Memo | None = None) -> None:
+    """Raise what says why `kind` cannot fit on the data with this split memo, if anything."""
     if not len(data):
         raise ValueError("cannot fit on an empty dataset")
-    memo = (memo or Memo(data, SPLIT_MEMO_NODES)).serving(data)
-    learner = _LEARNERS[spec.kind]
-    if learner.needs_both_classes and not 0 < data.labels.sum() < len(data):
-        raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
-    params = spec.resolved()
-    return decide(Model(spec.kind, data.schema.feature_names, 0.5,
-                        learner.fit(params, data, seed, goal, memo)), params)
+    if memo is not None:
+        memo.serving(data)
+    if _LEARNERS[kind].needs_both_classes and not 0 < data.labels.sum() < len(data):
+        raise DegenerateDataError(f"{kind} needs both classes in the training data")
 
 
 def decide(model: Model, tunings: dict) -> Model:
@@ -271,11 +295,18 @@ def _fit_logistic(features, labels):
     return {"mean": mean, "std": std, "w": w, "b": b}
 
 
-def _fit_linear_svm(features, labels, c_penalty):
+def _fit_linear_svms(features, labels, c_penalties):
+    """One fitted state per C, from one epoch loop over a (k, F) weight matrix.
+
+    Row j of every (k, ...) array is c_penalties[j]'s, and it equals, bit for bit, the
+    one-C fit: the stacked matmul makes one matvec on yx per row of w, each C sums its own
+    violator rows in row order, and the elementwise steps round alike in any shape.
+    """
     mean, std, x = _z_stats(features)
     n, n_features = x.shape
+    k = len(c_penalties)
     y = np.where(labels == 1, 1.0, -1.0)
-    lam = 1.0 / c_penalty
+    lam = np.array([[1.0 / c] for c in c_penalties])
     # yxy = [y * x, y]: one reduction over the violator rows sums both gradients.  It adds
     # the same rows in the same order as yx[violators].sum(0), and y's sum is a small
     # integer, exact in any order.  As y is +-1, yx @ w + y * b equals y * (x @ w + b).
@@ -283,25 +314,34 @@ def _fit_linear_svm(features, labels, c_penalty):
     yx = yxy[:, :n_features]
     np.multiply(y[:, None], x, out=yx)
     yxy[:, n_features] = y
-    sums = np.empty(n_features + 1)
-    grad = sums[:n_features]
-    yb, margins, step = np.empty(n), np.empty(n), np.empty(n_features)
-    violators = np.empty(n, dtype=bool)
-    w = np.zeros(n_features)
-    b = 0.0
+    sums = np.empty((k, n_features + 1))
+    grad = sums[:, :n_features]
+    yb, margins, step = np.empty((k, n)), np.empty((k, n)), np.empty((k, n_features))
+    violators = np.empty((k, n), dtype=bool)
+    w, b = np.zeros((k, n_features)), np.zeros(k)
+    stacked_w, stacked_margins, b_column = w[:, :, None], margins[:, :, None], b[:, None]
+    per_c = list(enumerate(zip(violators, sums)))
+    # Calls on small arrays cost more than their arithmetic, so the loop calls bound
+    # names with positional `out`; the method skips np.compress's Python wrapper.
+    matmul, add, multiply, less, divide = np.matmul, np.add, np.multiply, np.less, np.divide
+    compress, reduce = yxy.compress, np.add.reduce
     for _ in range(GD_EPOCHS):
-        np.add(np.matmul(yx, w, out=margins), np.multiply(y, b, out=yb), out=margins)
-        rows = np.compress(np.less(margins, 1.0, out=violators), yxy, axis=0)
-        if n_features > 1:  # row by row
-            np.add.reduce(rows, axis=0, out=sums)
-        else:  # one column of yx is a 1-D sum, which numpy adds pairwise
-            sums[0], sums[1] = np.add.reduce(rows[:, 0]), np.add.reduce(rows[:, 1])
+        matmul(yx, stacked_w, stacked_margins)
+        add(margins, multiply(y, b_column, yb), margins)
+        less(margins, 1.0, violators)
+        for j, (row_violates, row_sums) in per_c:
+            rows = compress(row_violates, 0)
+            if n_features > 1:  # row by row
+                reduce(rows, 0, None, row_sums)
+            else:  # one column of yx is a 1-D sum, which numpy adds pairwise
+                row_sums[0], row_sums[1] = reduce(rows[:, 0]), reduce(rows[:, 1])
+            # In Python floats, as b += rate * sum(y) / n is.
+            b[j] = b.item(j) + GD_LEARNING_RATE * row_sums.item(n_features) / n
         # w -= rate * (lam * w - grad / n), in that order of operations.
-        np.multiply(w, lam, out=step)
-        step -= np.divide(grad, n, out=grad)
-        w -= np.multiply(step, GD_LEARNING_RATE, out=step)
-        b += GD_LEARNING_RATE * sums.item(n_features) / n
-    return {"mean": mean, "std": std, "w": w, "b": b}
+        multiply(w, lam, step)
+        step -= divide(grad, n, grad)
+        w -= multiply(step, GD_LEARNING_RATE, step)
+    return [{"mean": mean, "std": std, "w": w[j].copy(), "b": b.item(j)} for j in range(k)]
 
 
 def _fit_knn(features, labels):
@@ -355,6 +395,8 @@ class _Learner:
     fit: Callable  # (params, data, seed, goal, split memo) -> fitted state
     score: Callable  # (state, feature matrix) -> one score in [0, 1] per row
     needs_both_classes: bool = True
+    # (params of each model, data) -> one fitted state each, all from one pass; or None.
+    fit_lockstep: Callable | None = None
 
 
 _THRESHOLD = ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5)
@@ -394,14 +436,17 @@ _LEARNERS = {
         _score_knn),
     "linear_svm": _Learner(
         ParamSpace((ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),)),
-        lambda p, data, *_: _fit_linear_svm(data.features, data.labels, p["C"]),
-        _score_linear),
+        lambda p, data, *_: _fit_linear_svms(data.features, data.labels, [p["C"]])[0],
+        _score_linear,
+        fit_lockstep=lambda ps, data: _fit_linear_svms(data.features, data.labels,
+                                                       [p["C"] for p in ps])),
     "fft": _Learner(
         ParamSpace((ParamSpec("d", INTEGER, 1, 5, default=4),)),
         lambda p, data, seed, goal, _: fft_mod.fit(data, goal or make_goal("dist2heaven"), p["d"]),
         lambda ensemble, x: ensemble.best_tree.predict(x).astype(float)),
 }
 KINDS = tuple(_LEARNERS)
+LOCKSTEP_KINDS = frozenset(kind for kind, learner in _LEARNERS.items() if learner.fit_lockstep)
 
 
 def predict_dataset(model: Model, data: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -175,12 +175,18 @@ class DERun:
 
 
 def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction: str,
-           cfg: DEConfig, seed_candidates: list[dict] | None = None) -> DERun:
+           cfg: DEConfig, seed_candidates: list[dict] | None = None,
+           prepare: Callable[[list[Candidate]], None] | None = None) -> DERun:
     """Full DE loop returning the best candidate ever seen plus run accounting.
 
     `seed_candidates` are tunings planted at the front of the initial
     population (the harness uses slot 0 for the learner's defaults, which
     makes "tuning never loses to defaults on the tuning split" structural).
+    `prepare`, if given, sees the initial population and then each
+    generation's mutants once, before any of them is scored (the harness fits
+    a batch of models together there).  Mutants extrapolate from the previous
+    population and scoring draws nothing from DE's generator, so a generation
+    draws all its mutants first and the stream is the same either way.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
@@ -196,12 +202,13 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
 
     evaluations = 0
 
-    def scored(candidate: Candidate) -> Candidate:
+    def scored(candidate: Candidate) -> None:
         nonlocal evaluations
         candidate.score = float(objective(candidate))
         evaluations += 1
-        return candidate
 
+    if prepare is not None:
+        prepare(population)
     for candidate in population:
         scored(candidate)
 
@@ -215,13 +222,18 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
     generation = 0
     while life > 0 and generation < MAX_GENERATIONS:
         generation += 1
-        next_population = []
-        gained_ground = False
+        mutants = []
         for i, incumbent in enumerate(population):
             others = [j for j in range(cfg.np) if j != i]
             ai, bi, ci = rng.choice(others, size=3, replace=False)
-            mutant = scored(extrapolate(incumbent, population[ai], population[bi],
-                                        population[ci], space, cfg, rng))
+            mutants.append(extrapolate(incumbent, population[ai], population[bi],
+                                       population[ci], space, cfg, rng))
+        if prepare is not None:
+            prepare(mutants)
+        next_population = []
+        gained_ground = False
+        for incumbent, mutant in zip(population, mutants):
+            scored(mutant)
             gained_ground |= improved(mutant.score, incumbent.score)
             next_population.append(mutant if prefer(mutant.score, incumbent.score) else incumbent)
         population = next_population

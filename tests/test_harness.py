@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import threading
@@ -287,8 +286,9 @@ class TestRunKfoldTuned:
         run_kfold_tuned(spec)
 
 
-def reference_de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed) -> dict:
-    """The DE cell before its model cache: every candidate refits from scratch."""
+def reference_de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
+                      fit_together=None) -> dict:
+    """The DE cell before its model cache: every candidate refits from scratch, one by one."""
     calls = 0
 
     def objective(candidate):
@@ -327,6 +327,46 @@ def recorded_fits(monkeypatch):
     return fitted
 
 
+def assert_svm_cells_fit_each_distinct_c_once(monkeypatch, runner):
+    """A tuned SVM cell fits each distinct C once, mostly several at a time in lockstep,
+    and gives the rows of a cell that refits every candidate one by one."""
+    # DE trims C to its bounds 1.0 and 50.0, so some candidates come back.
+    train, test = planted_split()
+    spec = spec_for({"planted": (train, test)}, [LearnerSpec("linear_svm")], seed=0,
+                    de=FAST_DE, folds=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_de_cell", reference_de_cell)
+        refit_every_candidate = row_fields(runner(spec))
+    batches, fits, tuning_scores = [], [], []  # fits: (new training data, C), every path
+    fit, fit_lockstep, score = harness.learners.fit, harness.learners.fit_lockstep, harness._score
+
+    def fitting(lspec, data, *args, **kwargs):
+        fits.append((data, lspec.params["C"]))
+        return fit(lspec, data, *args, **kwargs)
+
+    def fitting_lockstep(specs, data):
+        batches.append(len(specs))
+        fits.extend((data, lspec.params["C"]) for lspec in specs)
+        return fit_lockstep(specs, data)
+
+    def scoring(model, data, g):
+        if data is not test:
+            tuning_scores.append(model)
+        return score(model, data, g)
+
+    monkeypatch.setattr(harness.learners, "fit", fitting)
+    monkeypatch.setattr(harness.learners, "fit_lockstep", fitting_lockstep)
+    monkeypatch.setattr(harness, "_score", scoring)
+    result = runner(spec)
+    assert row_fields(result) == refit_every_candidate  # evaluations too
+    # Every fit, the test score's included: the winner's model is kept, not refitted.
+    fitted_c = [c for _, c in fits]
+    assert 50.0 in fitted_c and len(tuning_scores) == len(fits)
+    assert len({(id(data), c) for data, c in fits}) == len(fits)
+    assert max(batches) > 1 and sum(batches) == len(fits)  # so every fit was in lockstep
+    assert sum(row.evaluations for row in result.rows) > len(fits)  # so DE drew some C again
+
+
 class TestModelCache:
     """Candidates that share fit-time tunings share one fitted model."""
 
@@ -348,32 +388,19 @@ class TestModelCache:
         assert len(fitted) == 1
 
     def test_svm_cell_fits_each_distinct_c_once(self, monkeypatch):
-        # DE trims C to its bounds 1.0 and 50.0, so some candidates come back.
-        train, test = planted_split()
-        spec = spec_for({"planted": (train, test)}, [LearnerSpec("linear_svm")], seed=0,
-                        de=FAST_DE)
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_de_cell", reference_de_cell)
-            refit_every_candidate = row_fields(run_tuned(spec))
-        fitted_c, tuning_scores = [], []
-        fit, score = harness.learners.fit, harness._score
+        assert_svm_cells_fit_each_distinct_c_once(monkeypatch, run_tuned)
 
-        def fitting(lspec, *args, **kwargs):
-            fitted_c.append(lspec.params["C"])
-            return fit(lspec, *args, **kwargs)
+    def test_kfold_svm_cells_fit_each_distinct_c_once(self, monkeypatch):
+        assert_svm_cells_fit_each_distinct_c_once(monkeypatch, run_kfold_tuned)
 
-        def scoring(model, data, g):
-            if data is not test:
-                tuning_scores.append(model)
-            return score(model, data, g)
-
-        monkeypatch.setattr(harness.learners, "fit", fitting)
-        monkeypatch.setattr(harness, "_score", scoring)
-        result = run_tuned(spec)
-        assert row_fields(result) == refit_every_candidate  # evaluations too
-        # Every fit, the test score's included: the winner's model is kept, not refitted.
-        assert 50.0 in fitted_c and len(set(fitted_c)) == len(fitted_c) == len(tuning_scores)
-        assert result.rows[0].evaluations > len(tuning_scores)  # so DE drew some C again
+    def test_svm_cell_on_one_class_new_training_raises_the_one_by_one_error(self):
+        # At seed 1 the 80/20 split leaves both defective rows out of the new training data.
+        spec = spec_for({"few": few_defects()}, [LearnerSpec("linear_svm")], seed=1,
+                        de=DEConfig(np=5, life=1))
+        with pytest.raises(DegenerateDataError) as raised:
+            run_tuned(spec)
+        assert str(raised.value) == ("dataset 'few': linear_svm needs both classes in the "
+                                     "training data")
 
     def test_smotuned_cell_rebalances_each_distinct_candidate_once(self, monkeypatch):
         train, test = planted_split()
@@ -405,8 +432,7 @@ class TestModelCache:
         alive = []
         original = harness._score
 
-        def watching(model, data, g):
-            gc.collect()
+        def watching(model, data, g):  # no collection: without one, the count only rises
             alive.append(sum(ref() is not None for ref in fitted))
             return original(model, data, g)
 

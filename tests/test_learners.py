@@ -307,8 +307,10 @@ class TestVectorizedAgreement:
             assert [s for _, s in singly] == pytest.approx(reference, abs=1e-12), kind
 
 
-def per_epoch_linear_svm(features, labels, c_penalty):
-    """The linear SVM fit that forms y * x for the violators on every epoch (the oracle)."""
+def per_epoch_linear_svm(features, labels, c_penalty, margins_seen=None):
+    """The linear SVM fit that forms y * x for the violators on every epoch (the oracle).
+
+    Each epoch's margins are appended to `margins_seen` if it is given."""
     _, _, x = learners._z_stats(features)
     y = np.where(labels == 1, 1.0, -1.0)
     lam = 1.0 / c_penalty
@@ -316,6 +318,8 @@ def per_epoch_linear_svm(features, labels, c_penalty):
     b = 0.0
     for _ in range(learners.GD_EPOCHS):
         margins = y * (x @ w + b)
+        if margins_seen is not None:
+            margins_seen.append(margins)
         violators = margins < 1
         w -= learners.GD_LEARNING_RATE * (lam * w - (y[violators, None] * x[violators]).sum(0)
                                           / len(y))
@@ -336,9 +340,17 @@ def svm_case(seed, n, n_features, constant, separable):
     return features, labels
 
 
-def svm_fit_bytes(features, labels, c_penalty):
-    state = learners._fit_linear_svm(features, labels, c_penalty)
+def svm_state_bytes(state):
     return state["w"].tobytes(), np.float64(state["b"]).tobytes()
+
+
+def svm_fit_bytes(features, labels, c_penalty):
+    return svm_state_bytes(learners._fit_linear_svms(features, labels, [c_penalty])[0])
+
+
+def oracle_bytes(features, labels, c_penalty):
+    w, b = per_epoch_linear_svm(features, labels, c_penalty)
+    return w.tobytes(), np.float64(b).tobytes()
 
 
 class TestLinearSvm:
@@ -359,42 +371,98 @@ class TestLinearSvm:
     def test_weights_equal_per_epoch_fit_on_drawn_cases(self, seed, n, n_features, constant,
                                                         separable, c_penalty):
         features, labels = svm_case(seed, n, n_features, constant, separable)
-        w, b = per_epoch_linear_svm(features, labels, c_penalty)
-        assert svm_fit_bytes(features, labels, c_penalty) == (w.tobytes(),
-                                                              np.float64(b).tobytes())
+        assert svm_fit_bytes(features, labels, c_penalty) == oracle_bytes(features, labels,
+                                                                          c_penalty)
+
+    # The lockstep loop fits each C of a batch in one row of (k, ...) arrays.  A margin
+    # that differs in its last bits changes the weights only if it crosses 1, so every
+    # epoch's margins are compared too (by value: 0.0 == -0.0).
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 200),
+           n_features=st.integers(1, 25), constant=st.booleans(), separable=st.booleans(),
+           c_penalties=st.lists(st.sampled_from([1.0, 50.0]) | st.floats(1.0, 50.0),
+                                min_size=1, max_size=6, unique=True))
+    def test_lockstep_fit_equals_per_epoch_fit_on_drawn_cases(self, seed, n, n_features,
+                                                              constant, separable,
+                                                              c_penalties):
+        features, labels = svm_case(seed, n, n_features, constant, separable)
+        less, margins = np.less, []
+
+        def recording(epoch_margins, limit, out):
+            margins.append(epoch_margins.copy())
+            return less(epoch_margins, limit, out=out)
+
+        with mock.patch.object(np, "less", recording):
+            states = learners._fit_linear_svms(features, labels, c_penalties)
+        assert len(states) == len(c_penalties)
+        for j, (state, c_penalty) in enumerate(zip(states, c_penalties)):
+            oracle_margins = []
+            w, b = per_epoch_linear_svm(features, labels, c_penalty, oracle_margins)
+            assert svm_state_bytes(state) == (w.tobytes(), np.float64(b).tobytes())
+            assert np.array_equal([epoch[j] for epoch in margins], oracle_margins)
+
+    def test_lockstep_models_equal_one_by_one_fits(self):
+        data = planted_dataset(n=120, n_noise=4, seed=3, gap=0.3)
+        specs = [LearnerSpec("linear_svm", {"C": c}) for c in (1.0, 12.5, 50.0)]
+        models = learners.fit_lockstep(specs, data)
+        assert len(models) == len(specs)
+        for model, spec in zip(models, specs):
+            alone = fit(spec, data, seed=0)
+            assert (model.kind, model.feature_names, model.threshold) == (
+                alone.kind, alone.feature_names, alone.threshold)
+            assert {key: np.asarray(value).tobytes() for key, value in model.state.items()} \
+                == {key: np.asarray(value).tobytes() for key, value in alone.state.items()}
+
+    @pytest.mark.parametrize("labels", [[1, 1, 1], []], ids=["one_class", "empty"])
+    def test_lockstep_fit_raises_what_fit_raises(self, labels):
+        data = make_dataset([[1.0], [2.0], [3.0]], [1, 1, 1]).subset(range(len(labels)))
+        spec = LearnerSpec("linear_svm", {"C": 3.0})
+        with pytest.raises((ValueError, DegenerateDataError)) as alone:
+            fit(spec, data, seed=0)
+        with pytest.raises(type(alone.value)) as together:
+            learners.fit_lockstep([spec, LearnerSpec("linear_svm")], data)
+        assert str(together.value) == str(alone.value)
+
+    def test_lockstep_fit_takes_specs_of_one_lockstep_kind(self, separated8):
+        for specs in ([LearnerSpec("cart")], [LearnerSpec("linear_svm"), LearnerSpec("knn")]):
+            with pytest.raises(ValueError, match="one kind"):
+                learners.fit_lockstep(specs, separated8)
 
     def test_cases_reach_epochs_with_every_and_no_row_violating(self):
         features, labels = svm_case(0, 160, 22, constant=False, separable=True)
-        compress, picked = np.compress, []
+        less, picked = np.less, []
 
-        def counting(condition, rows, axis):
-            picked.append(int(np.count_nonzero(condition)))
-            return compress(condition, rows, axis=axis)
+        def counting(margins, limit, out):  # the epoch's violator mask, one row per C
+            less(margins, limit, out=out)
+            picked.append(int(np.count_nonzero(out)))
+            return out
 
-        with mock.patch.object(np, "compress", counting):
+        with mock.patch.object(np, "less", counting):
             fitted = svm_fit_bytes(features, labels, 50.0)
         assert len(picked) == learners.GD_EPOCHS and picked[0] == 160 and 0 in picked
-        w, b = per_epoch_linear_svm(features, labels, 50.0)
-        assert fitted == (w.tobytes(), np.float64(b).tobytes())
+        assert fitted == oracle_bytes(features, labels, 50.0)
 
     def test_weights_equal_per_epoch_fit_on_older_cpu_kernels(self):
-        # The fit's matvec runs on a strided view (lda = F + 1), a BLAS call shape nothing
-        # else makes.  Run the oracle property again under OpenBLAS's Prescott kernels and
-        # under numpy's baseline loops, each in a child process, the two at once.
+        # The fit's matvecs run on a strided view (lda = F + 1), stacked one per C, BLAS call
+        # shapes nothing else makes.  Run the oracle properties again under OpenBLAS's
+        # Prescott kernels and under numpy's baseline loops, each in a child process, the
+        # two at once.
         root = Path(__file__).resolve().parent.parent
-        test = f"{__file__}::TestLinearSvm::test_weights_equal_per_epoch_fit_on_drawn_cases"
+        tests = [f"{__file__}::TestLinearSvm::{name}_on_drawn_cases"
+                 for name in ("test_weights_equal_per_epoch_fit",
+                              "test_lockstep_fit_equals_per_epoch_fit")]
         cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
                         {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
         with contextlib.ExitStack() as stack:
             children = [stack.enter_context(subprocess.Popen(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                 cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"), **extra),
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
                 for extra in cpu_settings]
             for extra, child in zip(cpu_settings, children):
                 output, _ = child.communicate(timeout=120)
                 assert child.returncode == 0, (extra, output)
-                assert "1 passed" in output, (extra, output)
+                assert "2 passed" in output, (extra, output)
 
 
 def per_epoch_logistic(features, labels):

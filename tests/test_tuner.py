@@ -23,7 +23,11 @@ def quadratic(c: Candidate) -> float:
     return -(c.tunings["x"] - 25.0) ** 2
 
 
-def challenges(space, objective, direction, cfg):
+def mixed(c: Candidate) -> float:
+    return c.tunings["x"] + c.tunings["n"] + c.tunings["flag"] + "abc".index(c.tunings["mode"])
+
+
+def challenges(space, objective, direction, cfg, prepare=None):
     """run_de's result, plus each challenge as (generation, slot, incumbent score, challenger
     score, replaced).
 
@@ -43,7 +47,7 @@ def challenges(space, objective, direction, cfg):
         return extrapolate(target, *args)
 
     with mock.patch.object(tuner, "extrapolate", watching):
-        run = run_de(space, recording, direction, cfg)
+        run = run_de(space, recording, direction, cfg, prepare=prepare)
     challengers = calls[cfg.np:]
     assert len(challengers) == len(targets) == cfg.np * run.generations
     next_incumbents = targets[cfg.np:] + [None] * cfg.np
@@ -279,13 +283,41 @@ class TestOptimize:
         with pytest.raises(ValueError):
             run_de(QUADRATIC_SPACE, quadratic, "upward", DEConfig())
 
+    @pytest.mark.parametrize("space, objective", [(QUADRATIC_SPACE, quadratic),
+                                                  (MIXED_SPACE, mixed)], ids=["quadratic", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 3, 17, 40])
+    def test_prepare_sees_each_batch_once_before_scoring_and_keeps_the_stream(self, space,
+                                                                              objective, seed):
+        cfg = DEConfig(np=6, life=3, seed=seed)
+        scored, batches = [], []  # batches: (candidates, how many were scored before)
+
+        def recording(candidate):
+            scored.append(candidate)
+            return objective(candidate)
+
+        def prepare(candidates):
+            assert all(candidate.score is None for candidate in candidates)
+            batches.append((list(candidates), len(scored)))
+
+        run, log = challenges(space, recording, "maximize", cfg, prepare)
+        plain_run, plain_log = challenges(space, objective, "maximize", cfg)
+        assert log == plain_log
+        assert (run.best.tunings, run.evaluations, run.generations, run.initial_scores,
+                run.best_history, run.stop_reason) == (
+            plain_run.best.tunings, plain_run.evaluations, plain_run.generations,
+            plain_run.initial_scores, plain_run.best_history, plain_run.stop_reason)
+        # The initial population, then each generation, each before its first score.
+        assert len(batches) == run.generations + 1
+        for b, (candidates, before) in enumerate(batches):
+            assert before == b * cfg.np
+            assert [id(c) for c in candidates] == [id(c) for c in scored[before:before + cfg.np]]
+
     def test_mixed_space_run_stays_in_range(self):
         seen = []
 
         def objective(c: Candidate) -> float:
             seen.append(dict(c.tunings))
-            return (c.tunings["x"] + c.tunings["n"] + c.tunings["flag"]
-                    + ("abc".index(c.tunings["mode"])))
+            return mixed(c)
         run = run_de(MIXED_SPACE, objective, "maximize", DEConfig(seed=3))
         assert len(seen) == run.evaluations
         for tunings in seen:
