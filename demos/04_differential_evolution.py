@@ -28,7 +28,7 @@ print(f"  best-so-far trace (first 8): "
 flat = run_de(space, lambda c: 1.0, "maximize", DEConfig(seed=0, life=5))
 print(f"\na constant objective can never improve, so the search spends its "
       f"5 lives\nand stops after exactly {flat.generations} generations "
-      f"({flat.evaluations} calls)")
+      f"({flat.evaluations} calls; stop reason {flat.stop_reason!r})")
 
 # --- mixed spaces: continuous, integer, categorical (a flag is (False, True)) -
 mixed = ParamSpace((

@@ -63,22 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args, config: dict, key: str, default, kinds: tuple, low=None, choices=None):
+def _setting(args, config: dict, key: str, default, kinds: tuple, choices=None):
     """The flag for `key` if given, else its config entry, else `default`.
 
-    A value that is set must be one of `kinds` (never a bool), at least `low`
-    and among `choices` when those are given; else a ConfigError names the key.
+    A value that is set must be one of `kinds` (never a bool) and among `choices`
+    when those are given; else a ConfigError names the key.  The specs check bounds.
     """
     value = getattr(args, key.replace(".", "_"), None)
     if value is None:
         value = config.get(key, default)
     if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)
-                              or (low is not None and value < low)
                               or (choices and value not in choices)):
         expected = (f"one of {', '.join(choices)}" if choices
                     else " or ".join(k.__name__ for k in kinds))
-        if low is not None:
-            expected += f" >= {low}"
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
     return value
 
@@ -116,19 +113,19 @@ def _build_spec(args, config: dict, command: str) -> ExperimentSpec:
     de = None
     if command != "untuned":
         try:
-            de = DEConfig(np=_setting(args, config, "de.np", 10, (int,), low=4),
+            de = DEConfig(np=_setting(args, config, "de.np", 10, (int,)),
                           f=_setting(args, config, "de.f", 0.75, (int, float)),
                           cr=_setting(args, config, "de.cr", 0.3, (int, float)),
-                          life=_setting(args, config, "de.life", 5, (int,), low=1))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+                          life=_setting(args, config, "de.life", 5, (int,)))
+        except ValueError as exc:  # its message leads with the field's name
+            raise ConfigError(f"de.{exc}") from None
 
     return ExperimentSpec(
         learners=learner_specs,
         goal=make_goal(GOAL_NAMES[goal_name]),
-        repeats=_setting(args, config, "repeats", 1, (int,), low=1),
+        repeats=_setting(args, config, "repeats", 1, (int,)),
         seed=_setting(args, config, "seed", 0, (int,)),
-        folds=_setting(args, config, "folds", 10, (int,), low=2),
+        folds=_setting(args, config, "folds", 10, (int,)),
         de=de,
         datasets=Manifest.load(manifest_path).assemble(),
     )

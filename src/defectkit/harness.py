@@ -1,40 +1,12 @@
 """Experiment orchestration: version-based runs, tuning workflows, and reports.
 
-A run walks (dataset x learner x repeat) cells.  Tuned cells split the
-training data 80/20 into new-training and tuning sets, let differential
-evolution pick parameters by the goal score on the tuning set, and score
-the winner's model, fitted on new-training, once on the held-out test set.
-Each distinct candidate is scored once, and candidates that differ only in
-decision-time tunings (`threshold`, knn's `k`) share one fit.  A cell keeps its
-shared work in dataset.Memos: the np - 1 (np: the DE population size) most recently
-used models, a tuned cell's CART split searches, and a smotuned cell's SMOTE
-neighbour tables and their pair differences.  Beside them it keeps the model of the
-best candidate so far, so the winner's test score reuses its model and no cell fits
-any candidate twice.  A tuned linear-SVM cell fits the new C values of DE's initial
-population, and then of each generation, together in one lockstep epoch loop
-(learners.fit_lockstep) before DE scores any of them; each model waits, pending, until
-its first use.  Such a cell so holds at most np - 1 memo models, the best one and np
-pending models of one generation.  Untuned cells on one training set share its split memo.
-The learner's defaults are planted in DE's initial population, so the tuned
-score on the tuning split can never lose to the defaults there.  All
-randomness flows from the experiment seed through a documented mixing
-function, which makes whole runs byte-reproducible.
-
-Process model: a tuned cell depends on nothing outside itself, so on Linux,
-while no other Python thread runs, tuned runs use P = min(CPUs this process
-may run on, 2, cells) processes.  _deal assigns the cells longest first by a
-fixed cost per learner kind, which ignores dataset size and goal, each to the
-least-loaded process; with equal costs it is a round-robin.  On tune_d2h's
-five learners the tuned SVM and CART so land in different processes.  The
-caller is process 0; helper h, made by os.fork, runs its cells in index order
-and pickles each cell's rows, or its first error, back through a pipe, which
-the caller empties after each of its own cells.  The deal reads only the
-spec, never a clock, so a run puts the same cells in the caller every time.
-Rows merge in cell order, a failure raises the error of the lowest failing
-cell, and every helper is reaped before the run returns, so the output and
-errors are those of a serial run.  Cell durations are wall times taken while
-the processes share the CPUs.  Untuned cells share split memos and stay in
-the caller.
+A run walks (dataset x learner x repeat) cells, each seeded from the experiment seed
+by derive_seed, so whole runs are byte-reproducible.  Tuned cells split the training
+data 80/20 into new-training and tuning sets, let differential evolution pick
+parameters by the goal score on the tuning set, with the learner's defaults planted
+in its population, and score the winner's model once on the held-out test set.
+README.md tells what a cell shares through dataset.Memo and how tuned cells split
+between the caller and one forked helper (_run_cells).
 """
 
 from __future__ import annotations
@@ -55,7 +27,7 @@ import numpy as np
 
 from . import learners, smote, tuner
 from .dataset import Dataset, Memo, kfold, random_split
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, check_int
 from .metrics import GoalSpec, evaluate, goal as make_goal
 from .smote import SmoteConfig
 
@@ -74,7 +46,7 @@ _MASK64 = (1 << 64) - 1
 
 def derive_seed(seed: int, index: int) -> int:
     """Independent per-cell seed: splitmix64 finaliser over (seed, index)."""
-    z = ((seed * 0x9E3779B97F4A7C15) + index + 1) & _MASK64
+    z = ((int(seed) * 0x9E3779B97F4A7C15) + index + 1) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & 0xFFFFFFFF
@@ -93,10 +65,9 @@ class ExperimentSpec:
     de: tuner.DEConfig | None = None
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigError("repeats must be at least 1")
-        if self.folds < 2:  # kfold needs a tuning fold and the rest to train on
-            raise ConfigError(f"folds must be at least 2, got {self.folds!r}")
+        # folds >= 2: kfold needs a tuning fold and the rest to train on.
+        for name, low in (("repeats", 1), ("seed", None), ("folds", 2)):
+            check_int(name, getattr(self, name), low, ConfigError)
         if not self.datasets:
             raise ConfigError("no datasets configured")
         if not self.learners:
@@ -435,22 +406,13 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
 
 def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
              fit_together=None) -> dict:
-    """Tune by DE, take the winner's model, score it once on the test set.
+    """Tune by DE from a population holding `planted`; score the winner's model on `test`.
 
-    DE searches `space` from a population holding `planted`; each distinct
-    candidate becomes a model through `fit_from(tunings)` and is scored once on
-    `tune_set` (a repeat, say a trimmed value drawn again, counts as an evaluation
-    but neither fits nor predicts).  Candidates with equal fit-time tunings (all
-    but `space.decision`) share one model, whose decision-time tunings are set
-    before each scoring.  The cell keeps the de_cfg.np - 1 most recently used
-    models plus the best-scoring one so far, which the test score reuses.
-
-    With `fit_together(list of tunings) -> their models`, the cell fits, before
-    DE scores the initial population or a generation, every fit key of it that no
-    score, memo model, best model or pending model covers yet, in one call.  Those
-    models wait in `pending` until their first use, which moves them into the memo
-    as a fit there would, so at most de_cfg.np - 1 memo models, the best one and
-    de_cfg.np pending models are alive.
+    Each distinct candidate is scored once on `tune_set` by the model `fit_from(tunings)`
+    makes, shared by candidates equal outside `space.decision`.  `fit_together(list of
+    tunings) -> their models`, if given, first fits in one call each model a batch DE is
+    about to score needs and no kept model covers.  At most de_cfg.np models are alive,
+    plus de_cfg.np pending ones with `fit_together`.
     """
     calls = 0
     models = Memo(None, de_cfg.np - 1)  # from no one dataset: nothing calls serving
@@ -510,21 +472,19 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
 
 
 def _tune_learner(spec, lspec, new_train, tune_set, test, seed) -> dict:
-    """DE over the learner's own parameter space, its defaults planted.
-
-    A kind that fits in lockstep fits each population's and generation's new models
-    together.
-    """
+    """DE over the learner's own parameter space, its defaults planted."""
     memo = Memo(new_train, learners.SPLIT_MEMO_NODES)
-    fit_together = None
-    if lspec.kind in learners.LOCKSTEP_KINDS:
-        def fit_together(batch):
-            return learners.fit_lockstep([learners.LearnerSpec(lspec.kind, tunings)
-                                          for tunings in batch], new_train)
+
+    def fit_together(batch):
+        return learners.fit_many([learners.LearnerSpec(lspec.kind, tunings) for tunings in batch],
+                                 new_train, seed, goal=spec.goal, memo=memo)
+
+    # Only lockstep kinds batch: a cart cell's pending fits would hold np more live models.
     return _de_cell(learners.param_space(lspec.kind), lspec.resolved(),
                     lambda tunings: learners.fit(learners.LearnerSpec(lspec.kind, tunings),
                                                  new_train, seed, goal=spec.goal, memo=memo),
-                    tune_set, test, spec.goal, spec.de, seed, fit_together)
+                    tune_set, test, spec.goal, spec.de, seed,
+                    fit_together if lspec.kind in learners.LOCKSTEP_KINDS else None)
 
 
 def run_untuned(spec: ExperimentSpec) -> ExperimentResult:
@@ -591,10 +551,8 @@ def report(result: ExperimentResult, fmt: str = "table",
     cells = {}
     for dataset in result.datasets:
         present = [m for m in result.methods if (dataset, m) in aggregates]
-        best = present[0]
-        for m in present[1:]:
-            if result.goal.better(aggregates[(dataset, m)], aggregates[(dataset, best)]):
-                best = m
+        best = (min if result.goal.direction == "minimize" else max)(
+            present, key=lambda m: aggregates[(dataset, m)])
         cells[dataset] = [None if m not in present else
                           (f"{aggregates[(dataset, m)] * 100:.1f}", m == best,
                            f"{runtimes[(dataset, m)]:.3f}")

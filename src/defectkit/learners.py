@@ -6,12 +6,8 @@ names, defaults and tuning ranges are exposed as ParamSpaces that plug
 straight into the differential-evolution tuner.
 
 The SVM here is linear only: a hinge-loss classifier trained by
-deterministic subgradient descent with regularisation 1/C.  Each epoch sums
-both subgradients, of w and of b, in one reduction over the violator rows of
-[y * x, y], and updates w in place; the weights equal, bit for bit, those of
-the epoch that sums y * x and y apart.  Several C values on one training set fit
-in lockstep (fit_lockstep): one epoch loop over a (k, F) weight matrix, in which
-each C's weights equal those of its own fit; one fit is the one-C case of that loop.
+deterministic subgradient descent with regularisation 1/C.  fit_many fits
+several C values on one training set in one epoch loop (_fit_linear_svms).
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
 sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
@@ -206,41 +202,31 @@ class _Cart:
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int, goal: GoalSpec | None = None,
         memo: Memo | None = None) -> Model:
-    """Train spec.kind on the data; deterministic given (spec, data, seed).
+    """Train spec.kind on the data; deterministic given (spec, data, seed).  Fits on the
+    same data may share a split `memo`; else the fit makes its own."""
+    return fit_many([spec], data, seed, goal, memo)[0]
 
-    Fits on the same data may share a split `memo`; else the fit makes its own.
+
+def fit_many(specs: list[LearnerSpec], data: Dataset, seed: int, goal: GoalSpec | None = None,
+             memo: Memo | None = None) -> list[Model]:
+    """fit(spec, data, seed, goal, memo) of each spec, bit for bit, and the same errors.
+
+    Specs that share one kind from LOCKSTEP_KINDS fit in one pass; others fit one by one.
     """
-    _check_fit(spec.kind, data, memo)
-    params = spec.resolved()
-    state = _LEARNERS[spec.kind].fit(params, data, seed, goal,
-                                     memo or Memo(data, SPLIT_MEMO_NODES))
-    return decide(Model(spec.kind, data.schema.feature_names, 0.5, state), params)
-
-
-def fit_lockstep(specs: list[LearnerSpec], data: Dataset) -> list[Model]:
-    """fit's model of each spec on the data, all fitted in one pass.
-
-    The specs share one kind from LOCKSTEP_KINDS, whose fits read no seed, goal or split
-    memo.  Each model equals fit's, bit for bit, and bad input raises what fit raises.
-    """
-    kind = specs[0].kind
-    if kind not in LOCKSTEP_KINDS or any(spec.kind != kind for spec in specs):
-        raise ValueError(f"a lockstep fit takes specs of one kind from {sorted(LOCKSTEP_KINDS)}")
-    _check_fit(kind, data)
-    params = [spec.resolved() for spec in specs]
-    states = _LEARNERS[kind].fit_lockstep(params, data)
-    return [decide(Model(kind, data.schema.feature_names, 0.5, state), p)
-            for state, p in zip(states, params)]
-
-
-def _check_fit(kind: str, data: Dataset, memo: Memo | None = None) -> None:
-    """Raise what says why `kind` cannot fit on the data with this split memo, if anything."""
     if not len(data):
         raise ValueError("cannot fit on an empty dataset")
-    if memo is not None:
-        memo.serving(data)
-    if _LEARNERS[kind].needs_both_classes and not 0 < data.labels.sum() < len(data):
-        raise DegenerateDataError(f"{kind} needs both classes in the training data")
+    memo = Memo(data, SPLIT_MEMO_NODES) if memo is None else memo.serving(data)
+    for spec in specs:
+        if _LEARNERS[spec.kind].needs_both_classes and not 0 < data.labels.sum() < len(data):
+            raise DegenerateDataError(f"{spec.kind} needs both classes in the training data")
+    params = [spec.resolved() for spec in specs]
+    if len({spec.kind for spec in specs}) == 1 and specs[0].kind in LOCKSTEP_KINDS:
+        states = _LEARNERS[specs[0].kind].fit_batch(params, data)
+    else:
+        states = [_LEARNERS[spec.kind].fit(p, data, seed, goal, memo)
+                  for spec, p in zip(specs, params)]
+    return [decide(Model(spec.kind, data.schema.feature_names, 0.5, state), p)
+            for spec, state, p in zip(specs, states, params)]
 
 
 def decide(model: Model, tunings: dict) -> Model:
@@ -396,7 +382,7 @@ class _Learner:
     score: Callable  # (state, feature matrix) -> one score in [0, 1] per row
     needs_both_classes: bool = True
     # (params of each model, data) -> one fitted state each, all from one pass; or None.
-    fit_lockstep: Callable | None = None
+    fit_batch: Callable | None = None
 
 
 _THRESHOLD = ParamSpec("threshold", CONTINUOUS, 0.01, 1.0, default=0.5)
@@ -438,15 +424,15 @@ _LEARNERS = {
         ParamSpace((ParamSpec("C", CONTINUOUS, 1.0, 50.0, default=1.0),)),
         lambda p, data, *_: _fit_linear_svms(data.features, data.labels, [p["C"]])[0],
         _score_linear,
-        fit_lockstep=lambda ps, data: _fit_linear_svms(data.features, data.labels,
-                                                       [p["C"] for p in ps])),
+        fit_batch=lambda ps, data: _fit_linear_svms(data.features, data.labels,
+                                                    [p["C"] for p in ps])),
     "fft": _Learner(
         ParamSpace((ParamSpec("d", INTEGER, 1, 5, default=4),)),
         lambda p, data, seed, goal, _: fft_mod.fit(data, goal or make_goal("dist2heaven"), p["d"]),
         lambda ensemble, x: ensemble.best_tree.predict(x).astype(float)),
 }
 KINDS = tuple(_LEARNERS)
-LOCKSTEP_KINDS = frozenset(kind for kind, learner in _LEARNERS.items() if learner.fit_lockstep)
+LOCKSTEP_KINDS = frozenset(kind for kind, learner in _LEARNERS.items() if learner.fit_batch)
 
 
 def predict_dataset(model: Model, data: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,7 @@ a percent of the original training size: m=50 balances the classes exactly
 Tuning k, m, r with differential evolution is what the harness calls a
 "smotuned" run.  Each synthetic row draws a minority index, a neighbour rank
 and u, in that order, from default_rng(cfg.seed); the majority undersample
-comes last.  `apply` reproduces that stream in one vectorised pass at any k;
-calls that share a dataset.Memo share the minority rows' |x_i - x_j| for each pair
-i < j (up to CHUNK_TERMS terms) and rank the rows once per power r from them.
+comes last.  `apply` reproduces that stream in one vectorised pass at any k.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CHUNK_TERMS, Dataset, Memo, distance_chunks
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, check_int
 
 M_CHOICES = (50, 100, 200, 400)
 K_MAX = 20  # SMOTE's k ceiling: the most neighbours a config may ask for
@@ -43,8 +41,7 @@ class SmoteConfig:
             raise ValueError(f"m must be one of {M_CHOICES}, got {self.m}")
         if type(self.r) is bool or not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
             raise ValueError(f"r must be a real number in [0.1, 5], got {self.r!r}")
-        if type(self.seed) is bool or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_int("seed", self.seed, 0)
 
 
 def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):

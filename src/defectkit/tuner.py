@@ -12,10 +12,12 @@ f=0.75, cr=0.3, life=5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+from .errors import check_int
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -123,14 +125,12 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.np < 4:
-            raise ValueError("population needs at least 4 members (target plus three donors)")
-        if not 0 < self.f < math.inf:  # NaN fails too
-            raise ValueError(f"extrapolation factor f must be positive and finite, got {self.f!r}")
-        if not 0 <= self.cr <= 1:
-            raise ValueError("crossover probability cr must be in [0, 1]")
-        if self.life < 1:
-            raise ValueError("life must be at least 1")
+        for name, low in (("np", 4), ("life", 1), ("seed", 0)):  # np: a target and three donors
+            check_int(name, getattr(self, name), low)
+        if isinstance(self.f, bool) or not 0 < self.f < math.inf:  # NaN fails too
+            raise ValueError(f"f must be positive and finite, got {self.f!r}")
+        if isinstance(self.cr, bool) or not 0 <= self.cr <= 1:
+            raise ValueError(f"cr must be in [0, 1], got {self.cr!r}")
 
 
 def _sample_population(space: ParamSpace, n: int, rng: np.random.Generator) -> list[Candidate]:
@@ -170,8 +170,8 @@ class DERun:
     evaluations: int
     generations: int
     initial_scores: list[float]
-    best_history: list[float] = field(default_factory=list)
-    stop_reason: str = ""  # "life", or "max_generations" when the cap ended a live search
+    best_history: list[float]
+    stop_reason: str  # "life", or "max_generations" when the cap ended a live search
 
 
 def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction: str,
@@ -183,43 +183,33 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
     population (the harness uses slot 0 for the learner's defaults, which
     makes "tuning never loses to defaults on the tuning split" structural).
     `prepare`, if given, sees the initial population and then each
-    generation's mutants once, before any of them is scored (the harness fits
-    a batch of models together there).  Mutants extrapolate from the previous
-    population and scoring draws nothing from DE's generator, so a generation
-    draws all its mutants first and the stream is the same either way.
+    generation's mutants once, before any of them is scored.  Mutants
+    extrapolate from the previous population and scoring draws nothing from
+    DE's generator, so a generation draws all its mutants first and the stream
+    is the same either way.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
-    prefer = (lambda x, y: x < y) if direction == "minimize" else (lambda x, y: x > y)
-    improved = (lambda x, y: x < y - IMPROVEMENT_EPS) if direction == "minimize" \
-        else (lambda x, y: x > y + IMPROVEMENT_EPS)
+    # Lower keys are better.  Negation is exact, and min keeps the first of equal keys as
+    # max does, so maximising keeps the scores' own comparisons and tie-breaks.
+    sign = 1 if direction == "minimize" else -1
+    key = (lambda candidate: sign * candidate.score)
+
+    def scored(candidates: list[Candidate]) -> list[Candidate]:
+        if prepare is not None:
+            prepare(candidates)
+        for candidate in candidates:
+            candidate.score = float(objective(candidate))
+        return candidates
 
     rng = np.random.default_rng(cfg.seed)
     population = _sample_population(space, cfg.np, rng)
     for i, tunings in enumerate(seed_candidates or []):
         space.validate(tunings)
         population[i] = Candidate(dict(tunings))
-
-    evaluations = 0
-
-    def scored(candidate: Candidate) -> None:
-        nonlocal evaluations
-        candidate.score = float(objective(candidate))
-        evaluations += 1
-
-    if prepare is not None:
-        prepare(population)
-    for candidate in population:
-        scored(candidate)
-
-    best_of = min if direction == "minimize" else max
-    best = best_of(population, key=lambda c: c.score)
-    run = DERun(best=best, evaluations=0, generations=0,
-                initial_scores=[c.score for c in population],
-                best_history=[best.score])
-
-    life = cfg.life
-    generation = 0
+    best = min(scored(population), key=key)
+    initial_scores, history = [c.score for c in population], [best.score]
+    life, generation = cfg.life, 0
     while life > 0 and generation < MAX_GENERATIONS:
         generation += 1
         mutants = []
@@ -228,25 +218,15 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
             ai, bi, ci = rng.choice(others, size=3, replace=False)
             mutants.append(extrapolate(incumbent, population[ai], population[bi],
                                        population[ci], space, cfg, rng))
-        if prepare is not None:
-            prepare(mutants)
-        next_population = []
-        gained_ground = False
-        for incumbent, mutant in zip(population, mutants):
-            scored(mutant)
-            gained_ground |= improved(mutant.score, incumbent.score)
-            next_population.append(mutant if prefer(mutant.score, incumbent.score) else incumbent)
-        population = next_population
-        generation_best = best_of(population, key=lambda c: c.score)
-        if prefer(generation_best.score, run.best.score):
-            run.best = generation_best
+        pairs = list(zip(population, scored(mutants)))
         # A life is spent whenever the new population is no better than the
         # old one, i.e. no slot beat its incumbent beyond float noise.
-        if not gained_ground:
+        if not any(key(mutant) < key(incumbent) - IMPROVEMENT_EPS for incumbent, mutant in pairs):
             life -= 1
-        run.best_history.append(run.best.score)
-
-    run.evaluations = evaluations
-    run.generations = generation
-    run.stop_reason = "max_generations" if life > 0 else "life"
-    return run
+        population = [mutant if key(mutant) < key(incumbent) else incumbent
+                      for incumbent, mutant in pairs]
+        best = min(best, min(population, key=key), key=key)
+        history.append(best.score)
+    # The initial population and each generation score np candidates each.
+    return DERun(best, cfg.np * (generation + 1), generation, initial_scores, history,
+                 "max_generations" if life > 0 else "life")

@@ -94,7 +94,7 @@ class TestTune:
                      "--np", "5", "--life", "1", "--seed", "2", "--f", f]) == code
         if code:
             err = capsys.readouterr().err
-            assert err.startswith("configuration error:") and "factor f" in err
+            assert err.startswith(f"configuration error: de.f must be positive and finite, got {f}")
 
     def test_goal_popt(self, tmp_path, capsys):
         manifest = make_project(tmp_path)

@@ -53,6 +53,9 @@ class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
 
+    def test_numpy_integer_seed_is_its_int(self):  # it overflowed int64 and raised
+        assert derive_seed(np.int64(42), 3) == derive_seed(42, 3)
+
     def test_spreads_indices(self):
         seeds = {derive_seed(42, i) for i in range(100)}
         assert len(seeds) == 100
@@ -75,6 +78,16 @@ class TestSpecValidation:
         # Caught before any cell runs, not by kfold inside the first k-fold cell.
         with pytest.raises(ConfigError, match=f"folds must be at least 2, got {folds}"):
             spec_for({"d": planted_split()}, [LearnerSpec("cart")], folds=folds, de=FAST_DE)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"repeats": 2.5}, {"repeats": True}, {"folds": 2.5}, {"folds": True},
+        {"seed": 1.5}, {"seed": False}, {"seed": "3"},
+    ])
+    def test_bool_or_non_integer_count_is_named(self, kwargs):
+        # repeats=2.5 and seed=1.5 raised TypeError in a cell; folds=2.5 ran two folds.
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            spec_for({"d": planted_split()}, [LearnerSpec("cart")], de=FAST_DE, **kwargs)
 
     def test_datasets_required(self):
         with pytest.raises(ConfigError):
@@ -314,16 +327,17 @@ def row_fields(result):
 
 
 def recorded_fits(monkeypatch):
-    """Patch learners.fit to keep a weak reference to every model it returns."""
+    """Patch learners.fit_many, which makes every model (fit is its one-spec case), to keep
+    a weak reference to each model it returns."""
     fitted = []
-    original = harness.learners.fit
+    original = harness.learners.fit_many
 
     def recording(*args, **kwargs):
-        model = original(*args, **kwargs)
-        fitted.append(weakref.ref(model))
-        return model
+        models = original(*args, **kwargs)
+        fitted.extend(weakref.ref(model) for model in models)
+        return models
 
-    monkeypatch.setattr(harness.learners, "fit", recording)
+    monkeypatch.setattr(harness.learners, "fit_many", recording)
     return fitted
 
 
@@ -338,16 +352,16 @@ def assert_svm_cells_fit_each_distinct_c_once(monkeypatch, runner):
         patch.setattr(harness, "_de_cell", reference_de_cell)
         refit_every_candidate = row_fields(runner(spec))
     batches, fits, tuning_scores = [], [], []  # fits: (new training data, C), every path
-    fit, fit_lockstep, score = harness.learners.fit, harness.learners.fit_lockstep, harness._score
+    fit, fit_many, score = harness.learners.fit, harness.learners.fit_many, harness._score
 
     def fitting(lspec, data, *args, **kwargs):
-        fits.append((data, lspec.params["C"]))
+        batches.append("one by one")
         return fit(lspec, data, *args, **kwargs)
 
-    def fitting_lockstep(specs, data):
+    def fitting_many(specs, data, *args, **kwargs):
         batches.append(len(specs))
         fits.extend((data, lspec.params["C"]) for lspec in specs)
-        return fit_lockstep(specs, data)
+        return fit_many(specs, data, *args, **kwargs)
 
     def scoring(model, data, g):
         if data is not test:
@@ -355,7 +369,7 @@ def assert_svm_cells_fit_each_distinct_c_once(monkeypatch, runner):
         return score(model, data, g)
 
     monkeypatch.setattr(harness.learners, "fit", fitting)
-    monkeypatch.setattr(harness.learners, "fit_lockstep", fitting_lockstep)
+    monkeypatch.setattr(harness.learners, "fit_many", fitting_many)
     monkeypatch.setattr(harness, "_score", scoring)
     result = runner(spec)
     assert row_fields(result) == refit_every_candidate  # evaluations too
@@ -363,7 +377,7 @@ def assert_svm_cells_fit_each_distinct_c_once(monkeypatch, runner):
     fitted_c = [c for _, c in fits]
     assert 50.0 in fitted_c and len(tuning_scores) == len(fits)
     assert len({(id(data), c) for data, c in fits}) == len(fits)
-    assert max(batches) > 1 and sum(batches) == len(fits)  # so every fit was in lockstep
+    assert "one by one" not in batches and max(batches) > 1  # so every fit was in lockstep
     assert sum(row.evaluations for row in result.rows) > len(fits)  # so DE drew some C again
 
 

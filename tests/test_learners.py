@@ -16,7 +16,8 @@ from defectkit.dataset import Memo, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
 from defectkit import learners
 from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict_dataset
-from defectkit.tuner import INTEGER
+from defectkit.metrics import goal
+from defectkit.tuner import CONTINUOUS, INTEGER
 
 from conftest import make_dataset, planted_dataset
 
@@ -401,18 +402,6 @@ class TestLinearSvm:
             assert svm_state_bytes(state) == (w.tobytes(), np.float64(b).tobytes())
             assert np.array_equal([epoch[j] for epoch in margins], oracle_margins)
 
-    def test_lockstep_models_equal_one_by_one_fits(self):
-        data = planted_dataset(n=120, n_noise=4, seed=3, gap=0.3)
-        specs = [LearnerSpec("linear_svm", {"C": c}) for c in (1.0, 12.5, 50.0)]
-        models = learners.fit_lockstep(specs, data)
-        assert len(models) == len(specs)
-        for model, spec in zip(models, specs):
-            alone = fit(spec, data, seed=0)
-            assert (model.kind, model.feature_names, model.threshold) == (
-                alone.kind, alone.feature_names, alone.threshold)
-            assert {key: np.asarray(value).tobytes() for key, value in model.state.items()} \
-                == {key: np.asarray(value).tobytes() for key, value in alone.state.items()}
-
     @pytest.mark.parametrize("labels", [[1, 1, 1], []], ids=["one_class", "empty"])
     def test_lockstep_fit_raises_what_fit_raises(self, labels):
         data = make_dataset([[1.0], [2.0], [3.0]], [1, 1, 1]).subset(range(len(labels)))
@@ -420,13 +409,8 @@ class TestLinearSvm:
         with pytest.raises((ValueError, DegenerateDataError)) as alone:
             fit(spec, data, seed=0)
         with pytest.raises(type(alone.value)) as together:
-            learners.fit_lockstep([spec, LearnerSpec("linear_svm")], data)
+            learners.fit_many([spec, LearnerSpec("linear_svm")], data, seed=0)
         assert str(together.value) == str(alone.value)
-
-    def test_lockstep_fit_takes_specs_of_one_lockstep_kind(self, separated8):
-        for specs in ([LearnerSpec("cart")], [LearnerSpec("linear_svm"), LearnerSpec("knn")]):
-            with pytest.raises(ValueError, match="one kind"):
-                learners.fit_lockstep(specs, separated8)
 
     def test_cases_reach_epochs_with_every_and_no_row_violating(self):
         features, labels = svm_case(0, 160, 22, constant=False, separable=True)
@@ -463,6 +447,41 @@ class TestLinearSvm:
                 output, _ = child.communicate(timeout=120)
                 assert child.returncode == 0, (extra, output)
                 assert "2 passed" in output, (extra, output)
+
+
+@st.composite
+def learner_specs(draw, kind):
+    """A spec of `kind` whose tunings are drawn from its space, each kept or left default."""
+    params = {}
+    for dim in param_space(kind):
+        if draw(st.booleans()):
+            params[dim.name] = draw(st.floats(dim.lo, dim.hi) if dim.kind == CONTINUOUS
+                                    else st.integers(int(dim.lo), int(dim.hi)))
+    return LearnerSpec(kind, params)
+
+
+class TestFitMany:
+    """The batch entry's models are the one-by-one fits' models."""
+
+    # The batch shares one split memo; each one-by-one fit makes its own.  The last spec
+    # may be of another kind, which fits a lockstep kind one by one too.
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), other=st.sampled_from(KINDS), data=st.data(),
+           seed=st.integers(0, 2 ** 16), goal_kind=st.sampled_from(["dist2heaven", "p_opt"]))
+    def test_models_equal_one_by_one_fits(self, kind, other, data, seed, goal_kind):
+        train = planted_dataset(n=30, n_noise=3, seed=seed, gap=0.3)
+        test = planted_dataset(n=30, n_noise=3, seed=seed + 1, gap=0.3)
+        specs = data.draw(st.lists(learner_specs(kind), min_size=1, max_size=2))
+        specs += data.draw(st.lists(learner_specs(other), max_size=1))
+        g = goal(goal_kind)
+        models = learners.fit_many(specs, train, seed, g, Memo(train, learners.SPLIT_MEMO_NODES))
+        assert len(models) == len(specs)
+        for model, spec in zip(models, specs):
+            alone = fit(spec, train, seed, goal=g)
+            assert (model.kind, model.feature_names, np.float64(model.threshold).tobytes()) == (
+                alone.kind, alone.feature_names, np.float64(alone.threshold).tobytes())
+            assert predict_dataset(model, test)[1].tobytes() \
+                == predict_dataset(alone, test)[1].tobytes()
 
 
 def per_epoch_logistic(features, labels):

@@ -198,6 +198,19 @@ class TestDEConfig:
         with pytest.raises(ValueError):
             DEConfig(**kwargs)
 
+    # Each failed only inside run_de, or ran: a float life, a bool f.
+    @pytest.mark.parametrize("kwargs", [
+        {"np": 5.5}, {"np": True}, {"np": "10"}, {"life": 2.5}, {"life": True},
+        {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"f": True}, {"cr": False},
+    ])
+    def test_bool_or_non_integer_count_is_named(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+            DEConfig(**kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        assert DEConfig(np=np.int64(6), life=np.int32(2), seed=np.uint32(7)).np == 6
+
 
 class TestOptimize:
     def test_constant_objective_spends_exactly_life(self):
@@ -230,12 +243,24 @@ class TestOptimize:
             best = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=seed)).best
             assert abs(best.tunings["x"] - 25.0) < 1.0
 
-    def test_minimize_maximize_duality(self):
-        cfg = DEConfig(seed=9)
-        run_max, log_max = challenges(QUADRATIC_SPACE, quadratic, "maximize", cfg)
-        run_min, log_min = challenges(QUADRATIC_SPACE, lambda c: -quadratic(c), "minimize", cfg)
-        assert run_max.best.tunings == run_min.best.tunings
-        assert run_max.generations == run_min.generations
+    # Rounded scores tie often, so the tie-breaks of challenges and of the best are drawn too.
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), np_=st.integers(4, 8), life=st.integers(1, 4),
+           mixed_space=st.booleans(), step=st.sampled_from([0.5, 3.0, 40.0, 1e9]))
+    def test_minimize_maximize_duality(self, seed, np_, life, mixed_space, step):
+        space, base = (MIXED_SPACE, mixed) if mixed_space else (QUADRATIC_SPACE, quadratic)
+        cfg = DEConfig(np=np_, life=life, seed=seed)
+
+        def tied(c):
+            return float(round(base(c) / step))
+
+        run_max, log_max = challenges(space, tied, "maximize", cfg)
+        run_min, log_min = challenges(space, lambda c: -tied(c), "minimize", cfg)
+        assert (run_max.best.tunings, run_max.evaluations, run_max.generations,
+                run_max.stop_reason) == (run_min.best.tunings, run_min.evaluations,
+                                         run_min.generations, run_min.stop_reason)
+        assert run_max.initial_scores == [-score for score in run_min.initial_scores]
+        assert run_max.best_history == [-score for score in run_min.best_history]
         assert [e[:2] + (e[4],) for e in log_max] == [e[:2] + (e[4],) for e in log_min]
 
     def test_best_history_is_monotone(self):
