@@ -6,7 +6,8 @@ data 80/20 into new-training and tuning sets, let differential evolution pick
 parameters by the goal score on the tuning set, with the learner's defaults planted
 in its population, and score the winner's model once on the held-out test set.
 README.md tells what a cell shares through dataset.Memo and how tuned cells split
-between the caller and one forked helper (_run_cells).
+between the caller and one forked helper, which sends its cells back in one message
+(_run_cells).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import io
 import json
 import os
 import pickle
-import struct
 import sys
 import threading
 import time
@@ -192,9 +192,6 @@ _MAX_PROCESSES = 2
 _CELL_COST = {"random_forest": 270, "linear_svm": 9.3, "cart": 7.5, "fft": 6.3, "knn": 6.3,
               "logistic": 2.7, "naive_bayes": 0.08}
 
-# A helper sends each cell as one frame: the byte length of a pickle, then the pickle.
-_FRAME = struct.Struct("<Q")
-
 
 def _cpus() -> int:
     """The processes a tuned run may use: the CPUs this process may run on, at most 2.
@@ -225,80 +222,44 @@ def _deal(costs: list[float], processes: int) -> list[list[int]]:
 
 
 def _helper(run_cell, cells: list[int], write_end: int, parent: int) -> None:
-    """A forked helper's whole life: run `cells`, send a frame (index, rows or exception) each.
+    """A forked helper's whole life: run `cells`, then send {index: rows or exception} once.
 
-    It stops at its first failing cell, or once orphaned, and leaves by os._exit, so
-    the stdio buffers and atexit hooks it shares with its parent never run twice.
+    It stops at its first failing cell; once orphaned, it stops and sends nothing.  It
+    leaves by os._exit, so the stdio buffers and atexit hooks it shares with its parent
+    never run twice.
     """
     try:
-        with os.fdopen(write_end, "wb") as pipe:
-            for i in cells:
-                if os.getppid() != parent:  # orphaned: nobody reads its pipe
-                    break
-                failed = False
+        outcomes = {}
+        for i in cells:
+            if os.getppid() != parent:  # orphaned: nobody reads its pipe
+                return
+            try:
+                outcomes[i] = run_cell(i)
+            except Exception as exc:
                 try:
-                    frame = pickle.dumps((i, run_cell(i)))
-                except Exception as exc:
-                    failed = True
-                    try:
-                        frame = pickle.dumps((i, exc))
-                        pickle.loads(frame)
-                    except Exception:  # an exception that cannot cross the pipe
-                        frame = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
-                pipe.write(_FRAME.pack(len(frame)) + frame)
-                pipe.flush()
-                if failed:
-                    break
+                    outcomes[i] = pickle.loads(pickle.dumps(exc))
+                except Exception:  # an exception that cannot cross the pipe
+                    outcomes[i] = RuntimeError(f"{type(exc).__name__}: {exc}")
+                break
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcomes))
     finally:
         os._exit(0)
-
-
-class _Pipe:
-    """The caller's end of a helper's pipe, and the bytes read from it so far."""
-
-    def __init__(self, fd: int):
-        self.fd, self.buffer, self.open = fd, bytearray(), True
-        os.set_blocking(fd, False)
-
-    def _read(self) -> None:
-        chunk = os.read(self.fd, 1 << 16)
-        self.buffer += chunk
-        self.open = bool(chunk)
-
-    def drain(self) -> None:
-        """Read what the pipe holds without waiting, so the helper never waits on a full pipe."""
-        try:
-            while self.open:
-                self._read()
-        except BlockingIOError:
-            pass
-
-    def frame(self):
-        """The next (index, outcome) frame, waiting for it; None if the helper ended first."""
-        os.set_blocking(self.fd, True)
-        while True:
-            if len(self.buffer) >= _FRAME.size:
-                end = _FRAME.size + _FRAME.unpack_from(self.buffer)[0]
-                if len(self.buffer) >= end:
-                    frame = pickle.loads(self.buffer[_FRAME.size:end])
-                    del self.buffer[:end]
-                    return frame
-            if not self.open:  # finished, or died mid-frame
-                return None
-            self._read()
 
 
 def _run_cells(run_cell, costs: list[float], processes: int) -> list:
     """The rows of cells 0..n-1 in cell order, dealt by `costs` to `processes` processes.
 
     _deal gives each process its cells; if a fork fails, the caller also runs the cells
-    of the helpers it could not make.  A failure raises the exception of the lowest
-    failing cell, as a serial run does.  Every helper is killed and reaped before this
-    returns or raises.
+    of the helpers it could not make.  The caller then walks the cells in order and, at
+    a helper's first cell, reads that helper's one message to its end.  The walk raises
+    at the lowest failing cell, as a serial run does, so a helper whose cells all lie
+    above it is never waited for.  Every helper is killed and reaped before this returns
+    or raises.
     """
     n, owned = len(costs), _deal(costs, processes)
     outcomes = {}  # cell index -> its rows, or the exception it raised
-    helpers = {}  # h -> (pid, its _Pipe)
+    helpers = {}  # h -> (pid, the read end of its pipe)
     parent = os.getpid()
     try:
         for h in range(1, processes):
@@ -313,35 +274,27 @@ def _run_cells(run_cell, costs: list[float], processes: int) -> list:
             read_end, write_end = fds
             if pid == 0:
                 os.close(read_end)
-                for _, pipe in helpers.values():
-                    os.close(pipe.fd)
+                for _, fd in helpers.values():
+                    os.close(fd)
                 _helper(run_cell, owned[h], write_end, parent)
             os.close(write_end)
-            helpers[h] = (pid, _Pipe(read_end))
-        stop = n  # the lowest failing cell seen so far
+            helpers[h] = (pid, read_end)
         for i in sorted(i for h, cells in enumerate(owned) if h not in helpers for i in cells):
             try:
                 outcomes[i] = run_cell(i)
             except Exception as exc:
-                outcomes[i], stop = exc, i
+                outcomes[i] = exc
                 break
-            for _, pipe in helpers.values():
-                pipe.drain()
-        # Cells from `stop` on cannot change what a serial run returns or raises.
-        for h, (_, pipe) in helpers.items():
-            for cell in owned[h]:
-                if cell >= stop:
-                    break
-                frame = pipe.frame()
-                if frame is None:
-                    break
-                i, outcome = frame
-                outcomes[i] = outcome
-                if isinstance(outcome, Exception):
-                    stop = i
-                    break
+        owner = {i: h for h, cells in enumerate(owned) for i in cells}
         rows = []
         for i in range(n):
+            if i not in outcomes and owner[i] in helpers:  # the helper's first cell
+                with open(helpers[owner[i]][1], "rb", closefd=False) as pipe:
+                    message = pipe.read()
+                try:
+                    outcomes.update(pickle.loads(message))
+                except (EOFError, pickle.UnpicklingError):  # empty or cut short: it died
+                    pass
             if i not in outcomes:
                 raise ChildProcessError(f"a helper process ended before returning cell {i}")
             if isinstance(outcomes[i], Exception):
@@ -349,10 +302,10 @@ def _run_cells(run_cell, costs: list[float], processes: int) -> list:
             rows += outcomes[i]
         return rows
     finally:
-        for pid, pipe in helpers.values():
+        for pid, fd in helpers.values():
             os.kill(pid, 9)  # SIGKILL: a helper may be mid-cell, or blocked on a full pipe
             os.waitpid(pid, 0)
-            os.close(pipe.fd)
+            os.close(fd)
 
 
 def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = None,

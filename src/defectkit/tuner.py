@@ -12,6 +12,7 @@ f=0.75, cr=0.3, life=5.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -27,6 +28,11 @@ CATEGORICAL = "categorical"
 IMPROVEMENT_EPS = 1e-12
 # Hard cap for pathological objectives that keep improving forever.
 MAX_GENERATIONS = 200
+
+
+def _real(value) -> bool:
+    """Whether `value` is a real number.  A bool is none, though True == 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,10 @@ class ParamSpec:
             raise ValueError(f"{self.name}: categorical needs a non-empty value list")
 
     def contains(self, value) -> bool:
-        if self.kind == CONTINUOUS:
-            return self.lo <= value <= self.hi
-        if self.kind == INTEGER:
-            return self.lo <= value <= self.hi and float(value).is_integer()
-        return value in self.values
+        if self.kind == CATEGORICAL:
+            return value in self.values
+        return _real(value) and self.lo <= value <= self.hi \
+            and (self.kind == CONTINUOUS or float(value).is_integer())
 
     def sample(self, rng: np.random.Generator):
         if self.kind == CONTINUOUS:
@@ -127,9 +132,9 @@ class DEConfig:
     def __post_init__(self):
         for name, low in (("np", 4), ("life", 1), ("seed", 0)):  # np: a target and three donors
             check_int(name, getattr(self, name), low)
-        if isinstance(self.f, bool) or not 0 < self.f < math.inf:  # NaN fails too
+        if not _real(self.f) or not 0 < self.f < math.inf:  # NaN fails too
             raise ValueError(f"f must be positive and finite, got {self.f!r}")
-        if isinstance(self.cr, bool) or not 0 <= self.cr <= 1:
+        if not _real(self.cr) or not 0 <= self.cr <= 1:
             raise ValueError(f"cr must be in [0, 1], got {self.cr!r}")
 
 

@@ -1,9 +1,11 @@
 import json
 import os
+import pickle
 import threading
 import time
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -471,6 +473,12 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def helper_state(pid):
+    """The one-letter state of a process: R running, S sleeping, Z exited, ..."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return stat.read().rpartition(")")[2].split()[0]
+
+
 def outcome_on(monkeypatch, cpus, runner, spec):
     """The run's JSON without durations, or the type and message of what it raised."""
     on_cpus(monkeypatch, cpus)
@@ -526,6 +534,11 @@ class TestDeal:
 class TestParallelCells:
     """Tuned cells dealt over forked helpers: a serial run's rows and errors."""
 
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert_no_child_left()  # a leaked child fails only the test that leaked it
+
     @pytest.mark.parametrize("kinds", [
         *(pytest.param(("naive_bayes", "cart", "logistic", "knn", "fft")[:cells], id=str(cells))
           for cells in range(1, 6)),
@@ -538,7 +551,6 @@ class TestParallelCells:
         assert isinstance(serial, str)
         for cpus in (2, 3):
             assert outcome_on(monkeypatch, cpus, runner, spec) == serial
-        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_helper_cell_error_raises_as_serial(self, monkeypatch, cpus):
@@ -550,7 +562,6 @@ class TestParallelCells:
                     "dataset 'few': no defective instances; recall axis undefined")
         assert outcome_on(monkeypatch, 1, run_tuned, spec) == expected
         assert outcome_on(monkeypatch, cpus, run_tuned, spec) == expected
-        assert_no_child_left()
 
     def test_lowest_failing_cell_wins(self, monkeypatch):
         # On 2 CPUs the main process fails at cell 2 and its helper first, at cell 1.
@@ -561,7 +572,6 @@ class TestParallelCells:
         serial = outcome_on(monkeypatch, 1, run_tuned, spec)
         assert serial[0] is DegenerateDataError and "'few1'" in serial[1]
         assert outcome_on(monkeypatch, 2, run_tuned, spec) == serial
-        assert_no_child_left()
 
     def test_helper_that_dies_is_an_error(self, monkeypatch):
         parent, tune = os.getpid(), harness._tune_learner
@@ -580,7 +590,6 @@ class TestParallelCells:
                              2) == [[1], [0]]
         assert outcome_on(monkeypatch, 2, run_tuned, spec) == (
             ChildProcessError, "a helper process ended before returning cell 0")
-        assert_no_child_left()
 
     def test_no_fork_while_another_thread_runs(self):
         release = threading.Event()
@@ -595,8 +604,9 @@ class TestParallelCells:
         assert harness._cpus() == min(len(os.sched_getaffinity(0)), harness._MAX_PROCESSES)
 
     def test_helper_never_waits_for_the_caller(self):
-        # The helper's 10 cells send about 200 KB, more than a 64 KiB pipe holds, in less
-        # time than the caller's first cell takes; the caller empties the pipe between cells.
+        # The helper's 10 cells make about 200 KB, more than a 64 KiB pipe holds, in less
+        # time than the caller's first cell takes.  It writes them in one message after its
+        # last cell, so a full pipe delays only its exit, never its cells.
         def run_cell(i):
             if i % 2 == 0:
                 time.sleep(0.05)
@@ -605,7 +615,6 @@ class TestParallelCells:
         rows = harness._run_cells(run_cell, [1.0] * 20, 2)
         assert [row[0] for row in rows] == list(range(20))
         assert rows[19][1] < rows[18][1]  # the helper's last cell ended before the caller's
-        assert_no_child_left()
 
     def test_caller_failure_waits_for_no_higher_helper_cell(self):
         parent = os.getpid()
@@ -637,21 +646,6 @@ class TestParallelCells:
         with pytest.raises(ValueError, match=f"^cell {raised}$"):
             harness._run_cells(run_cell, self.SPLIT_COSTS, 2)
         assert harness._run_cells(lambda i: [i], self.SPLIT_COSTS, 2) == list(range(5))
-        assert_no_child_left()
-
-    def test_caller_failure_waits_for_no_higher_cell_in_a_split_deal(self):
-        def run_cell(i):
-            if i == 1:
-                raise ValueError("cell 1")
-            if i > 1:  # the helper runs 2 and 3; above cell 1 they cannot change the outcome
-                time.sleep(60)
-            return [i]
-
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="^cell 1$"):
-            harness._run_cells(run_cell, self.SPLIT_COSTS, 2)
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
 
     @pytest.mark.parametrize("forks", [0, 1])
     def test_failed_fork_leaves_the_cells_to_the_caller(self, monkeypatch, forks):
@@ -673,17 +667,56 @@ class TestParallelCells:
         monkeypatch.setattr(os, "fork", fork)
         assert len(made) == forks
         assert len(os.listdir("/proc/self/fd")) == open_fds
-        assert_no_child_left()
 
     def test_orphaned_helper_runs_no_cell(self):
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:  # a parent pid that is not its own: the helper was orphaned
-            harness._helper(lambda i: os._exit(5), range(3), write_end, parent=-1)
+            try:
+                harness._helper(lambda i: os._exit(5), range(3), write_end, parent=-1)
+            finally:
+                os._exit(6)  # never back into the test run
         os.close(write_end)
-        with os.fdopen(read_end, "rb") as pipe:
-            assert pipe.read() == b""
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                assert pipe.read() == b""
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_helper_that_dies_mid_message_is_an_error(self):
+        # The caller owns cells 0 and 2, the helper 1 and 3.  The helper's message of about
+        # 2 MB fills the pipe (64 KiB on most hosts); the caller's cell 0 kills the helper
+        # while it waits to write the rest.
+        parent, fork, pids, loaded = os.getpid(), os.fork, [], []
+        loads = pickle.loads
+
+        def recording_fork():
+            pids.append(fork())
+            return pids[-1]
+
+        def recording_loads(message):
+            loaded.append(len(message))
+            return loads(message)
+
+        def run_cell(i):
+            if os.getpid() != parent:
+                return [b"x" * 1_000_000]
+            if i == 0:
+                deadline = time.monotonic() + 10
+                while helper_state(pids[0]) != "S":  # asleep: blocked on the full pipe
+                    assert time.monotonic() < deadline, "the helper never blocked"
+                    time.sleep(0.01)
+                os.kill(pids[0], 9)
+            return [i]
+
+        with mock.patch.object(os, "fork", recording_fork), \
+                mock.patch.object(pickle, "loads", recording_loads):
+            with pytest.raises(ChildProcessError,
+                               match="^a helper process ended before returning cell 1$"):
+                harness._run_cells(run_cell, [1.0] * 4, 2)
+        assert len(pids) == 1
+        assert len(loaded) == 1 and 0 < loaded[0] < 2_000_000  # cut short, not empty
 
     def test_unpicklable_error_keeps_its_message(self, monkeypatch):
         parent, tune = os.getpid(), harness._tune_learner
@@ -699,7 +732,67 @@ class TestParallelCells:
                         seed=33, de=DEConfig(np=4, life=1))
         assert outcome_on(monkeypatch, 2, run_tuned, spec) == (
             RuntimeError, "TwoPartError: this and that")
+
+
+class TestSerialEquivalence:
+    """_run_cells on drawn deals, failures, payloads and failed forks equals a serial loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_run_cells_equals_a_serial_loop(self, data):
+        costs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=1, max_size=8))
+        n = len(costs)
+        processes = data.draw(st.integers(1, 3))  # at most 2 helpers
+        # cell -> the exception it raises; TwoPartError cannot cross a pipe
+        failing = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                            st.sampled_from([ValueError, TwoPartError])))
+        sizes = data.draw(st.lists(st.sampled_from([0, 1, 5_000, 70_000]),
+                                   min_size=n, max_size=n))
+        # the helper whose fork fails, if any; the caller runs its cells and forks no more
+        failed_fork = data.draw(st.none() | st.integers(1, processes - 1)) if processes > 1 \
+            else None
+        owned = harness._deal(costs, processes)
+        forked = processes - 1 if failed_fork is None else failed_fork - 1
+        in_helpers = {i for cells in owned[1:forked + 1] for i in cells}
+
+        def error(i):
+            kind = failing[i]
+            return kind("cell", i) if kind is TwoPartError else kind(f"cell {i}")
+
+        def run_cell(i):
+            if i in failing:
+                raise error(i)
+            return [(i, b"x" * sizes[i])]
+
+        expected = []
+        for i in range(n):
+            if i in failing:
+                exc = error(i)
+                expected = ((RuntimeError, f"TwoPartError: {exc}")
+                            if isinstance(exc, TwoPartError) and i in in_helpers
+                            else (type(exc), str(exc)))
+                break
+            expected += run_cell(i)
+
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == failed_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with mock.patch.object(os, "fork", failing_fork):
+            try:
+                outcome = harness._run_cells(run_cell, costs, processes)
+            except Exception as exc:
+                outcome = type(exc), str(exc)
+        assert outcome == expected
+        assert len(forks) == (processes - 1 if failed_fork is None else failed_fork)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
         assert_no_child_left()
+
 
 class TestRunSmotuned:
     def test_tunings_stay_in_table_ranges(self):

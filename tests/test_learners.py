@@ -134,6 +134,19 @@ class TestSpecValidation:
         with pytest.raises(KeyError):
             LearnerSpec("cart", {"depth": 3})
 
+    # A bool constructed (True fitted a one-leaf tree); a str raised a bare TypeError.
+    @pytest.mark.parametrize("name, value", [
+        ("max_leaf_nodes", True), ("threshold", True), ("max_leaf_nodes", "5"),
+        ("threshold", "0.5"), ("threshold", None), ("max_feature", np.bool_(True))])
+    def test_non_number_tuning_names_parameter(self, name, value):
+        with pytest.raises(ValueError, match=f"^parameter {name}={value!r} outside legal range"):
+            LearnerSpec("cart", {name: value})
+
+    def test_integral_float_and_numpy_numbers_are_legal_tunings(self):
+        spec = LearnerSpec("cart", {"max_leaf_nodes": 5.0, "threshold": np.float64(0.25),
+                                    "min_samples_leaf": np.int64(3)})
+        assert spec.resolved()["max_leaf_nodes"] == 5
+
     def test_resolved_merges_defaults(self):
         spec = LearnerSpec("random_forest", {"n_estimators": 60})
         resolved = spec.resolved()

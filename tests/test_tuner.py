@@ -198,10 +198,12 @@ class TestDEConfig:
         with pytest.raises(ValueError):
             DEConfig(**kwargs)
 
-    # Each failed only inside run_de, or ran: a float life, a bool f.
+    # Each failed only inside run_de, or ran: a float life, a bool f.  A str or complex
+    # f or cr raised a bare TypeError from the bound comparison.
     @pytest.mark.parametrize("kwargs", [
         {"np": 5.5}, {"np": True}, {"np": "10"}, {"life": 2.5}, {"life": True},
         {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"f": True}, {"cr": False},
+        {"f": "big"}, {"cr": "0.3"}, {"f": None}, {"cr": 0.5j}, {"cr": np.bool_(True)},
     ])
     def test_bool_or_non_integer_count_is_named(self, kwargs):
         (name, value), = kwargs.items()
