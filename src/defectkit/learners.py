@@ -10,9 +10,9 @@ deterministic subgradient descent with regularisation 1/C.  fit_many fits
 several C values on one training set in one epoch loop (_fit_linear_svms).
 
 No fit reads a space's `decision` tunings (`threshold`, knn's `k`); `decide`
-sets them.  Fits on one training set can share a dataset.Memo of CART split searches.
-A CART fit seeds its generator at its first feature draw; with every feature
-sampled it makes none.
+sets them.  Fits on one training set can share a dataset.Memo of CART split searches
+and their entropy table.  A CART fit seeds its generator at its first feature draw;
+with every feature sampled it makes none.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import Dataset, Memo, nearest
+from .dataset import CHUNK_TERMS, Dataset, Memo, nearest
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -33,7 +33,9 @@ from .tuner import CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 GD_EPOCHS = 500
 GD_LEARNING_RATE = 0.1
 KNN_MAX_K = 20  # top of knn's k range: how many neighbours a knn model ranks
-SPLIT_MEMO_NODES = 4096  # nodes a split memo keeps, at about 16 * F + 400 bytes each
+# Entries a split memo keeps: nodes of about 16 * F + 400 bytes each, and one entropy
+# table of at most 8 * CHUNK_TERMS bytes (2 MiB).
+SPLIT_MEMO_NODES = 4096
 
 
 def param_space(kind: str) -> ParamSpace:
@@ -79,8 +81,8 @@ def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _entropy(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Binary entropy in bits of n_pos positives among n >= 1 rows."""
-    p = n_pos / n
     with np.errstate(divide="ignore", invalid="ignore"):
+        p = n_pos / n
         return -(np.where(p > 0, p * np.log2(p), 0.0)
                  + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0))
 
@@ -96,18 +98,18 @@ class _TreeNode:
         self.right = None
 
 
-def _best_split(features, labels, candidates, min_samples_leaf):
-    """(gains, thresholds) of each candidate feature's best entropy split.
+def _best_split(sub, labels, min_samples_leaf, table=None):
+    """(gains, thresholds) of each column of `sub`'s best entropy split.
 
-    All candidates are scanned in one vectorised pass; a feature's result
-    depends on its column alone.  Ties break toward the lowest boundary, and
-    a feature with no legal boundary gains -inf.  Needs two rows.
+    All columns are scanned in one vectorised pass; a column's result depends
+    on it alone.  Ties break toward the lowest boundary, and a column with no
+    legal boundary gains -inf.  Needs two rows.  A `table` holding
+    _entropy(pos, n) at [n, pos] for every count the search reads gives the
+    bytes that computing each entropy gives.
     """
     n = len(labels)
-    parent = _entropy(np.array([labels.sum()]), np.array([n]))[0]
-    sub = features[:, candidates]
     order = np.argsort(sub, axis=0, kind="stable")
-    cols = np.arange(len(candidates))
+    cols = np.arange(sub.shape[1])
     v = sub[order, cols]
     cum_pos = np.cumsum(labels[order], axis=0)
 
@@ -115,8 +117,15 @@ def _best_split(features, labels, candidates, min_samples_leaf):
     right_n = n - left_n
     left_pos = cum_pos[:-1]
     right_pos = cum_pos[-1] - left_pos
-    gain = parent - (left_n * _entropy(left_pos, left_n)
-                     + right_n * _entropy(right_pos, right_n)) / n
+    if table is None:
+        parent = _entropy(np.array([labels.sum()]), np.array([n]))[0]
+        e_left, e_right = _entropy(left_pos, left_n), _entropy(right_pos, right_n)
+    else:  # flat index left_n * stride + left_pos, and likewise on the right
+        stride = table.shape[1]
+        rows = np.arange(stride, n * stride, stride)[:, None]
+        parent = table[n, labels.sum()]
+        e_left, e_right = table.take(rows + left_pos), table.take(rows[::-1] + right_pos)
+    gain = parent - (left_n * e_left + right_n * e_right) / n
     valid = ((v[1:] > v[:-1])  # boundary between distinct values
              & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
     gain = np.where(valid, gain, -np.inf)
@@ -133,19 +142,6 @@ class _Cart:
         self.memo = memo
         self.root = None
 
-    def _split(self, key, feats, labs, candidates):
-        """(gain, feature, threshold) of the best split, or None; ties take the lowest feature."""
-        # The node's memo entry: each feature's best gain (NaN until searched) and threshold.
-        gains, thresholds = self.memo.get(key, lambda: np.full((2, feats.shape[1]), np.nan))
-        todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
-        if len(todo):
-            gains[todo], thresholds[todo] = _best_split(feats, labs, todo,
-                                                        self.params["min_samples_leaf"])
-        best = candidates[np.argmax(gains[candidates])]
-        if gains[best] <= 1e-12:
-            return None
-        return float(gains[best]), int(best), float(thresholds[best])
-
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "_Cart":
         min_split = self.params["min_sample_split"]
         min_leaf = self.params["min_samples_leaf"]
@@ -154,35 +150,52 @@ class _Cart:
         every_feature = np.arange(n_features)
         n_sampled = max(1, int(round(self.params["max_feature"] * n_features)))
         rng = None  # made at the first draw, so a fit that samples every feature makes none
+        n, n_pos = len(labels), int(np.count_nonzero(labels))
+        # The memo's _entropy table for every node of a fit on its data, kept only while it
+        # holds at most CHUNK_TERMS floats; above that, each search computes its entropies.
+        tabled = (n + 1) * (n_pos + 1) <= CHUNK_TERMS
         heap = []
         counter = 0
 
         # `key` is a node's (min_samples_leaf, split path from the root: it fixes the node's
-        # rows on the memo's data); its probability is pos / len(labs), as labs.mean() is.
-        def consider(key, feats, labs):
+        # rows `idx` on the memo's data); its probability is pos / len(idx), as labs.mean() is.
+        def consider(key, idx):
             nonlocal counter, rng
+            labs = labels[idx]
             pos = int(np.count_nonzero(labs))
-            node = _TreeNode(pos / len(labs))
-            if len(labs) >= min_split and 0 < pos < len(labs):
+            node = _TreeNode(pos / len(idx))
+            if len(idx) >= min_split and 0 < pos < len(idx):
                 candidates = every_feature
                 if n_sampled < n_features:
                     rng = rng or np.random.default_rng(self.seed)
                     candidates = np.sort(rng.choice(n_features, size=n_sampled, replace=False))
-                split = self._split(key, feats, labs, candidates)
-                if split is not None:
-                    heapq.heappush(heap, (-split[0], counter, node, key, split, feats, labs))
+                # The node's memo entry: each feature's best gain (NaN until searched) and
+                # threshold.  Ties take the lowest feature.
+                gains, thresholds = self.memo.get(key, lambda: np.full((2, n_features), np.nan))
+                todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
+                if len(todo):
+                    table = self.memo.get("entropy", lambda: _entropy(
+                        np.arange(n_pos + 1), np.arange(n + 1)[:, None])) if tabled else None
+                    # Two gathers: one broadcast index pair costs twice the time, and its
+                    # iterator's buffers raise the fit's peak memory.
+                    gains[todo], thresholds[todo] = _best_split(features[idx][:, todo], labs,
+                                                                min_leaf, table)
+                best = candidates[np.argmax(gains[candidates])]
+                if gains[best] > 1e-12:
+                    heapq.heappush(heap, (-float(gains[best]), counter, node, key, int(best),
+                                          float(thresholds[best]), idx))
                     counter += 1
             return node
 
-        self.root = consider((min_leaf,), features, labels)
+        self.root = consider((min_leaf,), np.arange(n))
         leaves = 1
         while heap and leaves < max_leaves:
-            _, _, node, key, (gain, f, threshold), feats, labs = heapq.heappop(heap)
-            mask = feats[:, f] <= threshold
+            _, _, node, key, f, threshold, idx = heapq.heappop(heap)
+            mask = features[idx, f] <= threshold
             node.feature, node.threshold = f, threshold
             leaves += 1
-            node.left = consider((key, f, threshold, True), feats[mask], labs[mask])
-            node.right = consider((key, f, threshold, False), feats[~mask], labs[~mask])
+            node.left = consider((key, f, threshold, True), idx[mask])
+            node.right = consider((key, f, threshold, False), idx[~mask])
         return self
 
     def prob(self, features: np.ndarray) -> np.ndarray:

@@ -794,6 +794,47 @@ class TestSerialEquivalence:
         assert_no_child_left()
 
 
+@st.composite
+def tiny_runs(draw):
+    """A tuned workflow and a drawn experiment for it: 1-2 tiny tie-heavy datasets, cart plus
+    other cheap learners, a goal, repeats or folds and a seed.  A training set may hold one
+    class or too few defective rows, so some cells fail."""
+    runner = draw(st.sampled_from([run_tuned, run_kfold_tuned, run_smotuned]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    datasets = {}
+    for name in ("p", "q")[:draw(st.integers(1, 2))]:
+        n_train, n_test, n_features = (draw(st.integers(lo, hi))
+                                       for lo, hi in ((8, 30), (4, 10), (1, 3)))
+        ratio = draw(st.sampled_from([0.0, 0.15, 0.4, 0.5]))
+        labels = (rng.random(n_train + n_test) < ratio).astype(int)
+        labels[n_train:n_train + 2] = [0, 1]  # every test set holds both classes
+        data = make_dataset(rng.integers(0, 4, size=(n_train + n_test, n_features)), labels,
+                            loc=rng.integers(1, 50, n_train + n_test))
+        datasets[name] = (data.subset(range(n_train)), data.subset(range(n_train, len(data))))
+    others = draw(st.lists(st.sampled_from(["naive_bayes", "logistic", "knn", "linear_svm",
+                                            "fft"]), unique=True, max_size=2))
+    spec = spec_for(datasets, [LearnerSpec(kind) for kind in ["cart", *others]],
+                    goal=goal(draw(st.sampled_from(["dist2heaven", "p_opt"]))),
+                    repeats=1 if runner is run_kfold_tuned else draw(st.integers(1, 2)),
+                    seed=draw(st.integers(0, 2 ** 16)), folds=draw(st.integers(2, 3)),
+                    de=DEConfig(np=4, life=1))
+    return runner, spec
+
+
+class TestTunedRunsEqualSerialRuns:
+    """Each tuned workflow writes the results.json (apart from durations) or raises the
+    error of its one-process run when it may use two processes."""
+
+    @pytest.mark.filterwarnings("ignore:k=.* clamped to")
+    @settings(max_examples=30, deadline=None)
+    @given(tiny_runs())
+    def test_two_processes_equal_one(self, run):
+        runner, spec = run
+        with pytest.MonkeyPatch.context() as patch:
+            assert outcome_on(patch, 2, runner, spec) == outcome_on(patch, 1, runner, spec)
+        assert_no_child_left()
+
+
 class TestRunSmotuned:
     def test_tunings_stay_in_table_ranges(self):
         spec = spec_for({"planted": planted_split()}, [LearnerSpec("cart")],

@@ -439,28 +439,6 @@ class TestLinearSvm:
         assert len(picked) == learners.GD_EPOCHS and picked[0] == 160 and 0 in picked
         assert fitted == oracle_bytes(features, labels, 50.0)
 
-    def test_weights_equal_per_epoch_fit_on_older_cpu_kernels(self):
-        # The fit's matvecs run on a strided view (lda = F + 1), stacked one per C, BLAS call
-        # shapes nothing else makes.  Run the oracle properties again under OpenBLAS's
-        # Prescott kernels and under numpy's baseline loops, each in a child process, the
-        # two at once.
-        root = Path(__file__).resolve().parent.parent
-        tests = [f"{__file__}::TestLinearSvm::{name}_on_drawn_cases"
-                 for name in ("test_weights_equal_per_epoch_fit",
-                              "test_lockstep_fit_equals_per_epoch_fit")]
-        cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
-                        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
-        with contextlib.ExitStack() as stack:
-            children = [stack.enter_context(subprocess.Popen(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-                cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"), **extra),
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
-                for extra in cpu_settings]
-            for extra, child in zip(cpu_settings, children):
-                output, _ = child.communicate(timeout=120)
-                assert child.returncode == 0, (extra, output)
-                assert "2 passed" in output, (extra, output)
-
 
 @st.composite
 def learner_specs(draw, kind):
@@ -733,16 +711,20 @@ def tree_fits(kinds):
             st.integers(0, 2 ** 16)), min_size=1, max_size=3))
 
 
-def check_fits_against_oracle(data_seed, n, n_features, fits, bound):
+def tie_heavy_data(data_seed, n, n_features):
     rng = np.random.default_rng(data_seed)
-    data = make_dataset(rng.integers(0, 4, size=(n, n_features)), [0, 1] + [
+    return make_dataset(rng.integers(0, 4, size=(n, n_features)), [0, 1] + [
         int(v) for v in rng.random(n - 2) < rng.random()])
+
+
+def check_fits_against_oracle(data, fits, bound):
     memo = Memo(data, bound)
     for kind, params, seed in fits:
         if kind == "cart":
             params = {k: v for k, v in params.items() if k != "n_estimators"}
         model = fit(LearnerSpec(kind, params), data, seed, memo=memo)
-        assert len(memo.entries) <= bound
+        assert len(memo.entries) <= bound  # the entropy table counts as an entry
+        assert memo.entries.get("entropy", np.empty(0)).size <= learners.CHUNK_TERMS
         resolved = LearnerSpec(kind, params).resolved()
         if kind == "cart":
             got, expected = [model.state], [OracleCart(resolved, seed).fit(data.features,
@@ -760,13 +742,35 @@ class TestSplitMemo:
     @settings(max_examples=15, deadline=None)
     @given(tree_fits(["cart", "random_forest"]))
     def test_shared_memo_fits_equal_oracle(self, case):
-        check_fits_against_oracle(*case, bound=learners.SPLIT_MEMO_NODES)
+        data_seed, n, n_features, fits = case
+        check_fits_against_oracle(tie_heavy_data(data_seed, n, n_features), fits,
+                                  learners.SPLIT_MEMO_NODES)
 
     # Cart only: without the memo's hits a forest's hundred trees take too long.
     @settings(max_examples=20, deadline=None)
     @given(tree_fits(["cart"]), st.integers(1, 4))
     def test_tiny_memo_bound_still_exact_and_held(self, case, bound):
-        check_fits_against_oracle(*case, bound=bound)
+        data_seed, n, n_features, fits = case
+        check_fits_against_oracle(tie_heavy_data(data_seed, n, n_features), fits, bound)
+
+    # The cap at the data's (rows + 1) x (positives + 1) terms keeps the table; one below
+    # it, every search computes its entropies.
+    @settings(max_examples=15, deadline=None)
+    @given(tree_fits(["cart", "random_forest"]), st.booleans())
+    def test_fits_on_each_side_of_the_table_cap_equal_oracle(self, case, tabled):
+        data_seed, n, n_features, fits = case
+        data = tie_heavy_data(data_seed, n, n_features)
+        routes, best_split = [], learners._best_split
+
+        def recording(sub, labels, min_samples_leaf, table=None):
+            routes.append(table is not None)
+            return best_split(sub, labels, min_samples_leaf, table)
+
+        cap = (n + 1) * (data.n_defective + 1) - (not tabled)
+        with mock.patch.object(learners, "CHUNK_TERMS", cap), \
+                mock.patch.object(learners, "_best_split", recording):
+            check_fits_against_oracle(data, fits, learners.SPLIT_MEMO_NODES)
+        assert set(routes) <= {tabled}
 
     @pytest.mark.parametrize("kind", ["cart", "random_forest"])
     def test_full_feature_fit_makes_no_generator(self, monkeypatch, kind):
@@ -790,6 +794,73 @@ class TestSplitMemo:
         other = make_dataset(separated8.features[:, :-1], separated8.labels)
         with pytest.raises(ValueError, match="Memo serves its own dataset"):
             fit(LearnerSpec("cart"), other, 0, memo=memo)
+
+
+def fitted_entropy_table(labels):
+    """The entropy table a cart fit on `labels` keeps in its split memo."""
+    memo = Memo(None, learners.SPLIT_MEMO_NODES)
+    learners._Cart(LearnerSpec("cart").resolved(), 0, memo).fit(np.zeros((len(labels), 1)),
+                                                                labels)
+    return memo.entries["entropy"]
+
+
+class TestEntropyTable:
+    """The table's gathers give _entropy's bytes, and so the split search's."""
+
+    # Counts of one ratio at several scales (1 of 2, 2 of 4, ...), none and all positive.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gather_and_split_bytes_equal_entropy(self, data):
+        rows = data.draw(st.integers(2, 300))
+        positives = data.draw(st.sampled_from([1, rows - 1]) | st.integers(1, rows - 1))
+        table = fitted_entropy_table(np.arange(rows) < positives)
+        assert table.shape == (rows + 1, positives + 1)
+        n, pos = [], []
+        for _ in range(data.draw(st.integers(1, 20))):
+            base_n = data.draw(st.integers(1, rows))
+            base_pos = data.draw(st.sampled_from([0, min(base_n, positives)])
+                                 | st.integers(0, min(base_n, positives)))
+            scales = range(1, min(rows // base_n, positives // max(base_pos, 1)) + 1)
+            n += [base_n * k for k in scales]
+            pos += [base_pos * k for k in scales]
+        n, pos = np.array(n), np.array(pos)
+        assert (table.take(n * table.shape[1] + pos).tobytes()
+                == learners._entropy(pos, n.astype(float)).tobytes())
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        features = rng.integers(0, 3, size=(rows, data.draw(st.integers(1, 4)))).astype(float)
+        labels = rng.permutation(np.arange(rows) < positives).astype(int)
+        node = np.flatnonzero(rng.random(rows) < rng.random())  # a node's rows, in order
+        for idx in (np.arange(rows), node) if len(node) >= 2 else (np.arange(rows),):
+            min_leaf = data.draw(small_or_any(1, 20))
+            split = learners._best_split(features[idx], labels[idx], min_leaf)
+            gathered = learners._best_split(features[idx], labels[idx], min_leaf, table)
+            assert [a.tobytes() for a in gathered] == [a.tobytes() for a in split]
+
+
+def test_byte_identity_properties_hold_on_older_cpu_kernels():
+    # The SVM fit's matvecs run on a strided view (lda = F + 1), stacked one per C, BLAS
+    # call shapes nothing else makes, and the entropy table's values come from log2 over
+    # another array than the search's.  Run those oracle properties again under OpenBLAS's
+    # Prescott kernels and under numpy's baseline loops, each in a child process, the two
+    # at once.
+    root = Path(__file__).resolve().parent.parent
+    tests = [f"{__file__}::{name}" for name in (
+        "TestLinearSvm::test_weights_equal_per_epoch_fit_on_drawn_cases",
+        "TestLinearSvm::test_lockstep_fit_equals_per_epoch_fit_on_drawn_cases",
+        "TestEntropyTable::test_gather_and_split_bytes_equal_entropy")]
+    cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
+                    {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"), **extra),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
+            for extra in cpu_settings]
+        for extra, child in zip(cpu_settings, children):
+            output, _ = child.communicate(timeout=120)
+            assert child.returncode == 0, (extra, output)
+            assert "3 passed" in output, (extra, output)
 
 
 class TestSchemaFingerprint:
