@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                 tuned=True)
     kf = sub.add_parser("kfold-tune", help="tune with k-fold carving of the training data")
     _add_common(kf, tuned=True)
-    kf.add_argument("--folds", type=int, help="number of folds (default 10)")
+    kf.add_argument("--folds", type=int, help=f"number of folds (default {ExperimentSpec.folds})")
     _add_common(sub.add_parser("smotuned", help="tune the SMOTE preprocessor by DE"),
                 tuned=True)
     rep = sub.add_parser("report", help="re-render a saved results.json")
@@ -78,6 +78,13 @@ def _setting(args, config: dict, key: str, default, kinds: tuple, choices=None):
                     else " or ".join(k.__name__ for k in kinds))
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
     return value
+
+
+def _given(args, config: dict, kinds: dict) -> dict:
+    """{key without "de.": its _setting} for each key of `kinds` a flag or config entry gave."""
+    return {key.removeprefix("de."): _setting(args, config, key, None, types)
+            for key, types in kinds.items()
+            if getattr(args, key.replace(".", "_"), None) is not None or key in config}
 
 
 def _load_config(args) -> dict:
@@ -113,22 +120,14 @@ def _build_spec(args, config: dict, command: str) -> ExperimentSpec:
     de = None
     if command != "untuned":
         try:
-            de = DEConfig(np=_setting(args, config, "de.np", 10, (int,)),
-                          f=_setting(args, config, "de.f", 0.75, (int, float)),
-                          cr=_setting(args, config, "de.cr", 0.3, (int, float)),
-                          life=_setting(args, config, "de.life", 5, (int,)))
+            de = DEConfig(**_given(args, config, {"de.np": (int,), "de.f": (int, float),
+                                                  "de.cr": (int, float), "de.life": (int,)}))
         except ValueError as exc:  # its message leads with the field's name
             raise ConfigError(f"de.{exc}") from None
 
-    return ExperimentSpec(
-        learners=learner_specs,
-        goal=make_goal(GOAL_NAMES[goal_name]),
-        repeats=_setting(args, config, "repeats", 1, (int,)),
-        seed=_setting(args, config, "seed", 0, (int,)),
-        folds=_setting(args, config, "folds", 10, (int,)),
-        de=de,
-        datasets=Manifest.load(manifest_path).assemble(),
-    )
+    counts = _given(args, config, {"repeats": (int,), "seed": (int,), "folds": (int,)})
+    return ExperimentSpec(learners=learner_specs, goal=make_goal(GOAL_NAMES[goal_name]), de=de,
+                          datasets=Manifest.load(manifest_path).assemble(), **counts)
 
 
 def _emit(result: ExperimentResult, fmt: str, out_dir) -> None:

@@ -29,13 +29,7 @@ from . import learners, smote, tuner
 from .dataset import Dataset, Memo, kfold, random_split
 from .errors import ConfigError, DegenerateDataError, check_int
 from .metrics import GoalSpec, evaluate, goal as make_goal
-from .smote import SmoteConfig
-
-SMOTE_SPACE = tuner.ParamSpace((
-    tuner.ParamSpec("k", tuner.INTEGER, 1, smote.K_MAX, default=5),
-    tuner.ParamSpec("m", tuner.CATEGORICAL, values=smote.M_CHOICES, default=50),
-    tuner.ParamSpec("r", tuner.CONTINUOUS, 0.1, 5.0, default=2.0),
-))
+from .smote import SMOTE_SPACE, SmoteConfig
 
 # Share of the training data a tuned cell keeps for new training; DE scores
 # candidates on the rest.
@@ -178,9 +172,9 @@ def _score(model, data: Dataset, g: GoalSpec) -> float:
 
 # Tuned runs use at most this many processes.  Two were measured on a 2-CPU host:
 # smotuned_nb's run_s fell to 0.69x, and tune_d2h's to 0.75x once _deal balanced its
-# learners (round-robin left it at 1.03x).  Each further helper would hold about
-# 30 MB more, and sched_getaffinity does not see a container's CPU quota; neither
-# was measured.
+# learners (round-robin left it at 1.03x).  _run_cells forks one helper at most.  Each
+# further helper would hold about 30 MB more, and sched_getaffinity does not see a
+# container's CPU quota; neither was measured.
 _MAX_PROCESSES = 2
 
 # Relative cost of one tuned cell of each learner kind: the seconds of the seed-era
@@ -248,21 +242,20 @@ def _helper(run_cell, cells: list[int], write_end: int, parent: int) -> None:
 
 
 def _run_cells(run_cell, costs: list[float], processes: int) -> list:
-    """The rows of cells 0..n-1 in cell order, dealt by `costs` to `processes` processes.
+    """The rows of cells 0..n-1 in cell order, run by the caller and, with processes > 1,
+    one forked helper, dealt by `costs`.
 
-    _deal gives each process its cells; if a fork fails, the caller also runs the cells
-    of the helpers it could not make.  The caller then walks the cells in order and, at
-    a helper's first cell, reads that helper's one message to its end.  The walk raises
-    at the lowest failing cell, as a serial run does, so a helper whose cells all lie
-    above it is never waited for.  Every helper is killed and reaped before this returns
-    or raises.
+    If the fork fails, the caller runs the helper's cells too.  The caller then walks the
+    cells in order and, at the helper's first cell, reads its one message to its end.  The
+    walk raises at the lowest failing cell, as a serial run does, so a helper whose cells
+    all lie above it is never waited for.  The helper is killed and reaped before this
+    returns or raises.
     """
-    n, owned = len(costs), _deal(costs, processes)
+    mine, theirs = _deal(costs, 2) if processes > 1 else (range(len(costs)), [])
     outcomes = {}  # cell index -> its rows, or the exception it raised
-    helpers = {}  # h -> (pid, the read end of its pipe)
-    parent = os.getpid()
+    helper, parent = None, os.getpid()  # helper: (pid, the read end of its pipe)
     try:
-        for h in range(1, processes):
+        if theirs:
             fds = ()
             try:
                 fds = os.pipe()
@@ -270,29 +263,25 @@ def _run_cells(run_cell, costs: list[float], processes: int) -> list:
             except OSError:  # at a process, memory or file limit
                 for fd in fds:
                     os.close(fd)
-                break
-            read_end, write_end = fds
-            if pid == 0:
-                os.close(read_end)
-                for _, fd in helpers.values():
-                    os.close(fd)
-                _helper(run_cell, owned[h], write_end, parent)
-            os.close(write_end)
-            helpers[h] = (pid, read_end)
-        for i in sorted(i for h, cells in enumerate(owned) if h not in helpers for i in cells):
+                mine, theirs = range(len(costs)), []
+            else:
+                if pid == 0:
+                    os.close(fds[0])
+                    _helper(run_cell, theirs, fds[1], parent)
+                os.close(fds[1])
+                helper = pid, fds[0]
+        for i in mine:
             try:
                 outcomes[i] = run_cell(i)
             except Exception as exc:
                 outcomes[i] = exc
                 break
-        owner = {i: h for h, cells in enumerate(owned) for i in cells}
         rows = []
-        for i in range(n):
-            if i not in outcomes and owner[i] in helpers:  # the helper's first cell
-                with open(helpers[owner[i]][1], "rb", closefd=False) as pipe:
-                    message = pipe.read()
+        for i in range(len(costs)):
+            if theirs and i == theirs[0]:  # the helper's first cell
                 try:
-                    outcomes.update(pickle.loads(message))
+                    with open(helper[1], "rb", closefd=False) as pipe:
+                        outcomes.update(pickle.loads(pipe.read()))
                 except (EOFError, pickle.UnpicklingError):  # empty or cut short: it died
                     pass
             if i not in outcomes:
@@ -302,10 +291,10 @@ def _run_cells(run_cell, costs: list[float], processes: int) -> list:
             rows += outcomes[i]
         return rows
     finally:
-        for pid, fd in helpers.values():
-            os.kill(pid, 9)  # SIGKILL: a helper may be mid-cell, or blocked on a full pipe
-            os.waitpid(pid, 0)
-            os.close(fd)
+        if helper:
+            os.kill(helper[0], 9)  # SIGKILL: it may be mid-cell, or blocked on a full pipe
+            os.waitpid(helper[0], 0)
+            os.close(helper[1])
 
 
 def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = None,
@@ -316,9 +305,9 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
     and gives the row body(lspec, train, test, seed).  With `folds`, a cell is one
     (dataset, learner) pair whose training data kfold carves with the cell seed;
     fold f gives row f, body(lspec, (new_train, tune_set), test, derive_seed(seed, f)),
-    and rows aggregate by mean, not median.  Tuned cells run on min(_cpus(), cells)
-    processes, dealt by their learners' _CELL_COST (see _run_cells); untuned ones,
-    which share split memos, run here.
+    and rows aggregate by mean, not median.  Tuned cells run on _cpus() processes,
+    dealt by their learners' _CELL_COST (see _run_cells); untuned ones, which share
+    split memos, run here.
     """
     if (spec.de is None) == tuned:
         raise ConfigError("tuned workflows need a DE configuration" if tuned
@@ -353,7 +342,7 @@ def _run(spec: ExperimentSpec, body, tuned: bool = True, folds: int | None = Non
         return rows
 
     rows = _run_cells(run_cell, [_CELL_COST[lspec.kind] for _, _, _, lspec, _ in cells],
-                      min(_cpus(), len(cells)) if tuned else 1)
+                      _cpus() if tuned else 1)
     return ExperimentResult(spec.goal, rows, "median" if folds is None else "mean")
 
 

@@ -110,7 +110,7 @@ def _best_split(sub, labels, min_samples_leaf, table=None):
     n = len(labels)
     order = np.argsort(sub, axis=0, kind="stable")
     cols = np.arange(sub.shape[1])
-    v = sub[order, cols]
+    v = sub.take(order * sub.shape[1] + cols)  # sub[order, cols], gathered flat
     cum_pos = np.cumsum(labels[order], axis=0)
 
     left_n = np.arange(1, n, dtype=float)[:, None]

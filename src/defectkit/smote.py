@@ -13,7 +13,6 @@ comes last.  `apply` reproduces that stream in one vectorised pass at any k.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -21,26 +20,31 @@ import numpy as np
 
 from .dataset import CHUNK_TERMS, Dataset, Memo, distance_chunks
 from .errors import DegenerateDataError, check_int
+from .tuner import CATEGORICAL, CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 
 M_CHOICES = (50, 100, 200, 400)
 K_MAX = 20  # SMOTE's k ceiling: the most neighbours a config may ask for
+# The (k, m, r) a smotuned run tunes by DE: every SmoteConfig's legal values and defaults.
+SMOTE_SPACE = ParamSpace((
+    ParamSpec("k", INTEGER, 1, K_MAX, default=5),
+    ParamSpec("m", CATEGORICAL, values=M_CHOICES, default=50),
+    ParamSpec("r", CONTINUOUS, 0.1, 5.0, default=2.0),
+))
 
 
 @dataclass(frozen=True)
 class SmoteConfig:
-    k: int = 5
-    m: int = 50
-    r: float = 2.0
+    k: int = SMOTE_SPACE["k"].default
+    m: int = SMOTE_SPACE["m"].default
+    r: float = SMOTE_SPACE["r"].default
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) \
-                or not 1 <= self.k <= K_MAX:
-            raise ValueError(f"k must be an integer in [1, {K_MAX}], got {self.k!r}")
-        if self.m not in M_CHOICES:
-            raise ValueError(f"m must be one of {M_CHOICES}, got {self.m}")
-        if type(self.r) is bool or not isinstance(self.r, numbers.Real) or not 0.1 <= self.r <= 5:
-            raise ValueError(f"r must be a real number in [0.1, 5], got {self.r!r}")
+        check_int("k", self.k)
+        for spec in SMOTE_SPACE:
+            if not spec.contains(value := getattr(self, spec.name)):
+                legal = f"one of {spec.values}" if spec.values else f"in [{spec.lo}, {spec.hi}]"
+                raise ValueError(f"{spec.name} must be {legal}, got {value!r}")
         check_int("seed", self.seed, 0)
 
 

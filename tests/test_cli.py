@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from defectkit import learners
+from defectkit import cli, learners
 from defectkit.cli import main
+from defectkit.harness import ExperimentSpec
+from defectkit.tuner import DEConfig
 
 from conftest import parse_report_csv
 
@@ -164,6 +167,50 @@ class TestConfigFile:
         assert "cart" in out and "knn" not in out
 
 
+class TestSpecDefaults:
+    """DEConfig and ExperimentSpec own their defaults: the CLI passes only what was set."""
+
+    @pytest.mark.parametrize("command, flags, config, de_given, spec_given", [
+        ("tune", [], {}, {}, {}),
+        ("tune", ["--np", "6", "--cr", "0.5"], {"de": {"life": 2, "seed": 3}},
+         {"np": 6, "cr": 0.5, "life": 2}, {}),
+        ("kfold-tune", ["--folds", "3", "--seed", "4"], {"repeats": 1, "de": {"f": 1}},
+         {"f": 1}, {"folds": 3, "seed": 4, "repeats": 1}),
+        ("smotuned", ["--repeats", "2"], {"seed": 0, "folds": 5}, {},
+         {"repeats": 2, "seed": 0, "folds": 5}),
+        ("untuned", [], {"de": {"np": 5}, "repeats": 3}, None, {"repeats": 3}),
+    ], ids=["tune-bare", "tune", "kfold-tune", "smotuned", "untuned"])
+    def test_specs_get_only_the_given_settings(self, tmp_path, monkeypatch, command, flags,
+                                               config, de_given, spec_given):
+        manifest = make_project(tmp_path, n_per_version=20)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        calls = {}
+
+        def spy(name, cls):
+            def build(*args, **kwargs):
+                calls[name] = args, kwargs
+                return cls(*args, **kwargs)
+            return build
+
+        args = cli.build_parser().parse_args(
+            [command, "--manifest", str(manifest), "--config", str(path), *flags])
+        monkeypatch.setattr(cli, "DEConfig", spy("de", DEConfig))
+        monkeypatch.setattr(cli, "ExperimentSpec", spy("spec", ExperimentSpec))
+        spec = cli._build_spec(args, cli._load_config(args), command)
+        if de_given is None:
+            assert "de" not in calls and spec.de is None
+        else:
+            assert calls["de"] == ((), de_given)
+            # DEConfig's own defaults: what a tune run without DE settings searches with
+            assert spec.de == replace(DEConfig(np=10, f=0.75, cr=0.3, life=5), **de_given)
+        args, kwargs = calls["spec"]
+        assert args == () and set(kwargs) - {"datasets", "learners", "goal", "de"} \
+            == set(spec_given)
+        assert {name: getattr(spec, name) for name in ("repeats", "seed", "folds")} \
+            == {**{"repeats": 1, "seed": 0, "folds": 10}, **spec_given}
+
+
 class TestErrorPaths:
     def test_missing_manifest_is_config_error(self, capsys):
         assert main(["untuned", "--goal", "d2h"]) == 2
@@ -216,6 +263,10 @@ class TestErrorPaths:
         ("tune", {"de": {"np": 5.5}}, "de.np"),
         ("tune", {"de": {"life": 0}}, "de.life"),
         ("tune", {"de": {"f": "big"}}, "de.f"),
+        ("tune", {"de": {"np": None}}, "de.np"),
+        ("smotuned", {"de": {"cr": None}}, "de.cr"),
+        ("untuned", {"repeats": None}, "repeats"),
+        ("kfold-tune", {"folds": None}, "folds"),
         ("kfold-tune", {"folds": 1}, "folds"),
     ])
     def test_bad_config_values_are_config_errors(self, tmp_path, capsys, command, config,

@@ -1,3 +1,4 @@
+import numbers
 import tracemalloc
 import warnings
 
@@ -6,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defectkit.dataset import CHUNK_TERMS, Dataset, Memo, row_chunks
-from defectkit.errors import DegenerateDataError
-from defectkit.harness import SMOTE_SPACE
-from defectkit.smote import (K_MAX, M_CHOICES, SmoteConfig, _segment_draws, apply,
+from defectkit.errors import DegenerateDataError, check_int
+from defectkit.smote import (K_MAX, M_CHOICES, SMOTE_SPACE, SmoteConfig, _segment_draws, apply,
                              neighbour_table)
 
 from conftest import make_dataset, same_data
@@ -42,6 +42,41 @@ def imbalanced(n_minority=6, n_majority=24, seed=0, n_features=3):
     return make_dataset(features, labels, loc=locs)
 
 
+def checked_by_hand(k, m, r, seed):
+    """SmoteConfig's checks as written out field by field before SMOTE_SPACE held its
+    bounds: the oracle its space-driven checks must equal."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 20:
+        raise ValueError(f"k must be an integer in [1, 20], got {k!r}")
+    if m not in (50, 100, 200, 400):
+        raise ValueError(f"m must be one of (50, 100, 200, 400), got {m}")
+    if type(r) is bool or not isinstance(r, numbers.Real) or not 0.1 <= r <= 5:
+        raise ValueError(f"r must be a real number in [0.1, 5], got {r!r}")
+    check_int("seed", seed, 0)
+
+
+# Python and numpy ints and floats, integral or not, near and inside each field's range
+# (r's bounds and their float neighbours too), plus bools, strings and None.
+NEAR_RANGE = st.one_of(st.integers(-2, 25), st.sampled_from(M_CHOICES), st.floats(0, 6),
+                       st.sampled_from([0.1, 5.0, np.nextafter(0.1, 0), np.nextafter(5.0, 6)]))
+CONFIG_VALUES = st.one_of(
+    NEAR_RANGE,
+    NEAR_RANGE.map(float),
+    st.integers(-2, 25).map(np.int64),
+    st.sampled_from([np.int16, np.uint16, np.int64]).flatmap(
+        lambda kind: st.sampled_from(M_CHOICES).map(kind)),
+    NEAR_RANGE.map(np.float64),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.text(max_size=3),
+    st.none(),
+)
+# Each field is legal about half the time, so a drawn config often fails on one field alone.
+LEGAL = {"k": st.integers(1, 20), "m": st.sampled_from(M_CHOICES), "r": st.floats(0.1, 5.0),
+         "seed": st.integers(0, 2 ** 40)}
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"k": 21}, {"m": 75}, {"r": 0.05}, {"r": 6.0},
@@ -59,6 +94,30 @@ class TestConfig:
     def test_wrong_type_or_sign_names_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             SmoteConfig(**kwargs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(**{name: legal | CONFIG_VALUES for name, legal in LEGAL.items()})
+    @example(k=5.0, m=50, r=2, seed=0)
+    @example(k=1, m=400, r=np.nextafter(5.0, 6), seed=0)
+    @example(k=21, m=100, r=np.nextafter(0.1, 0), seed=0)
+    @example(k=3, m=200, r=1.0, seed=-1)
+    @example(k=np.int64(20), m=50.0, r=np.float64(0.1), seed=np.uint8(3))
+    @example(k=10 ** 30, m=np.True_, r=float("nan"), seed=-1)
+    def test_accepts_exactly_what_the_checks_by_hand_accept(self, k, m, r, seed):
+        try:
+            checked_by_hand(k, m, r, seed)
+        except ValueError as exc:
+            field = str(exc).split()[0]
+            with pytest.raises(ValueError, match=f"^{field} "):
+                SmoteConfig(k, m, r, seed)
+        else:
+            cfg = SmoteConfig(k, m, r, seed)
+            assert (cfg.k, cfg.m, cfg.r, cfg.seed) == (k, m, r, seed)
+
+    def test_defaults_are_the_spaces(self):
+        cfg = SmoteConfig()
+        assert {"k": cfg.k, "m": cfg.m, "r": cfg.r} == SMOTE_SPACE.defaults() \
+            == {"k": 5, "m": 50, "r": 2.0}
 
     def test_numpy_scalars_accepted(self):
         cfg = SmoteConfig(k=np.int64(3), r=np.float64(1.5), seed=np.int64(2))
