@@ -23,6 +23,10 @@ from .metrics import goal as make_goal
 from .tuner import DEConfig
 
 GOAL_NAMES = {"d2h": "dist2heaven", "popt": "p_opt", "f1": "f1", "acc": "accuracy"}
+# The config keys some command reads; a command ignores the others' keys.  There is no
+# "de.seed": each cell seeds its DE run from the run's seed.
+CONFIG_KEYS = ("manifest", "goal", "learner", "repeats", "seed", "folds", "out", "format",
+               "de.np", "de.f", "de.cr", "de.life")
 
 
 def _add_common(parser: argparse.ArgumentParser, tuned: bool) -> None:
@@ -88,7 +92,8 @@ def _given(args, config: dict, kinds: dict) -> dict:
 
 
 def _load_config(args) -> dict:
-    """The --config object, with the entries of its "de" object keyed "de.<name>"."""
+    """The --config object, with the entries of its "de" object keyed "de.<name>"; a key
+    outside CONFIG_KEYS is a ConfigError."""
     if getattr(args, "config", None) is None:
         return {}
     try:
@@ -101,6 +106,10 @@ def _load_config(args) -> dict:
     if not isinstance(de, dict):
         raise ConfigError(f"de must be an object of DE settings, got {de!r}")
     config.update({f"de.{key}": value for key, value in de.items()})
+    unknown = [key for key in config if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"config {args.config}: no command reads "
+                          f"{', '.join(map(repr, unknown))}")
     return config
 
 

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import CHUNK_TERMS, Dataset, Memo, nearest
+from .dataset import CHUNK_TERMS, Dataset, Memo, nearest, row_chunks
 from .errors import DegenerateDataError
 from .metrics import GoalSpec, goal as make_goal
 from . import fft as fft_mod
@@ -79,12 +79,21 @@ def _z_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, std, (features - mean) / std
 
 
-def _entropy(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Binary entropy in bits of n_pos positives among n >= 1 rows."""
+def _entropy(n_pos: np.ndarray, n: np.ndarray, out=None) -> np.ndarray:
+    """Binary entropy in bits of n_pos positives among n >= 1 rows (into `out` if given)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = n_pos / n
-        return -(np.where(p > 0, p * np.log2(p), 0.0)
-                 + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0))
+        return np.negative(np.where(p > 0, p * np.log2(p), 0.0)
+                           + np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0), out=out)
+
+
+def _entropy_table(rows: int, positives: int) -> np.ndarray:
+    """_entropy(pos, n) at [n, pos] for each n <= rows and pos <= positives, written in
+    row blocks of dataset.STEP_TERMS terms, so _entropy's temporaries stay block-sized."""
+    table = np.empty((rows + 1, positives + 1))
+    for block in row_chunks(rows + 1, positives + 1):
+        _entropy(np.arange(positives + 1), np.arange(rows + 1)[block, None], out=table[block])
+    return table
 
 
 class _TreeNode:
@@ -174,8 +183,8 @@ class _Cart:
                 gains, thresholds = self.memo.get(key, lambda: np.full((2, n_features), np.nan))
                 todo = candidates[np.isnan(gains[candidates])]  # not yet searched at this node
                 if len(todo):
-                    table = self.memo.get("entropy", lambda: _entropy(
-                        np.arange(n_pos + 1), np.arange(n + 1)[:, None])) if tabled else None
+                    table = (self.memo.get("entropy", lambda: _entropy_table(n, n_pos))
+                             if tabled else None)
                     # Two gathers: one broadcast index pair costs twice the time, and its
                     # iterator's buffers raise the fit's peak memory.
                     gains[todo], thresholds[todo] = _best_split(features[idx][:, todo], labs,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CHUNK_TERMS, Dataset, Memo, distance_chunks
+from .dataset import CHUNK_TERMS, Dataset, Memo, distance_chunks, first_k
 from .errors import DegenerateDataError, check_int
 from .tuner import CATEGORICAL, CONTINUOUS, INTEGER, ParamSpace, ParamSpec
 
@@ -78,7 +78,8 @@ def _segment_draws(rng: np.random.Generator, n_points: int, k: int, count: int):
 
 def neighbour_table(points: np.ndarray, k: int, r: float, memo: Memo) -> np.ndarray:
     """Each point's k nearest other points (Minkowski power r, ties by index).  Calls on one
-    memo of these points share their pair differences up to CHUNK_TERMS terms, else chunk."""
+    memo of these points share their pair differences up to CHUNK_TERMS terms; past that
+    cap each table takes its differences in kernel steps (dataset.STEP_TERMS)."""
     m = len(points)
     if m * (m - 1) // 2 * points.shape[1] <= CHUNK_TERMS:  # |p_i - p_j| for each i < j, in order
         pairs, upper = memo.get("pairs", lambda: (np.concatenate(
@@ -86,11 +87,11 @@ def neighbour_table(points: np.ndarray, k: int, r: float, memo: Memo) -> np.ndar
         distances = np.full((m, m), np.inf)
         distances[upper] = (pairs ** r).sum(axis=1) ** (1.0 / r)
         distances.T[upper] = distances[upper]
-        return np.argsort(distances, axis=1, kind="stable")[:, :k]
+        return first_k(distances, k)
     tables = []
     for rows, distances in distance_chunks(points, points, r):
         np.fill_diagonal(distances[:, rows], np.inf)  # each point's distance to itself
-        tables.append(np.argsort(distances, axis=1, kind="stable")[:, :k])
+        tables.append(first_k(distances, k))
     return np.concatenate(tables)
 
 

@@ -172,7 +172,7 @@ class TestSpecDefaults:
 
     @pytest.mark.parametrize("command, flags, config, de_given, spec_given", [
         ("tune", [], {}, {}, {}),
-        ("tune", ["--np", "6", "--cr", "0.5"], {"de": {"life": 2, "seed": 3}},
+        ("tune", ["--np", "6", "--cr", "0.5"], {"de": {"life": 2}},
          {"np": 6, "cr": 0.5, "life": 2}, {}),
         ("kfold-tune", ["--folds", "3", "--seed", "4"], {"repeats": 1, "de": {"f": 1}},
          {"f": 1}, {"folds": 3, "seed": 4, "repeats": 1}),
@@ -282,6 +282,25 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
+
+    # A misspelt key would run with the default and exit 0; DE takes no seed of its own.
+    @pytest.mark.parametrize("command,config,keys", [
+        ("tune", {"learner": "naive_bayes", "repets": 3, "de": {"lif": 1, "seed": 7}},
+         ["repets", "de.lif", "de.seed"]),
+        ("smotuned", {"de": {"np": 5, "seed": 0}}, ["de.seed"]),
+        ("untuned", {"config": "other.json", "folds": 3}, ["config"]),
+        ("kfold-tune", {"Seed": 1}, ["Seed"]),
+    ])
+    def test_keys_no_command_reads_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                      command, config, keys):
+        manifest = make_project(tmp_path)
+        monkeypatch.setattr(learners, "fit", no_fit)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"manifest": str(manifest), **config}), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert [key for key in keys if repr(key) in err] == keys and "'folds'" not in err
 
     @pytest.mark.parametrize("header", ["wmc,rfc,cbo,loc,bug", "rfc,wmc,loc,bug"],
                              ids=["added-column", "reordered-columns"])

@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from defectkit.dataset import Memo, nearest, row_chunks
 from defectkit.errors import DegenerateDataError
-from defectkit import learners
+from defectkit import dataset, learners, smote
 from defectkit.learners import KINDS, LearnerSpec, fit, param_space, predict_dataset
 from defectkit.metrics import goal
 from defectkit.tuner import CONTINUOUS, INTEGER
 
 from conftest import make_dataset, planted_dataset
+from test_smote import one_shot_neighbours
 
 
 def walk_cart(tree, x):
@@ -574,8 +575,43 @@ class TestKnnChunks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One 600 x 600 x 11 float array alone is 31.7 MB.
-        assert peak < 16 * 2 ** 20
+        # One 600 x 600 x 11 float array alone is 31.7 MB.  Two 2 MiB steps live at once and
+        # every row's full 600-point ranking kept read 6.7 MiB; one 512 KiB step, 0.74 MiB.
+        assert peak < 2 * 2 ** 20
+
+
+class TestKernelStep:
+    """Where the kernel steps end changes no ranking: each query row is ranked over the
+    same terms, summed in the same order, wherever the block boundaries fall."""
+
+    # Coordinates in {0, 1, 2, 3} make many equal distances, so tie order counts.
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_kernels_equal_one_shot_at_any_step(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n_train, n_test, n_features = (data.draw(st.integers(2, 60)),
+                                       data.draw(st.integers(1, 40)), data.draw(st.integers(1, 8)))
+        features = rng.integers(0, 4, size=(n_train + n_test, n_features)).astype(float)
+        labels = np.r_[0, 1, rng.random(n_train + n_test - 2) < 0.3].astype(int)
+        train = make_dataset(features[:n_train], labels[:n_train])
+        test = make_dataset(features[n_train:], labels[n_train:])
+        k = data.draw(st.integers(1, 20))
+        r = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]) | st.floats(0.1, 5.0))
+        points = train.features
+        # One row a step, a drawn step, and one step over every row (of either kernel).
+        every_row = max(n_train, n_test) * points.size
+        for step in (1, data.draw(st.integers(1, every_row)), every_row + 1):
+            memo = Memo(None, 2)
+            # The pair-memo cap at 0 sends every table down the chunked path, and a fresh
+            # fit ranks the test rows again (a model keeps its last ranking).
+            with mock.patch.object(dataset, "STEP_TERMS", step), \
+                    mock.patch.object(smote, "CHUNK_TERMS", 0):
+                model = fit(LearnerSpec("knn", {"k": k}), train, seed=0)
+                _, scores = predict_dataset(model, test)
+                table = smote.neighbour_table(points, min(k, n_train - 1), r, memo)
+            assert np.array_equal(scores, one_shot_knn(model.state, test.features)), step
+            assert np.array_equal(table, one_shot_neighbours(points, min(k, n_train - 1), r))
+            assert not memo.entries
 
 
 def per_k_score_knn(state, x):
@@ -837,18 +873,31 @@ class TestEntropyTable:
             gathered = learners._best_split(features[idx], labels[idx], min_leaf, table)
             assert [a.tobytes() for a in gathered] == [a.tobytes() for a in split]
 
+    def test_build_peak_stays_near_the_table(self):
+        tracemalloc.start()
+        try:
+            table = fitted_entropy_table(np.arange(1000) < 257)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Built in one shot, _entropy's temporaries took 8.2 MiB over the table's 1.97 MiB;
+        # in 512 KiB row blocks, 2.6 MiB.
+        assert peak - table.nbytes < 3 * 2 ** 20
+
 
 def test_byte_identity_properties_hold_on_older_cpu_kernels():
     # The SVM fit's matvecs run on a strided view (lda = F + 1), stacked one per C, BLAS
-    # call shapes nothing else makes, and the entropy table's values come from log2 over
-    # another array than the search's.  Run those oracle properties again under OpenBLAS's
-    # Prescott kernels and under numpy's baseline loops, each in a child process, the two
-    # at once.
+    # call shapes nothing else makes, the entropy table's values come from log2 over
+    # another array than the search's, and moving a kernel step's block boundaries moves
+    # the SIMD tails of `**` and of the row sums.  Run those oracle properties again under
+    # OpenBLAS's Prescott kernels and under numpy's baseline loops, each in a child
+    # process, the two at once.
     root = Path(__file__).resolve().parent.parent
     tests = [f"{__file__}::{name}" for name in (
         "TestLinearSvm::test_weights_equal_per_epoch_fit_on_drawn_cases",
         "TestLinearSvm::test_lockstep_fit_equals_per_epoch_fit_on_drawn_cases",
-        "TestEntropyTable::test_gather_and_split_bytes_equal_entropy")]
+        "TestEntropyTable::test_gather_and_split_bytes_equal_entropy",
+        "TestKernelStep::test_kernels_equal_one_shot_at_any_step")]
     cpu_settings = [{"OPENBLAS_CORETYPE": "Prescott"},
                     {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
     with contextlib.ExitStack() as stack:
@@ -860,7 +909,7 @@ def test_byte_identity_properties_hold_on_older_cpu_kernels():
         for extra, child in zip(cpu_settings, children):
             output, _ = child.communicate(timeout=120)
             assert child.returncode == 0, (extra, output)
-            assert "3 passed" in output, (extra, output)
+            assert "4 passed" in output, (extra, output)
 
 
 class TestSchemaFingerprint:

@@ -293,8 +293,9 @@ class TestNeighbourChunks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One 600 x 600 x 11 float array alone is 31.7 MB.
-        assert peak < 16 * 2 ** 20
+        # One 600 x 600 x 11 float array alone is 31.7 MB.  Two 2 MiB steps live at once and
+        # every row's full 600-point ranking kept read 6.7 MiB; one 512 KiB step, 0.75 MiB.
+        assert peak < 2 * 2 ** 20
 
 
 def reference_apply(data: Dataset, cfg: SmoteConfig) -> Dataset:
