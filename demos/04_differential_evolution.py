@@ -18,14 +18,14 @@ def quadratic(candidate):
     return -(candidate.tunings["x"] - 25.0) ** 2
 
 
-run = run_de(space, quadratic, "maximize", DEConfig(seed=0))
+run = run_de(space, quadratic, "maximize", DEConfig(), seed=0)
 print(f"quadratic peak at x=25: DE found x={run.best.tunings['x']:.5f}")
 print(f"  {run.generations} generations, {run.evaluations} objective calls")
 print(f"  best-so-far trace (first 8): "
       f"{[round(v, 3) for v in run.best_history[:8]]}")
 
 # --- the life mechanism -----------------------------------------------------
-flat = run_de(space, lambda c: 1.0, "maximize", DEConfig(seed=0, life=5))
+flat = run_de(space, lambda c: 1.0, "maximize", DEConfig(life=5), seed=0)
 print(f"\na constant objective can never improve, so the search spends its "
       f"5 lives\nand stops after exactly {flat.generations} generations "
       f"({flat.evaluations} calls; stop reason {flat.stop_reason!r})")
@@ -46,7 +46,7 @@ def preference(candidate):
             + {"linear": 0.5, "poly": 0.0, "rbf": 0.25}[t["kernel"]])
 
 
-best = run_de(mixed, preference, "maximize", DEConfig(seed=3)).best
+best = run_de(mixed, preference, "maximize", DEConfig(), seed=3).best
 print("\nmixed-space optimum found by DE:")
 for name, value in best.tunings.items():
     print(f"  {name} = {value}")

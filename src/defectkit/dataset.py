@@ -233,8 +233,9 @@ def row_chunks(n_rows: int, row_terms: int) -> list[slice]:
 
 
 class Memo:
-    """Work that calls on one dataset share (fitted models, CART split searches, SMOTE neighbour
-    tables): `get` keeps at most `size` `entries`, made on a miss, least recently used first."""
+    """Work that calls share: on one dataset, CART split searches or SMOTE neighbour tables; on
+    none, a tuned cell's candidate scores.  `get` keeps at most `size` `entries`, made on a
+    miss, least recently used first."""
 
     def __init__(self, data, size: int):
         self.data, self.size, self.entries = data, size, {}

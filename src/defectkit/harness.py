@@ -21,7 +21,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -351,13 +351,13 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
     """Tune by DE from a population holding `planted`; score the winner's model on `test`.
 
     Each distinct candidate is scored once on `tune_set` by the model `fit_from(tunings)`
-    makes, shared by candidates equal outside `space.decision`.  `fit_together(list of
-    tunings) -> their models`, if given, first fits in one call each model a batch DE is
-    about to score needs and no kept model covers.  At most de_cfg.np models are alive,
-    plus de_cfg.np pending ones with `fit_together`.
+    makes; a candidate equal to the best so far outside `space.decision` takes the best's
+    model.  `fit_together(list of tunings) -> their models`, if given, first fits in one
+    call each model a batch DE is about to score needs and the best's does not cover.  At
+    most two models are alive, the best's and the one being scored, plus one batch of
+    pending ones with `fit_together`.
     """
     calls = 0
-    models = Memo(None, de_cfg.np - 1)  # from no one dataset: nothing calls serving
     scores = Memo(None, sys.maxsize)  # every distinct candidate's tuning score
     pending = {}  # fit key -> model fitted by fit_together, not yet used
     best = None  # (tuning score, fit key, model) of the first candidate to score best so far
@@ -371,17 +371,15 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
 
     def model_for(tunings: dict) -> tuple:
         key = fit_key(tunings)
-        model = best[2] if best and best[1] == key else models.get(
-            key, lambda: pending.pop(key) if key in pending else fit_from(tunings))
+        model = (best[2] if best and best[1] == key
+                 else pending.pop(key) if key in pending else fit_from(tunings))
         return key, learners.decide(model, {name: tunings[name] for name in space.decision})
 
     def prepare(candidates: list) -> None:
         batch = {}  # fit key -> tunings, in candidate order
         for candidate in candidates:
             key = fit_key(candidate.tunings)
-            covered = (score_key(candidate.tunings) in scores.entries
-                       or (best and best[1] == key) or key in models.entries or key in pending)
-            if not covered:
+            if not (score_key(candidate.tunings) in scores.entries or best and best[1] == key):
                 batch.setdefault(key, candidate.tunings)
         if batch:
             pending.update(zip(batch, fit_together(list(batch.values()))))
@@ -399,9 +397,8 @@ def _de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
         calls += 1
         return scores.get(score_key(candidate.tunings), lambda: score(candidate.tunings))
 
-    run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
-                       seed_candidates=[planted],
-                       prepare=prepare if fit_together else None)
+    run = tuner.run_de(space, objective, g.direction, de_cfg, seed_candidates=[planted],
+                       prepare=prepare if fit_together else None, seed=seed)
     assert calls == run.evaluations
     # run.best normally is `best`; were it not, model_for would find or fit its model.
     return {

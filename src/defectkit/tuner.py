@@ -127,10 +127,9 @@ class DEConfig:
     f: float = 0.75
     cr: float = 0.3
     life: int = 5
-    seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("np", 4), ("life", 1), ("seed", 0)):  # np: a target and three donors
+        for name, low in (("np", 4), ("life", 1)):  # np: a target and three donors
             check_int(name, getattr(self, name), low)
         if not _real(self.f) or not 0 < self.f < math.inf:  # NaN fails too
             raise ValueError(f"f must be positive and finite, got {self.f!r}")
@@ -181,7 +180,7 @@ class DERun:
 
 def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction: str,
            cfg: DEConfig, seed_candidates: list[dict] | None = None,
-           prepare: Callable[[list[Candidate]], None] | None = None) -> DERun:
+           prepare: Callable[[list[Candidate]], None] | None = None, seed: int = 0) -> DERun:
     """Full DE loop returning the best candidate ever seen plus run accounting.
 
     `seed_candidates` are tunings planted at the front of the initial
@@ -191,10 +190,11 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
     generation's mutants once, before any of them is scored.  Mutants
     extrapolate from the previous population and scoring draws nothing from
     DE's generator, so a generation draws all its mutants first and the stream
-    is the same either way.
+    is the same either way.  `seed` seeds DE's generator.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
+    check_int("seed", seed, 0)
     # Lower keys are better.  Negation is exact, and min keeps the first of equal keys as
     # max does, so maximising keeps the scores' own comparisons and tie-breaks.
     sign = 1 if direction == "minimize" else -1
@@ -207,7 +207,7 @@ def run_de(space: ParamSpace, objective: Callable[[Candidate], float], direction
             candidate.score = float(objective(candidate))
         return candidates
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     population = _sample_population(space, cfg.np, rng)
     for i, tunings in enumerate(seed_candidates or []):
         space.validate(tunings)

@@ -142,8 +142,9 @@ def test_de_convergence_30_seeds():
     assert brute_force_best == pytest.approx(25.0, abs=1e-9)
 
     for seed in range(30):
-        cfg = DEConfig(seed=seed)
-        run, log = challenges(space, lambda c: -(c.tunings["x"] - 25.0) ** 2, "maximize", cfg)
+        cfg = DEConfig()
+        run, log = challenges(space, lambda c: -(c.tunings["x"] - 25.0) ** 2, "maximize", cfg,
+                              seed=seed)
         assert abs(run.best.tunings["x"] - brute_force_best) <= 1.0
         for earlier, later in zip(run.best_history, run.best_history[1:]):
             assert later >= earlier

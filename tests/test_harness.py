@@ -4,7 +4,6 @@ import pickle
 import threading
 import time
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -311,8 +310,8 @@ def reference_de_cell(space, planted, fit_from, tune_set, test, g, de_cfg, seed,
         calls += 1
         return harness._score(fit_from(candidate.tunings), tune_set, g)
 
-    run = tuner.run_de(space, objective, g.direction, replace(de_cfg, seed=seed),
-                       seed_candidates=[planted])
+    run = tuner.run_de(space, objective, g.direction, de_cfg, seed_candidates=[planted],
+                       seed=seed)
     assert calls == run.evaluations
     return {
         "score": harness._score(fit_from(run.best.tunings), test, g),
@@ -341,6 +340,21 @@ def recorded_fits(monkeypatch):
 
     monkeypatch.setattr(harness.learners, "fit_many", recording)
     return fitted
+
+
+def live_models(monkeypatch):
+    """Every model fitted in one process, and how many were alive at each score."""
+    on_cpus(monkeypatch, 1)
+    fitted = recorded_fits(monkeypatch)
+    alive = []
+    original = harness._score
+
+    def watching(model, data, g):  # no collection: without one, the count only rises
+        alive.append(sum(ref() is not None for ref in fitted))
+        return original(model, data, g)
+
+    monkeypatch.setattr(harness, "_score", watching)
+    return fitted, alive
 
 
 def assert_svm_cells_fit_each_distinct_c_once(monkeypatch, runner):
@@ -442,23 +456,22 @@ class TestModelCache:
         assert row_fields(run_smotuned(spec)) == refit_every_candidate
         assert len(set(applies)) == len(applies) == len(tuning_scores)
 
-    def test_cell_holds_at_most_np_models(self, monkeypatch):
-        on_cpus(monkeypatch, 1)
-        fitted = recorded_fits(monkeypatch)
-        alive = []
-        original = harness._score
-
-        def watching(model, data, g):  # no collection: without one, the count only rises
-            alive.append(sum(ref() is not None for ref in fitted))
-            return original(model, data, g)
-
-        monkeypatch.setattr(harness, "_score", watching)
+    def test_cell_holds_the_best_model_and_the_scored_one(self, monkeypatch):
+        fitted, alive = live_models(monkeypatch)
         spec = spec_for({"planted": planted_split()},
                         [LearnerSpec("cart"), LearnerSpec("knn")], seed=23, de=FAST_DE)
         run_tuned(spec)
         run_smotuned(spec)
-        assert len(fitted) > 4 * FAST_DE.np  # so some of the 4 cells evicted
-        assert max(alive) == FAST_DE.np
+        assert len(fitted) > 4 * FAST_DE.np  # so the 4 cells let most of their models go
+        assert max(alive) == 2
+
+    def test_svm_cell_holds_one_pending_batch_more(self, monkeypatch):
+        fitted, alive = live_models(monkeypatch)
+        spec = spec_for({"planted": planted_split()}, [LearnerSpec("linear_svm")], seed=23,
+                        de=FAST_DE)
+        run_tuned(spec)
+        assert len(fitted) > 2 * FAST_DE.np
+        assert max(alive) == FAST_DE.np + 1  # the best's and a generation's new C values
 
 
 def few_defects():

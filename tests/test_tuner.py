@@ -27,7 +27,7 @@ def mixed(c: Candidate) -> float:
     return c.tunings["x"] + c.tunings["n"] + c.tunings["flag"] + "abc".index(c.tunings["mode"])
 
 
-def challenges(space, objective, direction, cfg, prepare=None):
+def challenges(space, objective, direction, cfg, prepare=None, seed=0):
     """run_de's result, plus each challenge as (generation, slot, incumbent score, challenger
     score, replaced).
 
@@ -47,7 +47,7 @@ def challenges(space, objective, direction, cfg, prepare=None):
         return extrapolate(target, *args)
 
     with mock.patch.object(tuner, "extrapolate", watching):
-        run = run_de(space, recording, direction, cfg, prepare=prepare)
+        run = run_de(space, recording, direction, cfg, prepare=prepare, seed=seed)
     challengers = calls[cfg.np:]
     assert len(challengers) == len(targets) == cfg.np * run.generations
     next_incumbents = targets[cfg.np:] + [None] * cfg.np
@@ -202,7 +202,7 @@ class TestDEConfig:
     # f or cr raised a bare TypeError from the bound comparison.
     @pytest.mark.parametrize("kwargs", [
         {"np": 5.5}, {"np": True}, {"np": "10"}, {"life": 2.5}, {"life": True},
-        {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"f": True}, {"cr": False},
+        {"f": True}, {"cr": False},
         {"f": "big"}, {"cr": "0.3"}, {"f": None}, {"cr": 0.5j}, {"cr": np.bool_(True)},
     ])
     def test_bool_or_non_integer_count_is_named(self, kwargs):
@@ -211,38 +211,43 @@ class TestDEConfig:
             DEConfig(**kwargs)
 
     def test_numpy_integers_are_counts(self):
-        assert DEConfig(np=np.int64(6), life=np.int32(2), seed=np.uint32(7)).np == 6
+        assert DEConfig(np=np.int64(6), life=np.int32(2)).np == 6
+
+    def test_seed_is_no_field(self):
+        # The harness seeds each cell's run, so a configured seed was never read.
+        with pytest.raises(TypeError, match="seed"):
+            DEConfig(seed=7)
 
 
 class TestOptimize:
     def test_constant_objective_spends_exactly_life(self):
-        run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(seed=4, life=5))
+        run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(life=5), seed=4)
         assert run.generations == 5
         assert run.evaluations == 10 * (5 + 1)
         initial = _sample_population(QUADRATIC_SPACE, 10, np.random.default_rng(4))
         assert run.best.tunings in [c.tunings for c in initial]
 
     def test_run_that_spends_its_lives_stops_for_life(self):
-        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=4))
+        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=4)
         assert run.generations < tuner.MAX_GENERATIONS
         assert run.stop_reason == "life"
 
     def test_objective_that_always_improves_stops_at_the_cap(self):
         calls = iter(range(10 ** 6))
         run = run_de(QUADRATIC_SPACE, lambda c: next(calls), "maximize",
-                     DEConfig(np=4, life=10 ** 6, seed=4))
+                     DEConfig(np=4, life=10 ** 6), seed=4)
         assert run.generations == tuner.MAX_GENERATIONS
         assert run.stop_reason == "max_generations"
 
     def test_last_life_spent_at_the_cap_stops_for_life(self, monkeypatch):
         monkeypatch.setattr(tuner, "MAX_GENERATIONS", 5)
-        run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(seed=4, life=5))
+        run = run_de(QUADRATIC_SPACE, lambda c: 1.0, "maximize", DEConfig(life=5), seed=4)
         assert run.generations == 5
         assert run.stop_reason == "life"
 
     def test_quadratic_converges(self):
         for seed in (0, 1, 2):
-            best = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=seed)).best
+            best = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=seed).best
             assert abs(best.tunings["x"] - 25.0) < 1.0
 
     # Rounded scores tie often, so the tie-breaks of challenges and of the best are drawn too.
@@ -251,13 +256,13 @@ class TestOptimize:
            mixed_space=st.booleans(), step=st.sampled_from([0.5, 3.0, 40.0, 1e9]))
     def test_minimize_maximize_duality(self, seed, np_, life, mixed_space, step):
         space, base = (MIXED_SPACE, mixed) if mixed_space else (QUADRATIC_SPACE, quadratic)
-        cfg = DEConfig(np=np_, life=life, seed=seed)
+        cfg = DEConfig(np=np_, life=life)
 
         def tied(c):
             return float(round(base(c) / step))
 
-        run_max, log_max = challenges(space, tied, "maximize", cfg)
-        run_min, log_min = challenges(space, lambda c: -tied(c), "minimize", cfg)
+        run_max, log_max = challenges(space, tied, "maximize", cfg, seed=seed)
+        run_min, log_min = challenges(space, lambda c: -tied(c), "minimize", cfg, seed=seed)
         assert (run_max.best.tunings, run_max.evaluations, run_max.generations,
                 run_max.stop_reason) == (run_min.best.tunings, run_min.evaluations,
                                          run_min.generations, run_min.stop_reason)
@@ -266,12 +271,12 @@ class TestOptimize:
         assert [e[:2] + (e[4],) for e in log_max] == [e[:2] + (e[4],) for e in log_min]
 
     def test_best_history_is_monotone(self):
-        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=11))
+        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=11)
         for earlier, later in zip(run.best_history, run.best_history[1:]):
             assert later >= earlier
 
     def test_every_slot_holds_winner_of_challenge(self):
-        _, log = challenges(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=12))
+        _, log = challenges(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=12)
         decided = [e for e in log if e[4] is not None]
         assert decided and any(e[4] for e in decided) and not all(e[4] for e in decided)
         for _, _, incumbent, challenger, replaced in decided:
@@ -285,26 +290,36 @@ class TestOptimize:
                 returned.append(quadratic(c))
                 return returned[-1]
 
-            run = run_de(QUADRATIC_SPACE, recording, "maximize", DEConfig(seed=seed))
+            run = run_de(QUADRATIC_SPACE, recording, "maximize", DEConfig(), seed=seed)
             assert len(returned) == run.evaluations
             assert run.best.score == max(returned)
 
     def test_reproducible(self):
-        a = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=21))
-        b = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=21))
+        a = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=21)
+        b = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=21)
         assert a.best.tunings == b.best.tunings
         assert a.best_history == b.best_history
 
     def test_seed_candidates_fill_initial_slots(self):
-        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=2),
+        run = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=2,
                      seed_candidates=[{"x": 25.0}])
         assert run.initial_scores[0] == 0.0
         assert run.best.score >= 0.0
 
     def test_seed_candidates_validated(self):
         with pytest.raises(ValueError):
-            run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(seed=2),
+            run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=2,
                    seed_candidates=[{"x": 500.0}])
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_bool_negative_or_non_integer_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be .*, got {seed!r}$"):
+            run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        a = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=np.uint32(7))
+        b = run_de(QUADRATIC_SPACE, quadratic, "maximize", DEConfig(), seed=7)
+        assert a.best.tunings == b.best.tunings and a.best_history == b.best_history
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
@@ -315,7 +330,7 @@ class TestOptimize:
     @pytest.mark.parametrize("seed", [0, 3, 17, 40])
     def test_prepare_sees_each_batch_once_before_scoring_and_keeps_the_stream(self, space,
                                                                               objective, seed):
-        cfg = DEConfig(np=6, life=3, seed=seed)
+        cfg = DEConfig(np=6, life=3)
         scored, batches = [], []  # batches: (candidates, how many were scored before)
 
         def recording(candidate):
@@ -326,8 +341,8 @@ class TestOptimize:
             assert all(candidate.score is None for candidate in candidates)
             batches.append((list(candidates), len(scored)))
 
-        run, log = challenges(space, recording, "maximize", cfg, prepare)
-        plain_run, plain_log = challenges(space, objective, "maximize", cfg)
+        run, log = challenges(space, recording, "maximize", cfg, prepare, seed)
+        plain_run, plain_log = challenges(space, objective, "maximize", cfg, seed=seed)
         assert log == plain_log
         assert (run.best.tunings, run.evaluations, run.generations, run.initial_scores,
                 run.best_history, run.stop_reason) == (
@@ -345,7 +360,7 @@ class TestOptimize:
         def objective(c: Candidate) -> float:
             seen.append(dict(c.tunings))
             return mixed(c)
-        run = run_de(MIXED_SPACE, objective, "maximize", DEConfig(seed=3))
+        run = run_de(MIXED_SPACE, objective, "maximize", DEConfig(), seed=3)
         assert len(seen) == run.evaluations
         for tunings in seen:
             for spec in MIXED_SPACE:
